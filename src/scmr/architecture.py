@@ -15,13 +15,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 Vertex = tuple[int, int]
 
 
 class ArchitectureError(ValueError):
     pass
+
+
+class _NeighborTable(dict):
+    __slots__ = ("grid",)
+
+    def __missing__(self, v):
+        raise ArchitectureError(f"vertex {v} outside {self.grid} grid")
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,23 @@ class Architecture:
     def neighbors(self, v: Vertex) -> list[Vertex]:
         return self.horizontal_neighbors(v) + self.vertical_neighbors(v)
 
+    @cached_property
+    def adjacency(self) -> MappingProxyType:
+        """Read-only table: vertex -> tuple of its grid neighbors, sorted.
+
+        Built once per instance on first use, for searches that expand many
+        vertices; horizontal neighbors of v are those sharing v's second
+        coordinate, vertical ones those sharing its first. Looking up an
+        off-grid vertex raises ArchitectureError, as `neighbors` does.
+        """
+        table = _NeighborTable((v, tuple(sorted(self.neighbors(v)))) for v in self.vertices())
+        table.grid = f"{self.cols}x{self.rows}"
+        return MappingProxyType(table)
+
+    def __getstate__(self):
+        # Pickle and copy the fields only; a copy rebuilds its tables on use.
+        return {"rows": self.rows, "cols": self.cols, "magic": self.magic}
+
     def edges(self):
         """Undirected grid edges as ordered pairs (u, v) with u < v."""
         for v in self.vertices():
@@ -90,19 +115,22 @@ def custom_architecture(rows: int, cols: int, magic) -> Architecture:
     return Architecture(rows, cols, magic_set)
 
 
-@lru_cache(maxsize=None)
 def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
     """Row-major greedy selection of 3x3-clear centers at pairwise L-inf >= 2."""
-    kept: list[Vertex] = []
-    for v in arch.vertices():
-        a, b = v
-        if a < 2 or a > arch.cols - 1 or b < 2 or b > arch.rows - 1:
-            continue
-        box = [(a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
-        if any(c in arch.magic for c in box):
-            continue
-        if all(max(abs(a - u[0]), abs(b - u[1])) >= 2 for u in kept):
-            kept.append(v)
+    return _regular_locations(arch.rows, arch.cols, arch.magic)
+
+
+# Keyed by the grid's fields, not the Architecture, so the cache keeps no
+# instance (nor the tables cached on it) alive.
+@lru_cache(maxsize=64)
+def _regular_locations(rows: int, cols: int, magic: frozenset[Vertex]) -> tuple[Vertex, ...]:
+    kept: dict[Vertex, None] = {}          # insertion-ordered set
+    for b in range(2, rows):
+        for a in range(2, cols):
+            box = [(a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
+            # A kept center within L-inf 1 of (a, b) lies in its 3x3 box.
+            if not any(c in magic or c in kept for c in box):
+                kept[(a, b)] = None
     return tuple(kept)
 
 

@@ -73,11 +73,12 @@ def _distance_to_set(arch: Architecture, sources) -> dict[Vertex, int]:
     """Full-grid shortest-path distance to the nearest source, by BFS."""
     from collections import deque
 
+    adjacency = arch.adjacency
     dist = {v: 0 for v in sources}
     queue = deque(sources)
     while queue:
         v = queue.popleft()
-        for u in arch.neighbors(v):
+        for u in adjacency[v]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)

@@ -40,31 +40,35 @@ class GateRoute:
 # Shortest legal path
 # ---------------------------------------------------------------------------
 
-def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks) -> Path | None:
+def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks,
+                        used=frozenset()) -> Path | None:
     """Minimum-length legal path from source to some sink, or None.
 
-    `blocked` is the set of vertices unusable as path interiors (mapped
-    vertices, magic vertices, and anything consumed earlier in the step).
-    Sinks are endpoint candidates and must be entered through a horizontal
-    edge; they are used as given, so callers exclude consumed sinks. Only
-    the first and last edges are orientation-constrained, so a plain BFS over
-    interior vertices suffices; neighbor expansion is in sorted order to make
-    the returned path deterministic.
+    `blocked` and `used` are sets of vertices unusable as path interiors:
+    typically the mapped and magic vertices, and the vertices consumed
+    earlier in the step. Sinks are endpoint candidates and must be entered
+    through a horizontal edge; sinks in `used` are skipped. Only the first
+    and last edges are orientation-constrained, so a plain BFS over interior
+    vertices suffices; neighbor expansion is in sorted order to make the
+    returned path deterministic.
     """
-    sinks = set(sinks)
-    if not sinks:
-        return None
+    adjacency = arch.adjacency
+    sinks = frozenset(sinks)
     goal_of: dict[Vertex, Vertex] = {}
     for t in sorted(sinks):
-        for w in arch.horizontal_neighbors(t):
-            if w not in goal_of:
-                goal_of[w] = t
+        if t not in used:
+            for w in adjacency[t]:
+                if w[1] == t[1] and w not in goal_of:
+                    goal_of[w] = t
+    if not goal_of:
+        return None
 
-    usable = lambda v: v not in blocked and v not in arch.magic and v != source and v not in sinks
+    magic = arch.magic
     parent: dict[Vertex, Vertex | None] = {}
     queue = deque()
-    for u in sorted(arch.vertical_neighbors(source)):
-        if usable(u):
+    for u in adjacency[source]:
+        if (u[0] == source[0] and u not in blocked and u not in used
+                and u not in magic and u not in sinks):
             parent[u] = None
             queue.append(u)
     while queue:
@@ -74,8 +78,9 @@ def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks)
             while parent[hops[-1]] is not None:
                 hops.append(parent[hops[-1]])
             return (source, *reversed(hops), goal_of[w])
-        for x in sorted(arch.neighbors(w)):
-            if x not in parent and usable(x):
+        for x in adjacency[w]:
+            if (x not in parent and x != source and x not in blocked and x not in used
+                    and x not in magic and x not in sinks):
                 parent[x] = w
                 queue.append(x)
     return None
@@ -101,22 +106,32 @@ def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteReq
 def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
     vertices, repeat until nothing is routable. Ties go to the lower gate
-    index. Returns the routed subset with vertex-disjoint paths."""
+    index. Returns the routed subset with vertex-disjoint paths.
+
+    Each request's path is searched again only when the last pick consumed
+    one of its vertices. Consuming vertices only removes paths, and the
+    search returns the first shortest path in its fixed expansion order, so
+    a path that stays clear is still the one the search would return, and a
+    request without a path never gets one.
+    """
     remaining = sorted(requests, key=lambda r: r.gate.index)
+    paths = [shortest_legal_path(arch, blocked, r.source, r.sinks) for r in remaining]
     used: set[Vertex] = set()
     routed: list[tuple[Gate, Path]] = []
-    while remaining:
+    while True:
         best = None
-        for req in remaining:
-            path = shortest_legal_path(arch, blocked | used, req.source, req.sinks - used)
-            if path is not None and (best is None or len(path) < len(best[1])):
-                best = (req, path)
+        for i, path in enumerate(paths):
+            if path is not None and (best is None or len(path) < len(paths[best])):
+                best = i
         if best is None:
             break
-        req, path = best
-        used.update(path)
-        routed.append((req.gate, path))
-        remaining.remove(req)
+        req, picked = remaining.pop(best), paths.pop(best)
+        used.update(picked)
+        routed.append((req.gate, picked))
+        for i, path in enumerate(paths):
+            if path is not None and not used.isdisjoint(path):
+                r = remaining[i]
+                paths[i] = shortest_legal_path(arch, blocked, r.source, r.sinks, used)
     return routed
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from scmr.architecture import Architecture
-from scmr.circuit import Circuit, GateKind, gate_depths, gate_heights
+from scmr.architecture import Architecture, Vertex
+from scmr.circuit import Circuit, Gate, GateKind, gate_depths, gate_heights
+from scmr.routing import Path
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,95 @@ def enumerate_legal_paths(arch: Architecture, blocked, source, sinks, cap: int =
             if ok_interior(u) and u not in path:
                 stack.append((u, path + (u,)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Regular locations by the all-pairs check against every kept center
+# ---------------------------------------------------------------------------
+
+def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
+    """Row-major greedy selection of 3x3-clear centers at pairwise L-inf >= 2."""
+    kept: list[Vertex] = []
+    for v in arch.vertices():
+        a, b = v
+        if a < 2 or a > arch.cols - 1 or b < 2 or b > arch.rows - 1:
+            continue
+        box = [(a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
+        if any(c in arch.magic for c in box):
+            continue
+        if all(max(abs(a - u[0]), abs(b - u[1])) >= 2 for u in kept):
+            kept.append(v)
+    return tuple(kept)
+
+
+# ---------------------------------------------------------------------------
+# Greedy routing as it was before the adjacency table and lazy re-search:
+# one BFS per pending request per pick, neighbors rebuilt on every expansion.
+# Kept verbatim as the reference the optimized router must match byte for
+# byte; shortest_first here calls the shortest_legal_path above it.
+# ---------------------------------------------------------------------------
+
+def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks) -> Path | None:
+    """Minimum-length legal path from source to some sink, or None.
+
+    `blocked` is the set of vertices unusable as path interiors (mapped
+    vertices, magic vertices, and anything consumed earlier in the step).
+    Sinks are endpoint candidates and must be entered through a horizontal
+    edge; they are used as given, so callers exclude consumed sinks. Only
+    the first and last edges are orientation-constrained, so a plain BFS over
+    interior vertices suffices; neighbor expansion is in sorted order to make
+    the returned path deterministic.
+    """
+    sinks = set(sinks)
+    if not sinks:
+        return None
+    goal_of: dict[Vertex, Vertex] = {}
+    for t in sorted(sinks):
+        for w in arch.horizontal_neighbors(t):
+            if w not in goal_of:
+                goal_of[w] = t
+
+    usable = lambda v: v not in blocked and v not in arch.magic and v != source and v not in sinks
+    parent: dict[Vertex, Vertex | None] = {}
+    queue = deque()
+    for u in sorted(arch.vertical_neighbors(source)):
+        if usable(u):
+            parent[u] = None
+            queue.append(u)
+    while queue:
+        w = queue.popleft()
+        if w in goal_of:
+            hops = [w]
+            while parent[hops[-1]] is not None:
+                hops.append(parent[hops[-1]])
+            return (source, *reversed(hops), goal_of[w])
+        for x in sorted(arch.neighbors(w)):
+            if x not in parent and usable(x):
+                parent[x] = w
+                queue.append(x)
+    return None
+
+
+def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gate, Path]]:
+    """Route the request with the currently shortest legal path, consume its
+    vertices, repeat until nothing is routable. Ties go to the lower gate
+    index. Returns the routed subset with vertex-disjoint paths."""
+    remaining = sorted(requests, key=lambda r: r.gate.index)
+    used: set[Vertex] = set()
+    routed: list[tuple[Gate, Path]] = []
+    while remaining:
+        best = None
+        for req in remaining:
+            path = shortest_legal_path(arch, blocked | used, req.source, req.sinks - used)
+            if path is not None and (best is None or len(path) < len(best[1])):
+                best = (req, path)
+        if best is None:
+            break
+        req, path = best
+        used.update(path)
+        routed.append((req.gate, path))
+        remaining.remove(req)
+    return routed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
+import copy
+import gc
 import json
+import pickle
+import random
+import weakref
 
 import pytest
 
@@ -13,6 +18,8 @@ from scmr.architecture import (
     regular_locations,
     right_column_architecture,
 )
+
+import oracles
 
 
 def test_neighbors_center_and_corner():
@@ -111,6 +118,59 @@ def test_regular_location_properties(make, n):
     for i, u in enumerate(locs):
         for v in locs[i + 1:]:
             assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) >= 2
+
+
+def test_regular_locations_match_all_pairs_oracle():
+    builds = [make(n) for n in range(1, 41)
+              for make in (bordered_architecture, right_column_architecture,
+                           lambda n: center_column_architecture(n, widen=True))]
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        cells = [(a, b) for a in range(1, cols + 1) for b in range(1, rows + 1)]
+        builds.append(custom_architecture(rows, cols, rng.sample(cells, rng.randint(0, len(cells) // 4))))
+    for arch in builds:
+        assert regular_locations(arch) == oracles.regular_locations(arch), arch
+
+
+def test_adjacency_table_matches_neighbors():
+    arch = right_column_architecture(5)
+    assert set(arch.adjacency) == set(arch.vertices())
+    for v in arch.vertices():
+        row = arch.adjacency[v]
+        assert row == tuple(sorted(arch.neighbors(v)))
+        assert [u for u in row if u[1] == v[1]] == arch.horizontal_neighbors(v)
+        assert [u for u in row if u[0] == v[0]] == arch.vertical_neighbors(v)
+    assert arch.adjacency is arch.adjacency
+    with pytest.raises(ArchitectureError):
+        arch.adjacency[(0, 1)]
+    with pytest.raises(TypeError):
+        arch.adjacency[(1, 1)] = ()
+
+
+def test_architecture_copies_after_table_is_built():
+    arch = bordered_architecture(4)
+    arch.adjacency
+    for again in (pickle.loads(pickle.dumps(arch)), copy.deepcopy(arch)):
+        assert again == arch and hash(again) == hash(arch)
+        assert again.adjacency == arch.adjacency
+
+
+def test_architecture_freed_after_compile():
+    # no module-level cache may keep a built architecture (and the tables
+    # cached on it) alive
+    from scmr.bench import random_circuit
+    from scmr.mapping import struct_map
+    from scmr.routing import greedy_route
+
+    arch = bordered_architecture(9)
+    circuit = random_circuit(9, 4, 0.2, seed=1)
+    greedy_route(arch, circuit, struct_map(arch, circuit))
+    assert regular_locations(arch) and arch.adjacency
+    ref = weakref.ref(arch)
+    del arch
+    gc.collect()
+    assert ref() is None
 
 
 def test_grid_distance():

@@ -2,10 +2,17 @@ import itertools
 
 import pytest
 
-from scmr.architecture import bordered_architecture, custom_architecture
-from scmr.bench import random_circuit
+import oracles
+import scmr.routing
+from scmr.architecture import (
+    bordered_architecture,
+    center_column_architecture,
+    custom_architecture,
+    right_column_architecture,
+)
+from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import circuit_from_gates, cnot, parse_circuit
-from scmr.mapping import qubit_map, random_map, struct_map
+from scmr.mapping import qubit_map, random_map, struct_map, unrestricted_locations
 from scmr.routing import (
     GateRoute,
     Rule,
@@ -234,3 +241,93 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
             enumerate_legal_paths(arch, blocked, r.source, r.sinks) for r in reqs
         )
         assert bool(routed) == alone
+
+
+# ---------------------------------------------------------------------------
+# Differential: the router against the pre-optimization shortest-first
+# ---------------------------------------------------------------------------
+
+def _outcome(arch, circuit, qmap) -> str:
+    try:
+        return route_to_json(greedy_route(arch, circuit, qmap))
+    except UnroutableGateError as e:
+        return f"unroutable: {e}"
+
+
+def _reference_outcome(monkeypatch, arch, circuit, qmap) -> str:
+    with monkeypatch.context() as mp:
+        mp.setattr(scmr.routing, "shortest_first", oracles.shortest_first)
+        return _outcome(arch, circuit, qmap)
+
+
+_BUILDERS = (bordered_architecture, right_column_architecture,
+             lambda n: center_column_architecture(n, widen=True))
+
+
+def _differential_instances():
+    for seed in range(60):
+        t_fraction = (0.0, 0.2, 0.4, 0.6, 0.8)[seed % 5]
+        c = random_circuit(2 + seed % 9, 2 + seed % 7, t_fraction, seed=seed)
+        arch = _BUILDERS[seed % 3](c.num_qubits)
+        yield arch, c, struct_map(arch, c)
+        yield arch, c, random_map(arch, c, seed=seed)
+    for d, k, rho, seed in [(3, 6, 1.0, 0), (5, 10, 0.5, 1), (2, 24, 1.0, 2),
+                            (4, 12, 0.7, 3), (6, 4, 1.0, 4), (1, 30, 1.0, 5)]:
+        c = known_optimal(d, k, rho, seed=seed)
+        arch = bordered_architecture(c.num_qubits)
+        yield arch, c, struct_map(arch, c)
+        yield arch, c, random_map(arch, c, seed=seed)
+
+
+def test_greedy_route_matches_reference_router(monkeypatch):
+    count = 0
+    for arch, c, m in _differential_instances():
+        assert _outcome(arch, c, m) == _reference_outcome(monkeypatch, arch, c, m)
+        count += 1
+    assert count == 132
+
+
+def test_greedy_route_matches_reference_router_on_crowded_maps(monkeypatch):
+    # maps over every non-magic vertex: qubits wall each other in, so some
+    # instances are unroutable and must fail with the same message
+    unroutable = 0
+    for seed in range(90):
+        c = random_circuit(3 + seed % 6, 2 + seed % 4, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
+        arch = _BUILDERS[seed % 3](c.num_qubits)
+        m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+        got = _outcome(arch, c, m)
+        assert got == _reference_outcome(monkeypatch, arch, c, m)
+        unroutable += got.startswith("unroutable")
+    assert 0 < unroutable < 90
+
+
+def _count_bfs_calls(monkeypatch, module, arch, circuit, qmap) -> int:
+    calls = 0
+    real = module.shortest_legal_path
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "shortest_legal_path", counting)
+        if module is oracles:
+            mp.setattr(scmr.routing, "shortest_first", oracles.shortest_first)
+        greedy_route(arch, circuit, qmap)
+    return calls
+
+
+def test_greedy_route_bfs_calls(monkeypatch):
+    # the search is reached through the module attribute, once or more per
+    # routed gate (span shims rely on that), and a pending request is searched
+    # again only when the last pick took a vertex of its path
+    c = known_optimal(6, 20, 1.0, seed=3)
+    arch = bordered_architecture(c.num_qubits)
+    counts = []
+    for m in (struct_map(arch, c), random_map(arch, c, seed=0)):
+        calls = _count_bfs_calls(monkeypatch, scmr.routing, arch, c, m)
+        reference = _count_bfs_calls(monkeypatch, oracles, arch, c, m)
+        assert len(c.gates) <= calls <= reference
+        counts.append((calls, reference))
+    assert counts == [(120, 1260), (528, 1326)]

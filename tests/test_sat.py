@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from scmr.architecture import bordered_architecture, custom_architecture
 from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import circuit_from_gates, cnot, depth, parse_circuit, tgate
-from scmr.mapping import qubit_map
+from scmr.mapping import qubit_map, struct_map
 from scmr.routing import GateRoute, validate
 from scmr.sat import (
     CapExhausted,
@@ -370,3 +371,20 @@ def test_process_backend_garbage_output(tmp_path):
     cnf = encode(GRID3, circuit_from_gates([cnot("a", "b")]), t_s=1)
     with pytest.raises(BackendError):
         backend.solve(cnf)
+
+
+def test_encoding_bytes_pinned():
+    # the DIMACS text of two fixed instances, hashed at the commit before the
+    # grid gained its adjacency table: the clause order the CDCL search
+    # depends on must not move
+    arch = bordered_architecture(4)
+    fixed = random_circuit(4, 3, 0.2, seed=3)
+    free = random_circuit(4, 2, 0.25, seed=5)
+    digests = []
+    for circuit, qmap in ((fixed, struct_map(arch, fixed)), (free, None)):
+        cnf = encode(arch, circuit, qmap, t_s=depth(circuit))
+        digests.append(hashlib.sha256(dimacs_text(cnf.num_vars, cnf.clauses).encode()).hexdigest())
+    assert digests == [
+        "d9c66a00a8269c2052dfa798c75c03566130b84103309c503ba7280f7142637b",
+        "4428ad9e81e41a06db7827b56a64b0e5432d4fbb5ed389f08c606820e5b7a68b",
+    ]
