@@ -199,6 +199,15 @@ def architecture_to_json(arch: Architecture) -> str:
     )
 
 
+def is_json_vertex(value) -> bool:
+    """True for the JSON form of a vertex, a list of two integers."""
+    return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
+
+
 def architecture_from_json(text: str) -> Architecture:
     data = json.loads(text)
+    if not (isinstance(data, dict) and type(data.get("rows")) is int
+            and type(data.get("cols")) is int and isinstance(data.get("magic"), list)
+            and all(is_json_vertex(v) for v in data["magic"])):
+        raise ArchitectureError('expected {"rows": int, "cols": int, "magic": [[a, b], ...]}')
     return custom_architecture(data["rows"], data["cols"], [tuple(v) for v in data["magic"]])

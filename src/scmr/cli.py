@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .architecture import (
@@ -30,8 +30,9 @@ from .bench import (
     random_circuit,
 )
 from .circuit import Circuit, CircuitError, depth, parse_circuit, serialize_circuit
-from .mapping import MappingError, map_from_json, map_to_json, random_map, struct_map
+from .mapping import MappingError, best_of_n, map_from_json, map_to_json, random_map, struct_map
 from .routing import (
+    RoutingError,
     UnroutableGateError,
     greedy_route,
     route_from_json,
@@ -58,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _read(path: str, loader):
+    """Parse one input file; any fault in it ends the command with exit 1."""
+    try:
+        return loader(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, CircuitError,
+            ArchitectureError, MappingError, RoutingError) as e:
+        raise CliUsage(f"{path}: {e}") from e
+
+
 def _load_architecture(spec: str, circuit: Circuit) -> Architecture:
     if spec == "bordered":
         return bordered_architecture(max(1, circuit.num_qubits))
@@ -65,80 +75,44 @@ def _load_architecture(spec: str, circuit: Circuit) -> Architecture:
         return right_column_architecture(max(1, circuit.num_qubits))
     if spec == "center-column":
         return center_column_architecture(max(1, circuit.num_qubits), widen=True)
-    return architecture_from_json(Path(spec).read_text())
+    return _read(spec, architecture_from_json)
 
 
 def _parse_mapper(name: str) -> tuple[str, int]:
     if name in ("optimal", "struct"):
         return name, 0
-    if name.startswith("rand:") or name.startswith("rand"):
-        digits = name.split(":", 1)[1] if ":" in name else name[4:]
-        if digits.isdigit() and int(digits) >= 1:
-            return "rand", int(digits)
-    raise ValueError(f"bad mapper {name!r}: expected optimal, struct, or rand:<N>")
-
-
-def _greedy_trial(payload):
-    arch, circuit, seed, index = payload
-    qmap = random_map(arch, circuit, seed)
-    route = greedy_route(arch, circuit, qmap)
-    return route.steps, index, qmap, route
-
-
-def _best_random(arch, circuit, n, seed, router_fn, jobs=1):
-    import random as _random
-    master = _random.Random(seed)
-    trial_seeds = [master.randrange(2 ** 62) for _ in range(n)]
-    if jobs > 1 and router_fn is greedy_route:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_greedy_trial,
-                                    [(arch, circuit, s, i) for i, s in enumerate(trial_seeds)]))
-        best = min(results, key=lambda r: (r[0], r[1]))
-        return best[2], best[3], False
-    best = None
-    proven = True
-    for i, s in enumerate(trial_seeds):
-        qmap = random_map(arch, circuit, s)
-        if router_fn is greedy_route:
-            route = greedy_route(arch, circuit, qmap)
-            trial_proven = False
-        else:
-            res = router_fn(arch, circuit, qmap)
-            route, trial_proven = res.route, res.proven_minimal
-        if best is None or route.steps < best[1].steps:
-            best = (qmap, route, trial_proven)
-    return best
+    digits = name[len("rand:"):]
+    if name.startswith("rand:") and digits.isdigit() and int(digits) >= 1:
+        return "rand", int(digits)
+    raise CliUsage(f"bad mapper {name!r}: expected optimal, struct, or rand:<N>")
 
 
 def cmd_compile(args) -> int:
-    text = Path(args.circuit).read_text()
-    circuit = parse_circuit(text, strict=not args.lenient)
+    circuit = _read(args.circuit, functools.partial(parse_circuit, strict=not args.lenient))
     arch = _load_architecture(args.arch, circuit)
     mapper, n_trials = _parse_mapper(args.mapper)
     if mapper == "optimal" and args.router != "optimal":
         raise CliUsage("--mapper optimal requires --router optimal")
 
     started = time.perf_counter()
-    proven = False
     if args.router == "optimal":
-        def run_opt(a, c, m):
-            return solve_optimal(a, c, qmap=m, timeout=args.timeout, prune=not args.no_prune)
-        if mapper == "optimal":
-            res = run_opt(arch, circuit, None)
-            qmap, route, proven = res.qmap, res.route, res.proven_minimal
-        elif mapper == "struct":
-            qmap = struct_map(arch, circuit)
-            res = run_opt(arch, circuit, qmap)
-            route, proven = res.route, res.proven_minimal
-        else:
-            qmap, route, proven = _best_random(arch, circuit, n_trials, args.seed, run_opt)
+        router = functools.partial(solve_optimal, timeout=args.timeout)
     else:
-        if mapper == "struct":
-            qmap = struct_map(arch, circuit)
-            route = greedy_route(arch, circuit, qmap)
-        else:
-            qmap, route, _ = _best_random(
-                arch, circuit, n_trials, args.seed, greedy_route, jobs=args.jobs)
+        router = greedy_route
+    if mapper == "optimal":
+        result = router(arch, circuit, None)
+        qmap = result.qmap
+    elif mapper == "struct":
+        qmap = struct_map(arch, circuit)
+        result = router(arch, circuit, qmap)
+    else:
+        # this module's own random_map, so a patched scmr.cli.random_map is what runs
+        qmap, result = best_of_n(arch, circuit, n_trials, args.seed, router,
+                                 mapper=random_map, jobs=args.jobs)
+    if args.router == "optimal":
+        route, proven = result.route, result.proven_minimal
+    else:
+        route, proven = result, False
     wall = time.perf_counter() - started
 
     problems = validate(arch, circuit, qmap, route)
@@ -180,10 +154,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    circuit = parse_circuit(Path(args.circuit).read_text(), strict=not args.lenient)
-    arch = architecture_from_json(Path(args.arch).read_text())
-    qmap = map_from_json(Path(args.map).read_text())
-    route = route_from_json(Path(args.route).read_text())
+    circuit = _read(args.circuit, functools.partial(parse_circuit, strict=not args.lenient))
+    arch = _read(args.arch, architecture_from_json)
+    qmap = _read(args.map, map_from_json)
+    route = _read(args.route, route_from_json)
     problems = validate(arch, circuit, qmap, route)
     for v in problems:
         print(str(v))
@@ -208,14 +182,14 @@ def cmd_generate(args) -> int:
         circuit = random_circuit(args.qubits, args.depth, args.t_fraction, seed=args.seed)
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
     elif args.generator == "psp":
-        spec = json.loads(Path(args.jobs).read_text())
+        spec = _read(args.jobs, json.loads)
         arch, circuit, t_s = psp_to_scmr(
             spec["jobs"], [tuple(e) for e in spec.get("edges", [])], args.k, args.t_p)
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
         _write(out.with_suffix(".arch.json"), architecture_to_json(arch) + "\n")
         print(f"t_s={t_s}")
     elif args.generator == "ndp":
-        spec = json.loads(Path(args.pairs_file).read_text())
+        spec = _read(args.pairs_file, json.loads)
         arch, circuit, qmap = ndp_to_scr((args.cols, args.rows),
                                          [tuple(map(tuple, p)) for p in spec])
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
@@ -243,9 +217,8 @@ def build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="out")
     c.add_argument("--metrics", default=None, help="append one CSV row here")
-    c.add_argument("--jobs", type=int, default=1, help="parallel best-of-N trials")
-    c.add_argument("--no-prune", action="store_true",
-                   help="emit the full execution-step windows in the SAT encoding")
+    c.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for rand:<N> trials (default 1)")
     strictness = c.add_mutually_exclusive_group()
     strictness.add_argument("--strict", dest="lenient", action="store_false", default=False)
     strictness.add_argument("--lenient", dest="lenient", action="store_true")
@@ -309,7 +282,7 @@ def run(argv=None) -> int:
     except SolverTimeout as e:
         print(f"timeout: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (CliUsage, CircuitError, BenchError, ValueError, FileNotFoundError) as e:
+    except (CliUsage, CircuitError, BenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .architecture import Architecture, Vertex, regular_locations
+from .architecture import Architecture, Vertex, is_json_vertex, regular_locations
 from .circuit import Circuit, T_VERTEX, interaction_chain_set, interaction_graph
 
 
@@ -168,25 +168,39 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
     return qubit_map(assignment)
 
 
+def _trial(args):
+    arch, circuit, seed, router, mapper = args
+    qmap = mapper(arch, circuit, seed)
+    return qmap, router(arch, circuit, qmap)
+
+
 def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
-              locations=None):
-    """Route `n` random maps and keep the pair with the fewest steps.
+              mapper=random_map, jobs: int = 1):
+    """Route `n` seeded maps and keep the (map, result) pair with the fewest steps.
 
     Trial seeds come from one master stream, so the first trial of any n
     equals the single trial of n=1 with the same seed. Ties break toward the
-    earliest trial. `router` is any (arch, circuit, map) -> GateRoute.
+    earliest trial. `mapper` is any (arch, circuit, seed) -> QubitMap and
+    `router` any (arch, circuit, map) -> result with `.steps`, such as a
+    GateRoute or an OptimalResult. With `jobs > 1` the trials run in up to
+    `jobs` spawned worker processes, so `router` and `mapper` must pickle,
+    and the calling script must guard its entry point with
+    `if __name__ == "__main__"`.
     """
     if n < 1:
         raise MappingError("need at least one trial")
     master = random.Random(seed)
-    trial_seeds = [master.randrange(2 ** 62) for _ in range(n)]
-    best = None
-    for i, s in enumerate(trial_seeds):
-        qmap = random_map(arch, circuit, s, locations=locations)
-        route = router(arch, circuit, qmap)
-        if best is None or route.steps < best[1].steps:
-            best = (qmap, route)
-    return best
+    trials = [(arch, circuit, master.randrange(2 ** 62), router, mapper) for _ in range(n)]
+    if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, n),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(_trial, trials))
+    else:
+        results = [_trial(t) for t in trials]
+    return min(results, key=lambda r: r[1].steps)
 
 
 # ---------------------------------------------------------------------------
@@ -199,4 +213,6 @@ def map_to_json(qmap: QubitMap) -> str:
 
 def map_from_json(text: str) -> QubitMap:
     data = json.loads(text)
+    if not (isinstance(data, dict) and all(is_json_vertex(v) for v in data.values())):
+        raise MappingError('expected {"qubit": [a, b], ...}')
     return qubit_map({q: tuple(v) for q, v in data.items()})

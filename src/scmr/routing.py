@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .architecture import Architecture, Vertex
+from .architecture import Architecture, Vertex, is_json_vertex
 from .circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, topological_layering
 from .mapping import QubitMap
 
@@ -236,6 +236,13 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
                     bad(Violation(Rule.DATA_PRESERVATION, (g.index,),
                                   f"protected vertex {v} used as path interior"))
 
+    indices = {g.index for g in circuit.gates}
+    for idx in sorted((set(route.time) | set(route.space)) - indices):
+        bad(Violation(Rule.LOGICAL_ORDER, (idx,), f"gate {idx} is scheduled but not in the circuit"))
+    last = max((route.time[i] for i in indices if i in route.time), default=0)
+    if route.steps > last:
+        bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, last used step is {last}"))
+
     for i, j in consecutive_qubit_pairs(circuit):
         ti, tj = route.time.get(i), route.time.get(j)
         if ti is not None and tj is not None and ti >= tj:
@@ -304,6 +311,19 @@ def route_to_json(route: GateRoute) -> str:
 
 def route_from_json(text: str) -> GateRoute:
     data = json.loads(text)
+    if not (isinstance(data, dict) and type(data.get("steps")) is int
+            and isinstance(data.get("gates"), list)
+            and all(_is_json_gate(g) for g in data["gates"])):
+        raise RoutingError('expected {"steps": int, "gates": '
+                           '[{"index": int, "step": int, "path": [[a, b], ...]}, ...]}')
     time = {g["index"]: g["step"] for g in data["gates"]}
+    if len(time) != len(data["gates"]):
+        raise RoutingError("a gate index is listed more than once")
     space = {g["index"]: tuple(tuple(v) for v in g["path"]) for g in data["gates"]}
     return GateRoute(data["steps"], time, space)
+
+
+def _is_json_gate(entry) -> bool:
+    return (isinstance(entry, dict) and type(entry.get("index")) is int
+            and type(entry.get("step")) is int and isinstance(entry.get("path"), list)
+            and all(is_json_vertex(v) for v in entry["path"]))

@@ -14,10 +14,8 @@ horizontal edge, the mapped target for CNOT, any magic vertex for T).
 
 Gate execution steps are restricted to the feasible window
 [dependency depth, t_s - height + 1]; `prune=False` keeps the full range.
-The at-least-one side of the T magic-entry constraint is guarded by
-exec(g, t) by default; `literal_t_reach=True` switches to the unguarded
-exactly-one form, which forces a magic-entering edge at every step and makes
-most multi-T instances infeasible (kept only as a reference reading).
+A T gate enters at most one magic vertex per step, and at least one at the
+step it executes.
 """
 from __future__ import annotations
 
@@ -96,7 +94,7 @@ def exec_windows(circuit: Circuit, t_s: int, prune: bool = True) -> list[range]:
 
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
-           t_s: int = 1, prune: bool = True, literal_t_reach: bool = False) -> CnfInstance:
+           t_s: int = 1, prune: bool = True) -> CnfInstance:
     """Build the decision formula for `t_s` steps; fix the map if one is given."""
     if t_s < 1:
         raise ValueError("need at least one time step")
@@ -207,11 +205,8 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                 # T gates end by entering some magic vertex horizontally
                 entries = [pvar[(u, v, g.index, t)] for v in sorted(arch.magic)
                            for u in arch.horizontal_neighbors(v)]
-                if literal_t_reach:
-                    clauses.extend(encode_eo(entries, fresh))
-                else:
-                    add([-e] + entries)
-                    clauses.extend(encode_amo(entries, fresh))
+                add([-e] + entries)
+                clauses.extend(encode_amo(entries, fresh))
 
     table.num_total = counter
     return CnfInstance(counter, clauses, table, t_s)

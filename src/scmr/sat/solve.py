@@ -31,6 +31,9 @@ class CapExhausted(RuntimeError):
         super().__init__(f"no solution within {t_max} steps")
         self.t_max = t_max
 
+    def __reduce__(self):  # rebuilt from t_max when a worker process raises it
+        return CapExhausted, (self.t_max,)
+
 
 @dataclass
 class Verdict:

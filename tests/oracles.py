@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 
 from scmr.architecture import Architecture, Vertex
 from scmr.circuit import Circuit, Gate, GateKind, gate_depths, gate_heights
-from scmr.routing import Path
+from scmr.mapping import random_map
+from scmr.routing import Path, greedy_route
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,43 @@ def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gat
         routed.append((req.gate, path))
         remaining.remove(req)
     return routed
+
+
+# ---------------------------------------------------------------------------
+# Best-of-N random maps as `scmr compile` ran it before it called
+# mapping.best_of_n: its own seed stream, tie-break and greedy-only pool
+# ---------------------------------------------------------------------------
+
+def _greedy_trial(payload):
+    arch, circuit, seed, index = payload
+    qmap = random_map(arch, circuit, seed)
+    route = greedy_route(arch, circuit, qmap)
+    return route.steps, index, qmap, route
+
+
+def _best_random(arch, circuit, n, seed, router_fn, jobs=1):
+    import random as _random
+    master = _random.Random(seed)
+    trial_seeds = [master.randrange(2 ** 62) for _ in range(n)]
+    if jobs > 1 and router_fn is greedy_route:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_greedy_trial,
+                                    [(arch, circuit, s, i) for i, s in enumerate(trial_seeds)]))
+        best = min(results, key=lambda r: (r[0], r[1]))
+        return best[2], best[3], False
+    best = None
+    proven = True
+    for i, s in enumerate(trial_seeds):
+        qmap = random_map(arch, circuit, s)
+        if router_fn is greedy_route:
+            route = greedy_route(arch, circuit, qmap)
+            trial_proven = False
+        else:
+            res = router_fn(arch, circuit, qmap)
+            route, trial_proven = res.route, res.proven_minimal
+        if best is None or route.steps < best[1].steps:
+            best = (qmap, route, trial_proven)
+    return best
 
 
 # ---------------------------------------------------------------------------

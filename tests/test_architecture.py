@@ -184,3 +184,10 @@ def test_json_roundtrip():
     assert again == arch
     data = json.loads(architecture_to_json(arch))
     assert set(data) == {"rows", "cols", "magic"}
+
+
+def test_architecture_from_json_rejects_malformed_architectures():
+    for text in ('{"rows": 5}', '[]', '{"rows": "5", "cols": 5, "magic": []}',
+                 '{"rows": 5, "cols": 5, "magic": [[1]]}', '{"rows": 5, "cols": 5, "magic": 3}'):
+        with pytest.raises(ArchitectureError):
+            architecture_from_json(text)

@@ -101,6 +101,18 @@ def test_compile_infeasible_t_gate_without_magic(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
+def test_compile_infeasible_in_worker_processes(tmp_path, capsys):
+    # the exact router's CapExhausted crosses the process boundary intact
+    circ = tmp_path / "t.qc"
+    circ.write_text("t q0;")
+    arch = tmp_path / "nomagic.arch.json"
+    arch.write_text(json.dumps({"rows": 3, "cols": 3, "magic": []}))
+    code, _ = _compile(tmp_path, circ, "--arch", str(arch), "--mapper", "rand:2",
+                       "--router", "optimal", "--jobs", "2")
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: no solution within 1 steps\n"
+
+
 def test_compile_timeout_exit_code(tmp_path):
     circ = tmp_path / "hard.qc"
     from scmr.bench import known_optimal
@@ -246,3 +258,89 @@ def test_parallel_best_of_n_not_marked_proven(tmp_path, fig1, capsys):
     assert code == EXIT_OK
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["proven_optimal"] is False
+
+
+def test_compile_struct_optimal_writes_the_pinned_map(tmp_path, capsys):
+    # the decoded map lists qubits in circuit order, the struct map in chain
+    # order; the written map must be the struct map the solve was pinned to
+    from scmr.architecture import bordered_architecture
+    from scmr.bench import random_circuit
+    from scmr.circuit import serialize_circuit
+    from scmr.mapping import map_to_json, struct_map
+    from scmr.sat import solve_optimal
+
+    circuit = random_circuit(4, 2, 0.25, seed=0)
+    arch = bordered_architecture(4)
+    pinned = struct_map(arch, circuit)
+    assert map_to_json(solve_optimal(arch, circuit, qmap=pinned).qmap) != map_to_json(pinned)
+    circ = tmp_path / "r.qc"
+    circ.write_text(serialize_circuit(circuit))
+    code, out = _compile(tmp_path, circ, "--mapper", "struct", "--router", "optimal")
+    assert code == EXIT_OK
+    assert (out / "r.map.json").read_text() == map_to_json(pinned) + "\n"
+
+
+@pytest.mark.parametrize("mapper, router, calls", [
+    ("struct", "greedy", {"struct_map": 1, "greedy_route": 1}),
+    ("rand:3", "greedy", {"random_map": 3, "greedy_route": 3}),
+    ("struct", "optimal", {"struct_map": 1, "solve_optimal": 1}),
+    ("rand:2", "optimal", {"random_map": 2, "solve_optimal": 2}),
+    ("optimal", "optimal", {"solve_optimal": 1}),
+])
+def test_compile_calls_layers_through_cli_globals(tmp_path, monkeypatch, mapper, router, calls):
+    # the benchmark's trace shims replace these module attributes; every
+    # map and route the compile makes must go through them
+    import scmr.cli
+
+    counts = dict.fromkeys(["random_map", "struct_map", "greedy_route", "solve_optimal"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(scmr.cli, name, counting(name, getattr(scmr.cli, name)))
+    circ = tmp_path / "pair.qc"
+    circ.write_text("cnot a b;\n")
+    arch = tmp_path / "grid5.arch.json"
+    arch.write_text(json.dumps({"rows": 5, "cols": 5, "magic": []}))
+    code, _ = _compile(tmp_path, circ, "--mapper", mapper, "--router", router,
+                       "--arch", str(arch))
+    assert code == EXIT_OK
+    assert counts == {**dict.fromkeys(counts, 0), **calls}
+
+
+def test_malformed_inputs_exit_1_naming_the_file(tmp_path, fig1, capsys):
+    code, out = _compile(tmp_path, fig1)
+    assert code == EXIT_OK
+    good = {"arch": out / "fig1.arch.json", "map": out / "fig1.map.json",
+            "route": out / "fig1.route.json"}
+    malformed = {"arch": '{"rows": 5}', "map": '{"a": 5}', "route": '{"steps": 1}'}
+    for role, text in [*malformed.items(), ("route", "{not json")]:
+        bad = tmp_path / f"bad.{role}.json"
+        bad.write_text(text)
+        files = {**good, role: bad}
+        capsys.readouterr()
+        assert run(["validate", str(fig1), str(files["arch"]), str(files["map"]),
+                    str(files["route"])]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_unreadable_input_path_exits_1(tmp_path, capsys):
+    assert run(["compile", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+
+def test_mapper_spelling_and_internal_errors(tmp_path, fig1, monkeypatch):
+    import scmr.cli
+
+    assert run(["compile", str(fig1), "--mapper", "rand5"]) == EXIT_USAGE
+
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(scmr.cli, "struct_map", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        _compile(tmp_path, fig1)

@@ -1,8 +1,10 @@
+import functools
 import time
 from collections import Counter
 
 import pytest
 
+import oracles
 from scmr.architecture import bordered_architecture, custom_architecture, grid_distance, regular_locations
 from scmr.bench import random_circuit
 from scmr.circuit import parse_circuit
@@ -16,7 +18,8 @@ from scmr.mapping import (
     struct_map,
     unrestricted_locations,
 )
-from scmr.routing import greedy_route
+from scmr.routing import greedy_route, route_to_json
+from scmr.sat import solve_optimal
 
 
 def _check_map_invariants(arch, circuit, qmap, locations=None):
@@ -144,7 +147,8 @@ def test_best_of_n_finds_a_one_step_map():
         steps_by_map.append(greedy_route(arch, c, m).steps)
     p = steps_by_map.count(1) / len(steps_by_map)
     assert 0 < p < 1
-    _, best = best_of_n(arch, c, 40, seed=1, router=greedy_route, locations=locs)
+    _, best = best_of_n(arch, c, 40, seed=1, router=greedy_route,
+                        mapper=functools.partial(random_map, locations=locs))
     assert best.steps == 1
 
 
@@ -152,6 +156,33 @@ def test_best_of_n_requires_positive_n():
     arch = bordered_architecture(1)
     with pytest.raises(MappingError):
         best_of_n(arch, parse_circuit("t a"), 0, seed=0, router=greedy_route)
+
+
+def test_best_of_n_matches_reference_cli_loop():
+    # byte-identical picks to the loop `scmr compile` ran before it called
+    # best_of_n, for both routers, in-process and with a worker pool
+    def picks(qmap, route, proven):
+        return map_to_json(qmap), route_to_json(route), proven
+
+    for seed in range(4):
+        arch = bordered_architecture(5)
+        c = random_circuit(5, 3, 0.3, seed=seed)
+        for jobs in (1, 2):
+            want = oracles._best_random(arch, c, 4, seed, greedy_route, jobs=jobs)
+            assert picks(*best_of_n(arch, c, 4, seed, greedy_route, jobs=jobs), False) == picks(*want)
+    for seed in range(3):
+        arch = bordered_architecture(3)
+        c = random_circuit(3, 2, 0.3, seed=seed)
+        want = oracles._best_random(arch, c, 3, seed, solve_optimal)
+        for jobs in (1, 2):
+            qmap, res = best_of_n(arch, c, 3, seed, solve_optimal, jobs=jobs)
+            assert picks(qmap, res.route, res.proven_minimal) == picks(*want)
+
+
+def test_map_from_json_rejects_malformed_maps():
+    for text in ('{"a": 5}', '[]', '{"a": [1, 2, 3]}', '{"a": [1, "2"]}'):
+        with pytest.raises(MappingError):
+            map_from_json(text)
 
 
 def test_map_json_roundtrip():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from scmr.circuit import circuit_from_gates, cnot, parse_circuit
 from scmr.mapping import qubit_map, random_map, struct_map, unrestricted_locations
 from scmr.routing import (
     GateRoute,
+    RoutingError,
     Rule,
     UnroutableGateError,
     greedy_route,
@@ -214,6 +216,36 @@ def test_validator_flags_t_path_not_ending_at_magic():
     path = (v0, (v0[0], v0[1] + 1), (v0[0] + 1, v0[1] + 1))  # ends on a free vertex
     bad = validate(arch, c, m, GateRoute(1, {0: 1}, {0: path}))
     assert any(v.rule is Rule.T_ROUTING for v in bad)
+
+
+def test_validator_flags_gates_not_in_the_circuit():
+    arch = bordered_architecture(1)
+    c = parse_circuit("t q0")
+    m = struct_map(arch, c)
+    r = greedy_route(arch, c, m)
+    extra = GateRoute(r.steps, {**r.time, 7: 1}, {**r.space, 7: ((99, 99),)})
+    bad = validate(arch, c, m, extra)
+    assert any(v.rule is Rule.LOGICAL_ORDER and v.gates == (7,) for v in bad)
+
+
+def test_validator_flags_steps_above_the_last_used_step():
+    arch = bordered_architecture(1)
+    c = parse_circuit("t q0")
+    m = struct_map(arch, c)
+    r = greedy_route(arch, c, m)
+    padded = GateRoute(9, dict(r.time), dict(r.space))
+    bad = validate(arch, c, m, padded)
+    assert [str(v) for v in bad] == ["logical-order: steps is 9, last used step is 1"]
+
+
+def test_route_from_json_rejects_malformed_routes():
+    gate = {"index": 0, "step": 1, "path": [[1, 1], [1, 2], [2, 2]]}
+    for data in ({"steps": 1}, [], {"steps": "1", "gates": [gate]},
+                 {"steps": 1, "gates": [{"index": 0, "step": 1}]},
+                 {"steps": 1, "gates": [{**gate, "path": [[1]]}]},
+                 {"steps": 1, "gates": [gate, gate]}):
+        with pytest.raises(RoutingError):
+            route_from_json(json.dumps(data))
 
 
 def test_route_json_roundtrip():
