@@ -8,10 +8,11 @@ cycle circuit, processor-unit architectures, vertex-gadget tilings).
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 
-from .architecture import Architecture, Vertex
+from .architecture import Architecture, Vertex, is_json_vertex
 from .circuit import Circuit, circuit_from_gates, cnot, tgate
 from .mapping import QubitMap, qubit_map
 
@@ -196,16 +197,30 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
         raise BenchError("need at least one job")
+    dep = dependency_circuit(jobs, edges)  # rejects edges naming unknown jobs
     d = _degree_bound(jobs, edges)
     width = processor_unit_width(len(jobs))
     magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
     arch = Architecture(4, k * width, magic)
-    dep = dependency_circuit(jobs, edges)
     cyc = cycle_circuit(d, k, t_p)
     circuit = circuit_from_gates(
         [(g.kind, g.qubits) for g in dep.gates] + [(g.kind, g.qubits) for g in cyc.gates]
     )
     return arch, circuit, cycle_time_limit(d, k, t_p)
+
+
+def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
+    """`{"jobs": [id, ...], "edges": [[a, b], ...]}` -> (jobs, edges), job
+    ids being strings or integers; `psp_to_scmr` rejects unknown edge ends."""
+    data = json.loads(text)
+    is_job = lambda x: type(x) in (int, str)
+    edges = data.get("edges", []) if isinstance(data, dict) else None
+    if not (isinstance(data, dict) and isinstance(data.get("jobs"), list)
+            and all(is_job(j) for j in data["jobs"]) and isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(is_job(x) for x in e)
+                    for e in edges)):
+        raise BenchError('expected {"jobs": [id, ...], "edges": [[a, b], ...]}')
+    return data["jobs"], [tuple(e) for e in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +303,13 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
 
     arch = Architecture(gh * TILE, gw * TILE, frozenset(magic))
     return arch, circuit_from_gates(gates), qubit_map(assignment)
+
+
+def ndp_pairs_from_json(text: str) -> list[tuple[Vertex, Vertex]]:
+    """`[[[x, y], [x, y]], ...]` -> endpoint pairs of pair-grid vertices."""
+    data = json.loads(text)
+    if not (isinstance(data, list)
+            and all(isinstance(p, list) and len(p) == 2 and all(is_json_vertex(v) for v in p)
+                    for p in data)):
+        raise BenchError("expected [[[x, y], [x, y]], ...]")
+    return [(tuple(s), tuple(t)) for s, t in data]

@@ -25,7 +25,9 @@ from .architecture import (
 from .bench import (
     BenchError,
     known_optimal,
+    ndp_pairs_from_json,
     ndp_to_scr,
+    psp_spec_from_json,
     psp_to_scmr,
     random_circuit,
 )
@@ -64,7 +66,7 @@ def _read(path: str, loader):
     try:
         return loader(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, CircuitError,
-            ArchitectureError, MappingError, RoutingError) as e:
+            ArchitectureError, MappingError, RoutingError, BenchError) as e:
         raise CliUsage(f"{path}: {e}") from e
 
 
@@ -182,16 +184,14 @@ def cmd_generate(args) -> int:
         circuit = random_circuit(args.qubits, args.depth, args.t_fraction, seed=args.seed)
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
     elif args.generator == "psp":
-        spec = _read(args.jobs, json.loads)
-        arch, circuit, t_s = psp_to_scmr(
-            spec["jobs"], [tuple(e) for e in spec.get("edges", [])], args.k, args.t_p)
+        jobs, edges = _read(args.jobs, psp_spec_from_json)
+        arch, circuit, t_s = psp_to_scmr(jobs, edges, args.k, args.t_p)
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
         _write(out.with_suffix(".arch.json"), architecture_to_json(arch) + "\n")
         print(f"t_s={t_s}")
     elif args.generator == "ndp":
-        spec = _read(args.pairs_file, json.loads)
-        arch, circuit, qmap = ndp_to_scr((args.cols, args.rows),
-                                         [tuple(map(tuple, p)) for p in spec])
+        pairs = _read(args.pairs_file, ndp_pairs_from_json)
+        arch, circuit, qmap = ndp_to_scr((args.cols, args.rows), pairs)
         _write(out.with_suffix(".qc"), serialize_circuit(circuit))
         _write(out.with_suffix(".arch.json"), architecture_to_json(arch) + "\n")
         _write(out.with_suffix(".map.json"), map_to_json(qmap) + "\n")

@@ -5,6 +5,11 @@ activities, Luby restarts and phase saving. Built for the instance sizes this
 package produces (up to a few hundred thousand clauses); anything heavier
 should go through the external-process backend instead.
 
+As in MiniSat (Een & Sorensson, "An Extensible SAT-solver", SAT 2003), values
+live in a table indexed by literal, and the decision heap gets a variable's
+entry again only when it lacks the one with the current activity. Stale
+entries from earlier activities are skipped when popped.
+
 Literals use DIMACS convention: variable v > 0, literal +v or -v. Models are
 verified against the full clause set before being returned.
 """
@@ -35,13 +40,17 @@ def _luby(i: int) -> int:
 class CdclSolver:
     def __init__(self, num_vars: int, clauses):
         self.n = num_vars
-        self.assign = bytearray(num_vars + 1)    # 0 unknown, 1 true, 2 false
+        # indexed by literal: vals[v] and vals[-v] (from the end) are 1 true,
+        # -1 false, 0 unassigned
+        self.vals = [0] * (2 * num_vars + 1)
         self.level = [0] * (num_vars + 1)
         self.reason: list = [None] * (num_vars + 1)
         self.saved_phase = bytearray(num_vars + 1)
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        # queued[v]: the heap holds the entry with v's current activity
+        self.queued = bytearray(b"\x01" * (num_vars + 1))
         self.clauses: list[list[int]] = []
         self.watches: dict[int, list[list[int]]] = {}
         self.trail: list[int] = []
@@ -58,11 +67,15 @@ class CdclSolver:
 
     def _add_clause(self, lits) -> bool:
         lits = sorted(set(lits), key=abs)
+        if lits and (lits[0] == 0 or abs(lits[-1]) > self.n):
+            bad = lits[0] if lits[0] == 0 else lits[-1]
+            raise ValueError(f"literal {bad} out of range 1..{self.n}")
         if any(-l in lits for l in lits):
             return True  # tautology
+        vals = self.vals
         out = []
         for l in lits:
-            val = self._value(l)
+            val = vals[l]
             if val == 1:
                 return True  # satisfied at root
             if val == 0:
@@ -78,20 +91,13 @@ class CdclSolver:
 
     # -- assignment ----------------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        """1 true, -1 false, 0 unassigned."""
-        a = self.assign[lit if lit > 0 else -lit]
-        if a == 0:
-            return 0
-        true_ = (a == 1) == (lit > 0)
-        return 1 if true_ else -1
-
     def _enqueue(self, lit: int, reason) -> bool:
+        val = self.vals[lit]
+        if val:
+            return val == 1
+        self.vals[lit] = 1
+        self.vals[-lit] = -1
         v = lit if lit > 0 else -lit
-        a = self.assign[v]
-        if a:
-            return (a == 1) == (lit > 0)
-        self.assign[v] = 1 if lit > 0 else 2
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -99,10 +105,17 @@ class CdclSolver:
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            false_lit = -self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches.get(false_lit)
+        vals = self.vals
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches.get(false_lit)
             if not watchers:
                 continue
             keep = []
@@ -114,24 +127,31 @@ class CdclSolver:
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                val = vals[first]
+                if val == 1:
                     keep.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        moved = True
+                    other = clause[k]
+                    if vals[other] != -1:
+                        clause[1], clause[k] = other, false_lit
+                        watches.setdefault(other, []).append(clause)
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if not self._enqueue(first, clause):
-                    keep.extend(watchers[i:])
-                    self.watches[false_lit] = keep
-                    return clause
-            self.watches[false_lit] = keep
+                else:
+                    keep.append(clause)
+                    if val == -1:
+                        keep.extend(watchers[i:])
+                        watches[false_lit] = keep
+                        self.qhead = qhead
+                        return clause
+                    vals[first] = 1
+                    vals[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = cur_level
+                    reason[v] = clause
+                    trail.append(first)
+            watches[false_lit] = keep
+        self.qhead = qhead
         return None
 
     # -- learning ------------------------------------------------------------
@@ -140,12 +160,15 @@ class CdclSolver:
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         heappush(self.heap, (-act, v))
+        self.queued[v] = 1
         if act > 1e100:
             for u in range(1, self.n + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if not self.assign[u]]
+            vals = self.vals
+            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if not vals[u]]
             heapify(self.heap)
+            self.queued = bytearray(0 if vals[u] else 1 for u in range(self.n + 1))
 
     def _analyze(self, conflict):
         learnt = [0]  # slot for the asserting literal
@@ -190,24 +213,42 @@ class CdclSolver:
         return learnt, back
 
     def _cancel_until(self, level: int):
-        while len(self.trail_lim) > level:
-            bound = self.trail_lim.pop()
-            for lit in reversed(self.trail[bound:]):
-                v = abs(lit)
-                self.saved_phase[v] = 1 if lit > 0 else 0
-                self.assign[v] = 0
-                self.reason[v] = None
-                heappush(self.heap, (-self.activity[v], v))
-            del self.trail[bound:]
+        trail_lim = self.trail_lim
+        if len(trail_lim) > level:
+            trail = self.trail
+            vals = self.vals
+            reason = self.reason
+            saved_phase = self.saved_phase
+            activity = self.activity
+            queued = self.queued
+            heap = self.heap
+            bound = trail_lim[level]
+            del trail_lim[level:]
+            for lit in reversed(trail[bound:]):
+                v = lit if lit > 0 else -lit
+                saved_phase[v] = 1 if lit > 0 else 0
+                vals[lit] = 0
+                vals[-lit] = 0
+                reason[v] = None
+                if not queued[v]:
+                    heappush(heap, (-activity[v], v))
+                    queued[v] = 1
+            del trail[bound:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> int:
-        while self.heap:
-            act, v = heappop(self.heap)
-            if not self.assign[v] and -act == self.activity[v]:
-                return v if self.saved_phase[v] else -v
+        heap = self.heap
+        vals = self.vals
+        activity = self.activity
+        queued = self.queued
+        while heap:
+            act, v = heappop(heap)
+            if -act == activity[v]:
+                queued[v] = 0
+                if not vals[v]:
+                    return v if self.saved_phase[v] else -v
         for v in range(1, self.n + 1):
-            if not self.assign[v]:
+            if not vals[v]:
                 return v if self.saved_phase[v] else -v
         return 0
 
@@ -257,7 +298,7 @@ class CdclSolver:
                 continue
             lit = self._decide()
             if lit == 0:
-                model = [v if self.assign[v] == 1 else -v for v in range(1, self.n + 1)]
+                model = [v if self.vals[v] == 1 else -v for v in range(1, self.n + 1)]
                 self._verify(model)
                 return model
             decisions += 1

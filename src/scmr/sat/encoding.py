@@ -16,6 +16,15 @@ Gate execution steps are restricted to the feasible window
 [dependency depth, t_s - height + 1]; `prune=False` keeps the full range.
 A T gate enters at most one magic vertex per step, and at least one at the
 step it executes.
+
+A pinned map is folded into the formula: the unit clauses that pin it stay,
+clauses it satisfies are left out and map literals it makes false are
+dropped, so the data-clear family keeps one two-literal clause per mapped
+vertex and none at an empty one. Every variable keeps its id, so the folded
+formula has the same variables and the same models; `write_instance` and
+`ProcessBackend` see the folded formula. The built-in CDCL solver drops the
+same clauses and literals at the root itself, and ends up with the same
+clause list either way.
 """
 from __future__ import annotations
 
@@ -73,10 +82,11 @@ class CnfInstance:
     diagnostic: str = ""
 
     def __post_init__(self):
+        n = self.num_vars
         for clause in self.clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+            if clause and (min(clause) < -n or max(clause) > n or 0 in clause):
+                lit = next(l for l in clause if l == 0 or abs(l) > n)
+                raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
 def _directed_edges(arch: Architecture):
@@ -95,7 +105,8 @@ def exec_windows(circuit: Circuit, t_s: int, prune: bool = True) -> list[range]:
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
            t_s: int = 1, prune: bool = True) -> CnfInstance:
-    """Build the decision formula for `t_s` steps; fix the map if one is given."""
+    """Build the decision formula for `t_s` steps; pin and fold in the map if
+    one is given."""
     if t_s < 1:
         raise ValueError("need at least one time step")
     table = VarTable()
@@ -138,6 +149,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
         clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
     for v in free_vertices:
         clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
+    pinned = None
     if qmap is not None:
         pinned = qmap.as_dict
         for q in circuit.qubits:
@@ -146,6 +158,13 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             if (q, pinned[q]) not in mvar:
                 raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
             add([mvar[(q, pinned[q])]])
+
+    def unless(q: str, v: Vertex) -> list[int] | None:
+        """The literal `-map(q, v)` as a clause prefix, folded under a pinned
+        map: [] when it is false, None when it satisfies the clause."""
+        if pinned is None:
+            return [-mvar[(q, v)]]
+        return [] if pinned[q] == v else None
 
     # schedule: one step per gate, dependent gates strictly ordered
     for g in circuit.gates:
@@ -159,17 +178,20 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # routed edges keep clear of stored data
     neigh = {v: arch.neighbors(v) for v in arch.vertices()}
     for v in arch.vertices():
+        if v in arch.magic:
+            guards = [[]]
+        else:
+            guards = [p for p in (unless(q, v) for q in circuit.qubits) if p is not None]
+            if not guards:
+                continue  # a pinned map leaves this vertex empty
         pairs = [(u, w) for u in neigh[v] for w in neigh[v]]
         for g in circuit.gates:
             for t in windows[g.index]:
                 for u, w in pairs:
                     into = pvar[(u, v, g.index, t)]
                     out_of = pvar[(v, w, g.index, t)]
-                    if v in arch.magic:
-                        add([-into, -out_of])
-                    else:
-                        for q in circuit.qubits:
-                            add([-mvar[(q, v)], -into, -out_of])
+                    for guard in guards:
+                        add(guard + [-into, -out_of])
 
     # vertex-disjointness: in/out degree at most one per vertex and step
     for t in range(1, t_s + 1):
@@ -191,15 +213,20 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             e = evar[(g.index, t)]
             for v in free_vertices:
                 # leave the start vertex through a vertical edge
-                vertical = [pvar[(v, u, g.index, t)] for u in arch.vertical_neighbors(v)]
-                add([-mvar[(start_q, v)], -e] + vertical)
-                if end_q is not None:
+                guard = unless(start_q, v)
+                if guard is not None:
+                    vertical = [pvar[(v, u, g.index, t)] for u in arch.vertical_neighbors(v)]
+                    add(guard + [-e] + vertical)
+                guard = None if end_q is None else unless(end_q, v)
+                if guard is not None:
                     horizontal = [pvar[(u, v, g.index, t)] for u in arch.horizontal_neighbors(v)]
-                    add([-mvar[(end_q, v)], -e] + horizontal)
+                    add(guard + [-e] + horizontal)
             # every used edge chains back toward the start vertex
             for u, v in _directed_edges(arch):
+                if pinned is not None and pinned[start_q] == u:
+                    continue  # the pinned start vertex satisfies the head
                 back = [pvar[(w, u, g.index, t)] for w in neigh[u] if w != v]
-                head = [mvar[(start_q, u)]] if u not in arch.magic else []
+                head = [mvar[(start_q, u)]] if pinned is None and u not in arch.magic else []
                 add([-pvar[(u, v, g.index, t)]] + back + head)
             if end_q is None:
                 # T gates end by entering some magic vertex horizontally

@@ -7,13 +7,18 @@ checks.
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from heapq import heapify, heappop, heappush
 
 from scmr.architecture import Architecture, Vertex
-from scmr.circuit import Circuit, Gate, GateKind, gate_depths, gate_heights
-from scmr.mapping import random_map
+from scmr.circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
+from scmr.mapping import QubitMap, random_map
 from scmr.routing import Path, greedy_route
+from scmr.sat.cardinality import encode_amo, encode_eo
+from scmr.sat.cdcl import SolverTimeout, _luby
+from scmr.sat.encoding import CnfInstance, VarTable, _directed_edges, exec_windows
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +415,369 @@ def hasse_edges(closure) -> list[tuple]:
         (a, b) for a, b in closure
         if not any((a, c) in closure and (c, b) in closure for c in {x for p in closure for x in p})
     )
+
+
+# ---------------------------------------------------------------------------
+# The exact engine as it was before the pinned map was folded into the
+# encoding and the CDCL inner loops were tightened: every map literal
+# emitted, values looked up through `_value`, the VSIDS heap fed a fresh
+# entry on every unassign. Kept verbatim as the reference the folded formula
+# and the tightened solver must match state for state.
+# ---------------------------------------------------------------------------
+
+def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
+           t_s: int = 1, prune: bool = True) -> CnfInstance:
+    """Build the decision formula for `t_s` steps; fix the map if one is given."""
+    if t_s < 1:
+        raise ValueError("need at least one time step")
+    table = VarTable()
+    free_vertices = [v for v in arch.vertices() if v not in arch.magic]
+    if circuit.num_qubits > len(free_vertices):
+        table.num_total = 1
+        return CnfInstance(
+            1, [[]], table, t_s,
+            diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
+        )
+
+    windows = exec_windows(circuit, t_s, prune=prune)
+    counter = 0
+
+    def fresh() -> int:
+        nonlocal counter
+        counter += 1
+        return counter
+
+    for q in circuit.qubits:
+        for v in free_vertices:
+            table.map_ids[(q, v)] = fresh()
+    for g in circuit.gates:
+        for t in windows[g.index]:
+            table.exec_ids[(g.index, t)] = fresh()
+    for u, v in _directed_edges(arch):
+        for g in circuit.gates:
+            for t in windows[g.index]:
+                table.path_ids[(u, v, g.index, t)] = fresh()
+    table.num_named = counter
+
+    mvar = table.map_ids
+    evar = table.exec_ids
+    pvar = table.path_ids
+    clauses: list[list[int]] = []
+    add = clauses.append
+
+    # mapping: total injective function avoiding magic vertices
+    for q in circuit.qubits:
+        clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
+    for v in free_vertices:
+        clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
+    if qmap is not None:
+        pinned = qmap.as_dict
+        for q in circuit.qubits:
+            if q not in pinned:
+                raise ValueError(f"fixed map does not place qubit {q!r}")
+            if (q, pinned[q]) not in mvar:
+                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
+            add([mvar[(q, pinned[q])]])
+
+    # schedule: one step per gate, dependent gates strictly ordered
+    for g in circuit.gates:
+        clauses.extend(encode_eo([evar[(g.index, t)] for t in windows[g.index]], fresh))
+    for i, j in consecutive_qubit_pairs(circuit):
+        for t in windows[i]:
+            for t2 in windows[j]:
+                if t2 <= t:
+                    add([-evar[(i, t)], -evar[(j, t2)]])
+
+    # routed edges keep clear of stored data
+    neigh = {v: arch.neighbors(v) for v in arch.vertices()}
+    for v in arch.vertices():
+        pairs = [(u, w) for u in neigh[v] for w in neigh[v]]
+        for g in circuit.gates:
+            for t in windows[g.index]:
+                for u, w in pairs:
+                    into = pvar[(u, v, g.index, t)]
+                    out_of = pvar[(v, w, g.index, t)]
+                    if v in arch.magic:
+                        add([-into, -out_of])
+                    else:
+                        for q in circuit.qubits:
+                            add([-mvar[(q, v)], -into, -out_of])
+
+    # vertex-disjointness: in/out degree at most one per vertex and step
+    for t in range(1, t_s + 1):
+        for u in arch.vertices():
+            outgoing = [pvar[(u, w, g.index, t)] for g in circuit.gates if t in windows[g.index]
+                        for w in neigh[u]]
+            incoming = [pvar[(w, u, g.index, t)] for g in circuit.gates if t in windows[g.index]
+                        for w in neigh[u]]
+            clauses.extend(encode_amo(outgoing, fresh))
+            clauses.extend(encode_amo(incoming, fresh))
+
+    # path construction per gate kind
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            start_q, end_q = g.control, g.target
+        else:
+            start_q, end_q = g.operand, None
+        for t in windows[g.index]:
+            e = evar[(g.index, t)]
+            for v in free_vertices:
+                # leave the start vertex through a vertical edge
+                vertical = [pvar[(v, u, g.index, t)] for u in arch.vertical_neighbors(v)]
+                add([-mvar[(start_q, v)], -e] + vertical)
+                if end_q is not None:
+                    horizontal = [pvar[(u, v, g.index, t)] for u in arch.horizontal_neighbors(v)]
+                    add([-mvar[(end_q, v)], -e] + horizontal)
+            # every used edge chains back toward the start vertex
+            for u, v in _directed_edges(arch):
+                back = [pvar[(w, u, g.index, t)] for w in neigh[u] if w != v]
+                head = [mvar[(start_q, u)]] if u not in arch.magic else []
+                add([-pvar[(u, v, g.index, t)]] + back + head)
+            if end_q is None:
+                # T gates end by entering some magic vertex horizontally
+                entries = [pvar[(u, v, g.index, t)] for v in sorted(arch.magic)
+                           for u in arch.horizontal_neighbors(v)]
+                add([-e] + entries)
+                clauses.extend(encode_amo(entries, fresh))
+
+    table.num_total = counter
+    return CnfInstance(counter, clauses, table, t_s)
+
+
+class CdclSolver:
+    def __init__(self, num_vars: int, clauses):
+        self.n = num_vars
+        self.assign = bytearray(num_vars + 1)    # 0 unknown, 1 true, 2 false
+        self.level = [0] * (num_vars + 1)
+        self.reason: list = [None] * (num_vars + 1)
+        self.saved_phase = bytearray(num_vars + 1)
+        self.activity = [0.0] * (num_vars + 1)
+        self.var_inc = 1.0
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        self.clauses: list[list[int]] = []
+        self.watches: dict[int, list[list[int]]] = {}
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.ok = True
+        self._seen = bytearray(num_vars + 1)
+        for c in clauses:
+            if not self._add_clause(c):
+                self.ok = False
+                break
+
+    # -- clause management ---------------------------------------------------
+
+    def _add_clause(self, lits) -> bool:
+        lits = sorted(set(lits), key=abs)
+        if any(-l in lits for l in lits):
+            return True  # tautology
+        out = []
+        for l in lits:
+            val = self._value(l)
+            if val == 1:
+                return True  # satisfied at root
+            if val == 0:
+                out.append(l)
+        if not out:
+            return False
+        if len(out) == 1:
+            return self._enqueue(out[0], None) and self._propagate() is None
+        self.clauses.append(out)
+        self.watches.setdefault(out[0], []).append(out)
+        self.watches.setdefault(out[1], []).append(out)
+        return True
+
+    # -- assignment ----------------------------------------------------------
+
+    def _value(self, lit: int) -> int:
+        """1 true, -1 false, 0 unassigned."""
+        a = self.assign[lit if lit > 0 else -lit]
+        if a == 0:
+            return 0
+        true_ = (a == 1) == (lit > 0)
+        return 1 if true_ else -1
+
+    def _enqueue(self, lit: int, reason) -> bool:
+        v = lit if lit > 0 else -lit
+        a = self.assign[v]
+        if a:
+            return (a == 1) == (lit > 0)
+        self.assign[v] = 1 if lit > 0 else 2
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(lit)
+        return True
+
+    def _propagate(self):
+        """Unit propagation; returns a conflicting clause or None."""
+        while self.qhead < len(self.trail):
+            false_lit = -self.trail[self.qhead]
+            self.qhead += 1
+            watchers = self.watches.get(false_lit)
+            if not watchers:
+                continue
+            keep = []
+            i = 0
+            n_w = len(watchers)
+            while i < n_w:
+                clause = watchers[i]
+                i += 1
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                if self._value(first) == 1:
+                    keep.append(clause)
+                    continue
+                moved = False
+                for k in range(2, len(clause)):
+                    if self._value(clause[k]) != -1:
+                        clause[1], clause[k] = clause[k], clause[1]
+                        self.watches.setdefault(clause[1], []).append(clause)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                keep.append(clause)
+                if not self._enqueue(first, clause):
+                    keep.extend(watchers[i:])
+                    self.watches[false_lit] = keep
+                    return clause
+            self.watches[false_lit] = keep
+        return None
+
+    # -- learning ------------------------------------------------------------
+
+    def _bump(self, v: int):
+        act = self.activity[v] + self.var_inc
+        self.activity[v] = act
+        heappush(self.heap, (-act, v))
+        if act > 1e100:
+            for u in range(1, self.n + 1):
+                self.activity[u] *= 1e-100
+            self.var_inc *= 1e-100
+            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if not self.assign[u]]
+            heapify(self.heap)
+
+    def _analyze(self, conflict):
+        learnt = [0]  # slot for the asserting literal
+        seen = self._seen
+        counter = 0
+        lit = 0
+        reason = conflict
+        idx = len(self.trail) - 1
+        cur_level = len(self.trail_lim)
+        touched = []
+        while True:
+            for q in reason:
+                if q == lit:
+                    continue
+                v = abs(q)
+                if not seen[v] and self.level[v] > 0:
+                    seen[v] = 1
+                    touched.append(v)
+                    self._bump(v)
+                    if self.level[v] >= cur_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(self.trail[idx])]:
+                idx -= 1
+            lit = -self.trail[idx]
+            v = abs(lit)
+            counter -= 1
+            idx -= 1
+            if counter == 0:
+                break
+            reason = self.reason[v]
+        learnt[0] = lit
+        for v in touched:
+            seen[v] = 0
+        # slot 1 gets the deepest remaining literal so watches stay coherent
+        back = 0
+        if len(learnt) > 1:
+            deepest = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+            learnt[1], learnt[deepest] = learnt[deepest], learnt[1]
+            back = self.level[abs(learnt[1])]
+        return learnt, back
+
+    def _cancel_until(self, level: int):
+        while len(self.trail_lim) > level:
+            bound = self.trail_lim.pop()
+            for lit in reversed(self.trail[bound:]):
+                v = abs(lit)
+                self.saved_phase[v] = 1 if lit > 0 else 0
+                self.assign[v] = 0
+                self.reason[v] = None
+                heappush(self.heap, (-self.activity[v], v))
+            del self.trail[bound:]
+        self.qhead = len(self.trail)
+
+    def _decide(self) -> int:
+        while self.heap:
+            act, v = heappop(self.heap)
+            if not self.assign[v] and -act == self.activity[v]:
+                return v if self.saved_phase[v] else -v
+        for v in range(1, self.n + 1):
+            if not self.assign[v]:
+                return v if self.saved_phase[v] else -v
+        return 0
+
+    # -- main loop -----------------------------------------------------------
+
+    def solve(self, timeout: float | None = None) -> list[int] | None:
+        """Return a model as a list of signed literals, or None if UNSAT."""
+        if not self.ok:
+            return None
+        if self._propagate() is not None:
+            return None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+        conflicts = 0
+        decisions = 0
+        restart_idx = 1
+        budget = 100 * _luby(restart_idx)
+        since_restart = 0
+        while True:
+            conflict = self._propagate()
+            if deadline is not None and (conflicts + decisions) % 64 == 0 \
+                    and time.monotonic() > deadline:
+                raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+            if conflict is not None:
+                conflicts += 1
+                since_restart += 1
+                if len(self.trail_lim) == 0:
+                    return None
+                learnt, back = self._analyze(conflict)
+                self._cancel_until(back)
+                if len(learnt) == 1:
+                    if not (self._enqueue(learnt[0], None) and self._propagate() is None):
+                        return None
+                else:
+                    self.clauses.append(learnt)
+                    self.watches.setdefault(learnt[0], []).append(learnt)
+                    self.watches.setdefault(learnt[1], []).append(learnt)
+                    self._enqueue(learnt[0], learnt)
+                self.var_inc /= 0.95
+                continue
+            if since_restart >= budget and self.trail_lim:
+                since_restart = 0
+                restart_idx += 1
+                budget = 100 * _luby(restart_idx)
+                self._cancel_until(0)
+                continue
+            lit = self._decide()
+            if lit == 0:
+                model = [v if self.assign[v] == 1 else -v for v in range(1, self.n + 1)]
+                self._verify(model)
+                return model
+            decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(lit, None)
+
+    def _verify(self, model: list[int]):
+        truth = {l for l in model}
+        for clause in self.clauses:
+            if not any(l in truth for l in clause):
+                raise RuntimeError("internal error: model does not satisfy clause set")

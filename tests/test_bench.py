@@ -146,6 +146,8 @@ def test_dependency_circuit_rejects_cycles_and_unknowns():
         dependency_circuit(["A", "B"], [("A", "B"), ("B", "A")])
     with pytest.raises(BenchError):
         dependency_circuit(["A"], [("A", "Z")])
+    with pytest.raises(BenchError):
+        psp_to_scmr(["A"], [("A", "Z")], k=1, t_p=1)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,37 @@ def test_gen_ndp(tmp_path):
     assert arch["rows"] == 10 and arch["cols"] == 10
 
 
+@pytest.mark.parametrize("spec", [
+    {},                                   # no "jobs"
+    {"jobs": 3},                          # "jobs" not a list
+    {"jobs": [["A"]]},                    # job id not a string or integer
+    {"jobs": ["A", "B"], "edges": 5},     # "edges" not a list
+    {"jobs": ["A", "B"], "edges": [["A"]]},
+])
+def test_gen_psp_bad_spec_exits_1_naming_the_file(tmp_path, capsys, spec):
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps(spec))
+    assert run(["gen", "psp", "--jobs", str(jobs), "-k", "1", "-t", "2",
+                "-o", str(tmp_path / "psp")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {jobs}: ")
+    assert not (tmp_path / "psp.qc").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    [[1, 2]],                 # a pair of numbers, not of vertices
+    {"pairs": []},            # not a list
+    [[[1, 1], [2, 2, 2]]],    # a vertex of three coordinates
+    [[[1, 1]]],               # a pair of one vertex
+])
+def test_gen_ndp_bad_pairs_exit_1_naming_the_file(tmp_path, capsys, spec):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(spec))
+    assert run(["gen", "ndp", "--cols", "2", "--rows", "2", "--pairs-file", str(pairs),
+                "-o", str(tmp_path / "ndp")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {pairs}: ")
+    assert not (tmp_path / "ndp.qc").exists()
+
+
 def test_compile_solution_files_revalidate(tmp_path, capsys):
     # compile -> validate round trip across several pipelines
     circ = tmp_path / "mix.qc"

@@ -3,13 +3,19 @@ import itertools
 
 import pytest
 
-from scmr.architecture import bordered_architecture, custom_architecture
+from scmr.architecture import (
+    bordered_architecture,
+    center_column_architecture,
+    custom_architecture,
+    right_column_architecture,
+)
 from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import circuit_from_gates, cnot, depth, parse_circuit, tgate
-from scmr.mapping import qubit_map, struct_map
+from scmr.mapping import qubit_map, random_map, struct_map
 from scmr.routing import GateRoute, validate
 from scmr.sat import (
     CapExhausted,
+    CdclSolver,
     CnfInstance,
     ProcessBackend,
     VarTable,
@@ -26,7 +32,9 @@ from scmr.sat import (
     solve_optimal,
 )
 
+from oracles import CdclSolver as ReferenceSolver
 from oracles import brute_force_optimum, count_projected_models, dpll_satisfiable
+from oracles import encode as reference_encode
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,16 @@ def test_process_backend_against_builtin(tmp_path):
     verdict = backend.solve(cnf)
     assert verdict.satisfiable
     qm, route = decode(verdict.model, cnf.table, c, arch)
+    assert validate(arch, c, qm, route) == []
+    # a pinned map reaches the external solver folded into the formula
+    arch = bordered_architecture(4)
+    c = random_circuit(4, 2, 0.25, seed=1)
+    pinned = struct_map(arch, c)
+    cnf = encode(arch, c, pinned, t_s=depth(c))
+    verdict = backend.solve(cnf)
+    assert verdict.satisfiable
+    qm, route = decode(verdict.model, cnf.table, c, arch)
+    assert qm.as_dict == pinned.as_dict
     assert validate(arch, c, qm, route) == []
 
 
@@ -371,9 +389,11 @@ def test_process_backend_garbage_output(tmp_path):
 
 
 def test_encoding_bytes_pinned():
-    # the DIMACS text of two fixed instances, hashed at the commit before the
-    # grid gained its adjacency table: the clause order the CDCL search
-    # depends on must not move
+    # the DIMACS text of two fixed instances: the free-map one hashed before
+    # the grid gained its adjacency table, the fixed-map one after the pinned
+    # map was folded into the formula. The digests guard the bytes external
+    # solvers read; the solver state the fold must preserve is checked
+    # directly by test_folded_encoding_matches_reference_solver
     arch = bordered_architecture(4)
     fixed = random_circuit(4, 3, 0.2, seed=3)
     free = random_circuit(4, 2, 0.25, seed=5)
@@ -382,6 +402,130 @@ def test_encoding_bytes_pinned():
         cnf = encode(arch, circuit, qmap, t_s=depth(circuit))
         digests.append(hashlib.sha256(dimacs_text(cnf.num_vars, cnf.clauses).encode()).hexdigest())
     assert digests == [
-        "d9c66a00a8269c2052dfa798c75c03566130b84103309c503ba7280f7142637b",
+        "6b0dc7d80c440f666d20ade933a49443218a6144bfcdee1fea20907dc0533335",
         "4428ad9e81e41a06db7827b56a64b0e5432d4fbb5ed389f08c606820e5b7a68b",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the exact engine before the pinned map was
+# folded into the encoding and the CDCL inner loops were tightened
+# ---------------------------------------------------------------------------
+
+def _assert_same_solver_run(num_vars, clauses, ref_clauses):
+    """Both solvers hold the same state after construction, then return the
+    same model and end with the same clauses, learned ones included."""
+    new = CdclSolver(num_vars, clauses)
+    ref = ReferenceSolver(num_vars, ref_clauses)
+    assert (new.clauses, new.trail, new.ok) == (ref.clauses, ref.trail, ref.ok)
+    assert new.watches == ref.watches
+    model = new.solve()
+    assert model == ref.solve()
+    assert new.clauses == ref.clauses
+    return model
+
+
+def _differential_maps(arch, circuit, seed):
+    struct = struct_map(arch, circuit)
+    spare = next(v for v in arch.vertices()
+                 if v not in arch.magic and v not in struct.vertices())
+    return (
+        ("struct", struct),
+        ("random", random_map(arch, circuit, seed)),
+        ("extra qubit", qubit_map({**struct.as_dict, "spare": spare})),
+        ("free", None),
+    )
+
+
+@pytest.mark.parametrize("make_arch,seed,t_fraction", [
+    (bordered_architecture, 0, 0.0),
+    (bordered_architecture, 1, 0.25),
+    (right_column_architecture, 0, 0.75),  # fixed maps: UNSAT at the depth, then SAT
+    (right_column_architecture, 2, 0.0),
+    (center_column_architecture, 0, 0.0),
+    (center_column_architecture, 1, 0.25),  # fixed maps: UNSAT at every probe
+])
+def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
+    arch = make_arch(4)
+    circuit = random_circuit(4, 2, t_fraction, seed=seed)
+    for label, qmap in _differential_maps(arch, circuit, seed):
+        for prune in (True, False) if qmap is not None else (True,):
+            for t in (depth(circuit), depth(circuit) + 1):
+                ref = reference_encode(arch, circuit, qmap, t_s=t, prune=prune)
+                cnf = encode(arch, circuit, qmap, t_s=t, prune=prune)
+                assert (cnf.num_vars, cnf.table) == (ref.num_vars, ref.table), label
+                if qmap is not None:
+                    assert len(cnf.clauses) < len(ref.clauses) / 2, label
+                model = _assert_same_solver_run(cnf.num_vars, cnf.clauses, ref.clauses)
+                if model is not None:
+                    truth = set(model)
+                    assert all(any(l in truth for l in c) for c in ref.clauses), label
+                    break
+
+
+def test_cdcl_matches_reference_on_random_cnf():
+    import random
+    rng = random.Random(7)
+    satisfiable = 0
+    for trial in range(60):
+        n = rng.randint(3, 90)
+        width = rng.choice((2, 3, 3, 4))
+        clauses = [[v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), min(width, n))]
+                   for _ in range(int(n * rng.uniform(1.0, 5.0)))]
+        model = _assert_same_solver_run(n, clauses, clauses)
+        satisfiable += model is not None
+    assert 0 < satisfiable < 60
+
+
+def _pigeonhole(holes):
+    """holes + 1 pigeons in `holes` holes: unsatisfiable."""
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(holes + 1)]
+    clauses += [[-var(p, h), -var(q, h)] for h in range(holes)
+                for p in range(holes + 1) for q in range(p + 1, holes + 1)]
+    return (holes + 1) * holes, clauses
+
+
+def test_cdcl_matches_reference_through_activity_rescale():
+    # pigeonhole 7 -> 6 needs a few hundred conflicts; a large starting
+    # increment on both solvers drives the activities past the rescale point
+    num_vars, clauses = _pigeonhole(6)
+    new, ref = CdclSolver(num_vars, clauses), ReferenceSolver(num_vars, clauses)
+    new.var_inc = ref.var_inc = 1e95
+    assert new.solve() is None and ref.solve() is None
+    assert new.var_inc < 1e95  # the rescale ran
+    assert new.clauses == ref.clauses and new.activity == ref.activity
+
+
+class _HeapCheckedSolver(CdclSolver):
+    """Checks the decision heap before every decision: each unassigned
+    variable has its current entry, and no entry is there twice."""
+
+    def _decide(self):
+        assert len(set(self.heap)) == len(self.heap)
+        current = {v for act, v in self.heap if -act == self.activity[v]}
+        assert all(v in current for v in range(1, self.n + 1) if not self.vals[v])
+        return super()._decide()
+
+
+def test_cdcl_heap_has_no_duplicates_and_misses_no_variable():
+    import random
+    rng = random.Random(11)
+    for trial in range(20):
+        n = rng.randint(10, 60)
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(int(n * 4.3))]
+        assert _HeapCheckedSolver(n, clauses).solve() == solve_clauses(n, clauses)
+    solver = _HeapCheckedSolver(*_pigeonhole(5))
+    solver.var_inc = 1e99  # rescale after a few conflicts
+    assert solver.solve() is None and solver.var_inc < 1e99
+
+
+def test_cdcl_rejects_out_of_range_literals():
+    # values are indexed by literal, so an id above num_vars must not alias
+    # another variable's negation
+    with pytest.raises(ValueError, match="literal 2 out of range"):
+        solve_clauses(1, [[2]])
+    with pytest.raises(ValueError, match="literal 0 out of range"):
+        solve_clauses(2, [[1, 0]])
