@@ -55,6 +55,7 @@ from .routing import (
     Rule,
     UnroutableGateError,
     Violation,
+    free_mask,
     greedy_route,
     route_from_json,
     route_to_json,

@@ -9,6 +9,11 @@ coordinate is the column index, so *horizontal* neighbors differ by 1 in
 A *regular mapping location* is a vertex centered in a 3x3 in-bounds,
 magic-free subgrid; the location set is thinned to pairwise Chebyshev
 distance >= 2 so each qubit keeps a private routing ring.
+
+Searches that expand many vertices (the routing BFS, the mapper's distance
+BFS) run on `Architecture.cells`, a `CellIndex` built once per instance: a
+padded integer id per cell, so neighbors are fixed id offsets and a border
+of never-free padding ids replaces bounds checks.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ class ArchitectureError(ValueError):
     pass
 
 
-class _NeighborTable(dict):
+class _IdTable(dict):
     __slots__ = ("grid",)
 
     def __missing__(self, v):
@@ -72,20 +77,13 @@ class Architecture:
         return self.horizontal_neighbors(v) + self.vertical_neighbors(v)
 
     @cached_property
-    def adjacency(self) -> MappingProxyType:
-        """Read-only table: vertex -> tuple of its grid neighbors, sorted.
-
-        Built once per instance on first use, for searches that expand many
-        vertices; horizontal neighbors of v are those sharing v's second
-        coordinate, vertical ones those sharing its first. Looking up an
-        off-grid vertex raises ArchitectureError, as `neighbors` does.
-        """
-        table = _NeighborTable((v, tuple(sorted(self.neighbors(v)))) for v in self.vertices())
-        table.grid = f"{self.cols}x{self.rows}"
-        return MappingProxyType(table)
+    def cells(self) -> CellIndex:
+        """Padded integer index of the grid, built once per instance on first
+        use; searches that expand many vertices run on it."""
+        return CellIndex.of(self)
 
     def __getstate__(self):
-        # Pickle and copy the fields only; a copy rebuilds its tables on use.
+        # Pickle and copy the fields only; a copy rebuilds its index on use.
         return {"rows": self.rows, "cols": self.cols, "magic": self.magic}
 
     def edges(self):
@@ -100,6 +98,40 @@ class Architecture:
     def _check(self, v: Vertex):
         if not self.in_bounds(v):
             raise ArchitectureError(f"vertex {v} outside {self.cols}x{self.rows} grid")
+
+
+@dataclass(frozen=True)
+class CellIndex:
+    """Padded integer ids of a grid's cells.
+
+    Cell ``(a, b)`` has id ``a * stride + b`` with ``stride = rows + 2``, for
+    ``0 <= a <= cols + 1`` and ``0 <= b <= rows + 1``. Ids with ``a`` or
+    ``b`` outside the grid are padding: they ring the grid, so every
+    in-bounds cell has four neighbor ids and a search needs no bounds check.
+    Id order is vertex tuple order. The neighbors of id ``i`` in sorted
+    order are ``i - stride, i - 1, i + 1, i + stride``; the horizontal ones
+    (same second coordinate) are ``i ± stride`` and the vertical ones
+    ``i ± 1``.
+    """
+    stride: int
+    id_of: MappingProxyType              # in-bounds vertex -> id; off-grid raises ArchitectureError
+    vertex_of: tuple[Vertex | None, ...]  # id -> vertex, None at padding
+    free: bytes                          # 1 at in-bounds non-magic cells, 0 elsewhere (padding too)
+
+    @classmethod
+    def of(cls, arch: Architecture) -> CellIndex:
+        stride = arch.rows + 2
+        vertex_of: list[Vertex | None] = [None] * ((arch.cols + 2) * stride)
+        free = bytearray(len(vertex_of))
+        id_of = _IdTable()
+        id_of.grid = f"{arch.cols}x{arch.rows}"
+        for a in range(1, arch.cols + 1):
+            for b in range(1, arch.rows + 1):
+                i = a * stride + b
+                vertex_of[i] = v = (a, b)
+                id_of[v] = i
+                free[i] = v not in arch.magic
+        return cls(stride, MappingProxyType(id_of), tuple(vertex_of), bytes(free))
 
 
 def grid_distance(u: Vertex, v: Vertex) -> int:

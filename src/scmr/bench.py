@@ -106,6 +106,20 @@ def _degree_bound(jobs, edges) -> int:
     return max([*out_deg.values(), *in_deg.values()], default=0)
 
 
+def _check_jobs(jobs: list, edges: list[tuple]):
+    """Each job listed once; every edge joins two distinct listed jobs."""
+    seen = set()
+    for j in jobs:
+        if j in seen:
+            raise BenchError(f"job {j!r} is listed more than once")
+        seen.add(j)
+    for a, b in edges:
+        if a not in seen or b not in seen:
+            raise BenchError(f"edge ({a}, {b}) references unknown job")
+        if a == b:
+            raise BenchError(f"self-dependency on job {a}")
+
+
 def dependency_circuit(jobs, edges) -> Circuit:
     """Concatenated job gadgets plus one transition CNOT per direct
     dependency, wired so the T gates' dependency order equals the job order.
@@ -115,13 +129,9 @@ def dependency_circuit(jobs, edges) -> Circuit:
     partner position in `jobs`.
     """
     jobs = list(jobs)
-    pos = {j: i for i, j in enumerate(jobs)}
     edges = list(edges)
-    for a, b in edges:
-        if a not in pos or b not in pos:
-            raise BenchError(f"edge ({a}, {b}) references unknown job")
-        if a == b:
-            raise BenchError(f"self-dependency on job {a}")
+    _check_jobs(jobs, edges)
+    pos = {j: i for i, j in enumerate(jobs)}
     d = _degree_bound(jobs, edges)
 
     out_index: dict[tuple, int] = {}
@@ -197,7 +207,7 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
         raise BenchError("need at least one job")
-    dep = dependency_circuit(jobs, edges)  # rejects edges naming unknown jobs
+    dep = dependency_circuit(jobs, edges)  # rejects repeated jobs and unknown edge ends
     d = _degree_bound(jobs, edges)
     width = processor_unit_width(len(jobs))
     magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
@@ -211,7 +221,8 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
 
 def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
     """`{"jobs": [id, ...], "edges": [[a, b], ...]}` -> (jobs, edges), job
-    ids being strings or integers; `psp_to_scmr` rejects unknown edge ends."""
+    ids being distinct strings or integers and edges joining two of them;
+    `psp_to_scmr` rejects a cycle."""
     data = json.loads(text)
     is_job = lambda x: type(x) in (int, str)
     edges = data.get("edges", []) if isinstance(data, dict) else None
@@ -220,7 +231,9 @@ def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
             and all(isinstance(e, list) and len(e) == 2 and all(is_job(x) for x in e)
                     for e in edges)):
         raise BenchError('expected {"jobs": [id, ...], "edges": [[a, b], ...]}')
-    return data["jobs"], [tuple(e) for e in edges]
+    edges = [tuple(e) for e in edges]
+    _check_jobs(data["jobs"], edges)
+    return data["jobs"], edges
 
 
 # ---------------------------------------------------------------------------

@@ -71,18 +71,17 @@ def random_map(arch: Architecture, circuit: Circuit, seed: int, locations=None) 
 
 def _distance_to_set(arch: Architecture, sources) -> dict[Vertex, int]:
     """Full-grid shortest-path distance to the nearest source, by BFS."""
-    from collections import deque
-
-    adjacency = arch.adjacency
-    dist = {v: 0 for v in sources}
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for u in adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    cells = arch.cells
+    stride, vertex_of = cells.stride, cells.vertex_of
+    dist = {cells.id_of[v]: 0 for v in sources}
+    queue = list(dist)   # FIFO: the loop reads it while it grows
+    for i in queue:
+        d = dist[i] + 1
+        for j in (i - stride, i - 1, i + 1, i + stride):
+            if j not in dist and vertex_of[j] is not None:
+                dist[j] = d
+                queue.append(j)
+    return {vertex_of[i]: d for i, d in dist.items()}
 
 
 _STRIDE2 = ((-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))

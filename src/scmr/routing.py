@@ -6,13 +6,21 @@ horizontal edge. CNOT paths run from the control's vertex to the target's
 vertex; T paths run from the operand's vertex to any magic-state vertex.
 Mapped and magic vertices may appear only as path endpoints, and paths that
 share a time step must be vertex-disjoint, endpoints included.
+
+The greedy router searches over `Architecture.cells` ids: `shortest_first`
+turns its blocked vertices into one `bytearray` mask of free cells per call
+and zeroes each picked path in it, and the BFS marks reached cells in a copy
+of that mask. Every step of a route starts from the same blocking, so
+`greedy_route` keeps one dict per route from (source, sinks) to the path of
+that first, unobstructed search, and runs it at most once per pair.
 """
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .architecture import Architecture, Vertex, is_json_vertex
 from .circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, topological_layering
@@ -31,59 +39,83 @@ class UnroutableGateError(RoutingError):
 
 @dataclass(frozen=True)
 class GateRoute:
+    """A schedule: `time` maps gate index -> step (1-based), `space` maps gate
+    index -> path. Both are read-only views of copies of the given dicts."""
     steps: int
-    time: dict[int, int]     # gate index -> step, 1-based
-    space: dict[int, Path]   # gate index -> path
+    time: Mapping[int, int]
+    space: Mapping[int, Path]
+
+    def __post_init__(self):
+        object.__setattr__(self, "time", MappingProxyType(dict(self.time)))
+        object.__setattr__(self, "space", MappingProxyType(dict(self.space)))
+
+    def __reduce__(self):
+        return GateRoute, (self.steps, dict(self.time), dict(self.space))
 
 
 # ---------------------------------------------------------------------------
 # Shortest legal path
 # ---------------------------------------------------------------------------
 
-def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks,
+def shortest_legal_path(arch: Architecture, free: bytearray, source: Vertex, sinks,
                         used=frozenset()) -> Path | None:
     """Minimum-length legal path from source to some sink, or None.
 
-    `blocked` and `used` are sets of vertices unusable as path interiors:
-    typically the mapped and magic vertices, and the vertices consumed
-    earlier in the step. Sinks are endpoint candidates and must be entered
-    through a horizontal edge; sinks in `used` are skipped. Only the first
-    and last edges are orientation-constrained, so a plain BFS over interior
-    vertices suffices; neighbor expansion is in sorted order to make the
-    returned path deterministic.
+    `free` is a mask over `arch.cells` ids: 1 where a vertex may be a path
+    interior, 0 at mapped, magic and padding cells and at the vertices
+    consumed earlier in the step. The source and the sinks are never
+    interiors. Sinks are endpoint candidates and must be entered through a
+    horizontal edge; sinks in `used` (a set of vertices) are skipped. Only
+    the first and last edges are orientation-constrained, so a plain BFS
+    over interior ids suffices. It runs on a copy of `free` in which reached
+    cells are zeroed, keeps integer parents and expands neighbors in sorted
+    order, so the returned path is deterministic; only that path is turned
+    back into vertices.
     """
-    adjacency = arch.adjacency
-    sinks = frozenset(sinks)
-    goal_of: dict[Vertex, Vertex] = {}
-    for t in sorted(sinks):
+    cells = arch.cells
+    id_of, stride = cells.id_of, cells.stride
+    open_ = bytearray(free)
+    goal_of: dict[int, Vertex] = {}   # cell -> sink it enters horizontally
+    for t in sorted(sinks, reverse=True):   # a cell between two sinks keeps the smaller
+        i = id_of[t]
+        open_[i] = 0
         if t not in used:
-            for w in adjacency[t]:
-                if w[1] == t[1] and w not in goal_of:
-                    goal_of[w] = t
+            goal_of[i - stride] = goal_of[i + stride] = t
     if not goal_of:
         return None
 
-    magic = arch.magic
-    parent: dict[Vertex, Vertex | None] = {}
-    queue = deque()
-    for u in adjacency[source]:
-        if (u[0] == source[0] and u not in blocked and u not in used
-                and u not in magic and u not in sinks):
-            parent[u] = None
-            queue.append(u)
-    while queue:
-        w = queue.popleft()
-        if w in goal_of:
-            hops = [w]
-            while parent[hops[-1]] is not None:
-                hops.append(parent[hops[-1]])
-            return (source, *reversed(hops), goal_of[w])
-        for x in adjacency[w]:
-            if (x not in parent and x != source and x not in blocked and x not in used
-                    and x not in magic and x not in sinks):
+    s = id_of[source]
+    open_[s] = 0
+    parent: dict[int, int] = {}
+    queue: list[int] = []   # FIFO: the loop below reads it while it grows
+    for x in (s - 1, s + 1):
+        if open_[x]:
+            open_[x] = 0
+            parent[x] = s
+            if x in goal_of:
+                return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
+            queue.append(x)
+    # A goal is recognised when it is enqueued: the first goal enqueued is
+    # the first a dequeue-time check would meet, so the path is the same.
+    for w in queue:
+        for x in (w - stride, w - 1, w + 1, w + stride):
+            if open_[x]:
+                open_[x] = 0
                 parent[x] = w
+                if x in goal_of:
+                    return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
                 queue.append(x)
     return None
+
+
+def _unwind(vertex_of, parent: dict[int, int], last: int, source: Vertex, sink: Vertex) -> Path:
+    hops = [sink]
+    while last in parent:
+        hops.append(vertex_of[last])
+        last = parent[last]
+    hops.append(source)
+    hops.reverse()
+    return tuple(hops)
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +135,48 @@ def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteReq
     return RouteRequest(gate, qmap[gate.operand], frozenset(arch.magic))
 
 
-def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gate, Path]]:
+def free_mask(arch: Architecture, blocked) -> bytearray:
+    """The `shortest_legal_path` mask of `arch` with the `blocked` vertices
+    taken out; off-grid vertices in `blocked` are ignored."""
+    cells = arch.cells
+    free = bytearray(cells.free)
+    cell_id = cells.id_of.get
+    for v in blocked:
+        i = cell_id(v)
+        if i is not None:
+            free[i] = 0
+    return free
+
+
+def shortest_first(arch: Architecture, requests, blocked: set,
+                   first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
     vertices, repeat until nothing is routable. Ties go to the lower gate
     index. Returns the routed subset with vertex-disjoint paths.
 
-    Each request's path is searched again only when the last pick consumed
-    one of its vertices. Consuming vertices only removes paths, and the
-    search returns the first shortest path in its fixed expansion order, so
-    a path that stays clear is still the one the search would return, and a
-    request without a path never gets one.
+    `blocked` (vertices never usable as interiors) becomes one `free` mask
+    per call, and each picked path's cells are zeroed in it. Each request's
+    path is searched again only when the last pick consumed one of its
+    vertices. Consuming vertices only removes paths, and the search returns
+    the first shortest path in its fixed expansion order, so a path that
+    stays clear is still the one the search would return, and a request
+    without a path never gets one.
+
+    `first_paths`, when given, maps (source, sinks) to the path of a search
+    under `blocked` alone; missing entries are searched and stored. It is
+    valid only across calls with the same `blocked`.
     """
+    free = free_mask(arch, blocked)
     remaining = sorted(requests, key=lambda r: r.gate.index)
-    paths = [shortest_legal_path(arch, blocked, r.source, r.sinks) for r in remaining]
+    if first_paths is None:
+        first_paths = {}
+    paths = []
+    for r in remaining:
+        key = (r.source, r.sinks)
+        if key not in first_paths:
+            first_paths[key] = shortest_legal_path(arch, free, r.source, r.sinks)
+        paths.append(first_paths[key])
+    id_of = arch.cells.id_of
     used: set[Vertex] = set()
     routed: list[tuple[Gate, Path]] = []
     while True:
@@ -127,20 +188,29 @@ def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gat
             break
         req, picked = remaining.pop(best), paths.pop(best)
         used.update(picked)
+        for v in picked:
+            free[id_of[v]] = 0
         routed.append((req.gate, picked))
         for i, path in enumerate(paths):
             if path is not None and not used.isdisjoint(path):
                 r = remaining[i]
-                paths[i] = shortest_legal_path(arch, blocked, r.source, r.sinks, used)
+                paths[i] = shortest_legal_path(arch, free, r.source, r.sinks, used)
     return routed
 
 
 def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRoute:
     """Layer-by-layer routing: repeat shortest-first inside each topological
     layer until the layer drains, never starting a layer before the previous
-    one finishes."""
+    one finishes.
+
+    Every step starts from the same blocking (mapped and magic vertices), so
+    a request's first search in any step gives the same path; one dict per
+    route keeps it, and each (source, sinks) pair is searched unobstructed
+    at most once per route.
+    """
     mapped = set(qmap.vertices())
     base_blocked = mapped | set(arch.magic)
+    first_paths: dict = {}
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
     step = 0
@@ -148,7 +218,7 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
         pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
         while pending:
             step += 1
-            routed = shortest_first(arch, pending, base_blocked)
+            routed = shortest_first(arch, pending, base_blocked, first_paths)
             if not routed:
                 bad = pending[0].gate
                 raise UnroutableGateError(

@@ -9,13 +9,15 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
+from functools import lru_cache
 from concurrent.futures import ProcessPoolExecutor
 from heapq import heapify, heappop, heappush
 
-from scmr.architecture import Architecture, Vertex
-from scmr.circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
+from scmr.architecture import Architecture, ArchitectureError, Vertex
+from scmr.circuit import (Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights,
+                          topological_layering)
 from scmr.mapping import QubitMap, random_map
-from scmr.routing import Path, greedy_route
+from scmr.routing import GateRoute, Path, UnroutableGateError, greedy_route, request_for_gate
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
 from scmr.sat.encoding import CnfInstance, VarTable, _directed_edges, exec_windows
@@ -209,6 +211,136 @@ def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gat
         routed.append((req.gate, path))
         remaining.remove(req)
     return routed
+
+
+# ---------------------------------------------------------------------------
+# Greedy routing as it was before integer cell ids, masks and the per-route
+# first-path dict: a sorted neighbor table per architecture, set lookups in
+# the search, and a pending request searched again only when the last pick
+# took a vertex of its path. Kept verbatim (renamed, and with the neighbor
+# table built here instead of on the architecture) as the reference the mask
+# router must match byte for byte, and as the search-count baseline of the
+# lazy re-search.
+# ---------------------------------------------------------------------------
+
+class _NeighborTable(dict):
+    def __missing__(self, v):
+        raise ArchitectureError(f"vertex {v} outside {self.grid} grid")
+
+
+@lru_cache(maxsize=16)
+def _neighbor_table(rows: int, cols: int) -> _NeighborTable:
+    """Vertex -> its grid neighbors, sorted; an off-grid lookup raises
+    ArchitectureError, as the table the router used to keep did."""
+    grid = Architecture(rows, cols, frozenset())
+    table = _NeighborTable((v, tuple(sorted(grid.neighbors(v)))) for v in grid.vertices())
+    table.grid = f"{cols}x{rows}"
+    return table
+
+
+def lazy_shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks,
+                             used=frozenset()) -> Path | None:
+    """Minimum-length legal path from source to some sink, or None.
+
+    `blocked` and `used` are sets of vertices unusable as path interiors:
+    typically the mapped and magic vertices, and the vertices consumed
+    earlier in the step. Sinks are endpoint candidates and must be entered
+    through a horizontal edge; sinks in `used` are skipped. Only the first
+    and last edges are orientation-constrained, so a plain BFS over interior
+    vertices suffices; neighbor expansion is in sorted order to make the
+    returned path deterministic.
+    """
+    adjacency = _neighbor_table(arch.rows, arch.cols)
+    sinks = frozenset(sinks)
+    goal_of: dict[Vertex, Vertex] = {}
+    for t in sorted(sinks):
+        if t not in used:
+            for w in adjacency[t]:
+                if w[1] == t[1] and w not in goal_of:
+                    goal_of[w] = t
+    if not goal_of:
+        return None
+
+    magic = arch.magic
+    parent: dict[Vertex, Vertex | None] = {}
+    queue = deque()
+    for u in adjacency[source]:
+        if (u[0] == source[0] and u not in blocked and u not in used
+                and u not in magic and u not in sinks):
+            parent[u] = None
+            queue.append(u)
+    while queue:
+        w = queue.popleft()
+        if w in goal_of:
+            hops = [w]
+            while parent[hops[-1]] is not None:
+                hops.append(parent[hops[-1]])
+            return (source, *reversed(hops), goal_of[w])
+        for x in adjacency[w]:
+            if (x not in parent and x != source and x not in blocked and x not in used
+                    and x not in magic and x not in sinks):
+                parent[x] = w
+                queue.append(x)
+    return None
+
+
+def lazy_shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gate, Path]]:
+    """Route the request with the currently shortest legal path, consume its
+    vertices, repeat until nothing is routable. Ties go to the lower gate
+    index. Returns the routed subset with vertex-disjoint paths.
+
+    Each request's path is searched again only when the last pick consumed
+    one of its vertices. Consuming vertices only removes paths, and the
+    search returns the first shortest path in its fixed expansion order, so
+    a path that stays clear is still the one the search would return, and a
+    request without a path never gets one.
+    """
+    remaining = sorted(requests, key=lambda r: r.gate.index)
+    paths = [lazy_shortest_legal_path(arch, blocked, r.source, r.sinks) for r in remaining]
+    used: set[Vertex] = set()
+    routed: list[tuple[Gate, Path]] = []
+    while True:
+        best = None
+        for i, path in enumerate(paths):
+            if path is not None and (best is None or len(path) < len(paths[best])):
+                best = i
+        if best is None:
+            break
+        req, picked = remaining.pop(best), paths.pop(best)
+        used.update(picked)
+        routed.append((req.gate, picked))
+        for i, path in enumerate(paths):
+            if path is not None and not used.isdisjoint(path):
+                r = remaining[i]
+                paths[i] = lazy_shortest_legal_path(arch, blocked, r.source, r.sinks, used)
+    return routed
+
+
+def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRoute:
+    """Layer-by-layer routing: repeat shortest-first inside each topological
+    layer until the layer drains, never starting a layer before the previous
+    one finishes."""
+    mapped = set(qmap.vertices())
+    base_blocked = mapped | set(arch.magic)
+    time: dict[int, int] = {}
+    space: dict[int, Path] = {}
+    step = 0
+    for layer in topological_layering(circuit).layers:
+        pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
+        while pending:
+            step += 1
+            routed = lazy_shortest_first(arch, pending, base_blocked)
+            if not routed:
+                bad = pending[0].gate
+                raise UnroutableGateError(
+                    f"gate {bad.index} ({bad.kind.value} {' '.join(bad.qubits)}) has no legal path under this map"
+                )
+            done = {g.index for g, _ in routed}
+            for g, path in routed:
+                time[g.index] = step
+                space[g.index] = path
+            pending = [r for r in pending if r.gate.index not in done]
+    return GateRoute(step, time, space)
 
 
 # ---------------------------------------------------------------------------

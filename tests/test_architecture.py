@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import pickle
@@ -133,31 +134,47 @@ def test_regular_locations_match_all_pairs_oracle():
         assert regular_locations(arch) == oracles.regular_locations(arch), arch
 
 
-def test_adjacency_table_matches_neighbors():
+def test_cell_index_matches_neighbors():
     arch = right_column_architecture(5)
-    assert set(arch.adjacency) == set(arch.vertices())
+    cells = arch.cells
+    s = cells.stride
+    assert set(cells.id_of) == set(arch.vertices())
+    assert sorted(cells.id_of, key=cells.id_of.get) == sorted(arch.vertices())  # id order is tuple order
     for v in arch.vertices():
-        row = arch.adjacency[v]
-        assert row == tuple(sorted(arch.neighbors(v)))
-        assert [u for u in row if u[1] == v[1]] == arch.horizontal_neighbors(v)
-        assert [u for u in row if u[0] == v[0]] == arch.vertical_neighbors(v)
-    assert arch.adjacency is arch.adjacency
+        i = cells.id_of[v]
+        assert cells.vertex_of[i] == v
+        row = [cells.vertex_of[j] for j in (i - s, i - 1, i + 1, i + s)]
+        assert [u for u in row if u is not None] == sorted(arch.neighbors(v))
+        assert [u for u in (cells.vertex_of[i - s], cells.vertex_of[i + s]) if u] == arch.horizontal_neighbors(v)
+        assert [u for u in (cells.vertex_of[i - 1], cells.vertex_of[i + 1]) if u] == arch.vertical_neighbors(v)
+        assert cells.free[i] == (v not in arch.magic)
+    padding = [i for i, v in enumerate(cells.vertex_of) if v is None]
+    assert len(padding) == len(cells.vertex_of) - arch.num_vertices
+    assert not any(cells.free[i] for i in padding)
+    assert arch.cells is cells
     with pytest.raises(ArchitectureError):
-        arch.adjacency[(0, 1)]
+        cells.id_of[(0, 1)]
+    with pytest.raises(ArchitectureError):
+        cells.id_of[(arch.cols + 1, 1)]
     with pytest.raises(TypeError):
-        arch.adjacency[(1, 1)] = ()
+        cells.id_of[(1, 1)] = 0
+    with pytest.raises(TypeError):
+        cells.free[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cells.stride = 1
 
 
-def test_architecture_copies_after_table_is_built():
+def test_architecture_copies_after_index_is_built():
     arch = bordered_architecture(4)
-    arch.adjacency
+    arch.cells
     for again in (pickle.loads(pickle.dumps(arch)), copy.deepcopy(arch)):
         assert again == arch and hash(again) == hash(arch)
-        assert again.adjacency == arch.adjacency
+        assert vars(again) == {"rows": arch.rows, "cols": arch.cols, "magic": arch.magic}
+        assert again.cells == arch.cells
 
 
 def test_architecture_freed_after_compile():
-    # no module-level cache may keep a built architecture (and the tables
+    # no module-level cache may keep a built architecture (and the index
     # cached on it) alive
     from scmr.bench import random_circuit
     from scmr.mapping import struct_map
@@ -166,7 +183,7 @@ def test_architecture_freed_after_compile():
     arch = bordered_architecture(9)
     circuit = random_circuit(9, 4, 0.2, seed=1)
     greedy_route(arch, circuit, struct_map(arch, circuit))
-    assert regular_locations(arch) and arch.adjacency
+    assert regular_locations(arch) and "cells" in vars(arch)
     ref = weakref.ref(arch)
     del arch
     gc.collect()

@@ -150,6 +150,14 @@ def test_dependency_circuit_rejects_cycles_and_unknowns():
         psp_to_scmr(["A"], [("A", "Z")], k=1, t_p=1)
 
 
+def test_dependency_circuit_rejects_repeated_jobs():
+    # a repeated id would add a second gadget on the same qubits
+    with pytest.raises(BenchError, match="more than once"):
+        dependency_circuit([1, 1], [])
+    with pytest.raises(BenchError, match="more than once"):
+        psp_to_scmr(["A", "B", "A"], [("A", "B")], k=2, t_p=2)
+
+
 # ---------------------------------------------------------------------------
 # cycle circuit
 # ---------------------------------------------------------------------------

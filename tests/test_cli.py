@@ -200,6 +200,8 @@ def test_gen_ndp(tmp_path):
     {"jobs": [["A"]]},                    # job id not a string or integer
     {"jobs": ["A", "B"], "edges": 5},     # "edges" not a list
     {"jobs": ["A", "B"], "edges": [["A"]]},
+    {"jobs": [1, 1]},                     # a repeated job id
+    {"jobs": ["A", "B"], "edges": [["A", "C"]]},  # an edge naming no job
 ])
 def test_gen_psp_bad_spec_exits_1_naming_the_file(tmp_path, capsys, spec):
     jobs = tmp_path / "jobs.json"

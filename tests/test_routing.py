@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -19,6 +22,7 @@ from scmr.routing import (
     RoutingError,
     Rule,
     UnroutableGateError,
+    free_mask,
     greedy_route,
     request_for_gate,
     route_from_json,
@@ -33,7 +37,7 @@ from oracles import enumerate_legal_paths, layered_shortest_length
 
 def test_shortest_path_unobstructed_L():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, {(2, 2), (4, 4)}, (2, 2), {(4, 4)})
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (4, 4)}), (2, 2), {(4, 4)})
     assert p is not None and len(p) == 5
     assert p[0] == (2, 2) and p[-1] == (4, 4)
     assert abs(p[0][1] - p[1][1]) == 1       # leaves vertically
@@ -42,14 +46,14 @@ def test_shortest_path_unobstructed_L():
 
 def test_shortest_path_adjacent_target_needs_bend():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, {(2, 2), (3, 2)}, (2, 2), {(3, 2)})
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 2)}), (2, 2), {(3, 2)})
     assert p is not None and len(p) >= 3
 
 
 def test_shortest_path_blocked_source():
     arch = custom_architecture(3, 3, [])
     blocked = set(arch.vertices())  # everything unusable as interior
-    assert shortest_legal_path(arch, blocked, (2, 2), {(1, 1)}) is None
+    assert shortest_legal_path(arch, free_mask(arch, blocked), (2, 2), {(1, 1)}) is None
 
 
 def test_shortest_path_matches_layered_oracle():
@@ -59,7 +63,7 @@ def test_shortest_path_matches_layered_oracle():
         if source in arch.magic or sink in arch.magic:
             continue
         blocked = {source, sink}
-        got = shortest_legal_path(arch, blocked, source, {sink})
+        got = shortest_legal_path(arch, free_mask(arch, blocked), source, {sink})
         want = layered_shortest_length(arch, blocked, source, {sink})
         if want is None:
             assert got is None
@@ -107,7 +111,8 @@ def test_shortest_first_is_maximal():
     done = {g.index for g, _ in routed}
     for req in reqs:
         if req.gate.index not in done:
-            assert shortest_legal_path(arch, blocked | used, req.source, req.sinks - used) is None
+            assert shortest_legal_path(arch, free_mask(arch, blocked | used), req.source,
+                                       req.sinks - used) is None
 
 
 def test_greedy_route_one_step_for_parallel_circuit():
@@ -254,7 +259,36 @@ def test_route_json_roundtrip():
     m = struct_map(arch, c)
     r = greedy_route(arch, c, m)
     again = route_from_json(route_to_json(r))
-    assert again == r
+    assert again == r and route_to_json(again) == route_to_json(r)
+
+
+def test_gate_route_is_read_only():
+    arch = bordered_architecture(2)
+    c = parse_circuit("cnot a b")
+    r = greedy_route(arch, c, struct_map(arch, c))
+    with pytest.raises(TypeError):
+        r.time[0] = 2
+    with pytest.raises(TypeError):
+        r.space[0] = ()
+    with pytest.raises(TypeError):
+        del r.time[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.steps = 2
+    # the route keeps copies: the caller's dicts stay its own
+    time, space = dict(r.time), dict(r.space)
+    built = GateRoute(r.steps, time, space)
+    time[0], space[0] = 5, ()
+    assert built == r
+
+
+def test_gate_route_pickle_and_copy_roundtrip():
+    arch = bordered_architecture(4)
+    c = parse_circuit("cnot a b; t c; cnot b c; t a")
+    r = greedy_route(arch, c, struct_map(arch, c))
+    for again in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert again == r and route_to_json(again) == route_to_json(r)
+        with pytest.raises(TypeError):
+            again.time[0] = 2
 
 
 def test_shortest_first_routes_one_whenever_possible_systematic():
@@ -276,20 +310,20 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
 
 
 # ---------------------------------------------------------------------------
-# Differential: the router against the pre-optimization shortest-first
+# Differential: the router against the pre-mask router kept in oracles
 # ---------------------------------------------------------------------------
 
-def _outcome(arch, circuit, qmap) -> str:
+def _outcome(router, arch, circuit, qmap) -> str:
     try:
-        return route_to_json(greedy_route(arch, circuit, qmap))
+        return route_to_json(router(arch, circuit, qmap))
     except UnroutableGateError as e:
         return f"unroutable: {e}"
 
 
-def _reference_outcome(monkeypatch, arch, circuit, qmap) -> str:
-    with monkeypatch.context() as mp:
-        mp.setattr(scmr.routing, "shortest_first", oracles.shortest_first)
-        return _outcome(arch, circuit, qmap)
+def _matches_reference(arch, circuit, qmap) -> str:
+    got = _outcome(greedy_route, arch, circuit, qmap)
+    assert got == _outcome(oracles.lazy_greedy_route, arch, circuit, qmap)
+    return got
 
 
 _BUILDERS = (bordered_architecture, right_column_architecture,
@@ -311,15 +345,15 @@ def _differential_instances():
         yield arch, c, random_map(arch, c, seed=seed)
 
 
-def test_greedy_route_matches_reference_router(monkeypatch):
+def test_greedy_route_matches_reference_router():
     count = 0
     for arch, c, m in _differential_instances():
-        assert _outcome(arch, c, m) == _reference_outcome(monkeypatch, arch, c, m)
+        _matches_reference(arch, c, m)
         count += 1
     assert count == 132
 
 
-def test_greedy_route_matches_reference_router_on_crowded_maps(monkeypatch):
+def test_greedy_route_matches_reference_router_on_crowded_maps():
     # maps over every non-magic vertex: qubits wall each other in, so some
     # instances are unroutable and must fail with the same message
     unroutable = 0
@@ -327,15 +361,13 @@ def test_greedy_route_matches_reference_router_on_crowded_maps(monkeypatch):
         c = random_circuit(3 + seed % 6, 2 + seed % 4, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
         arch = _BUILDERS[seed % 3](c.num_qubits)
         m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
-        got = _outcome(arch, c, m)
-        assert got == _reference_outcome(monkeypatch, arch, c, m)
-        unroutable += got.startswith("unroutable")
+        unroutable += _matches_reference(arch, c, m).startswith("unroutable")
     assert 0 < unroutable < 90
 
 
-def _count_bfs_calls(monkeypatch, module, arch, circuit, qmap) -> int:
+def _count_calls(monkeypatch, module, name, route) -> int:
     calls = 0
-    real = module.shortest_legal_path
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         nonlocal calls
@@ -343,23 +375,29 @@ def _count_bfs_calls(monkeypatch, module, arch, circuit, qmap) -> int:
         return real(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(module, "shortest_legal_path", counting)
-        if module is oracles:
-            mp.setattr(scmr.routing, "shortest_first", oracles.shortest_first)
-        greedy_route(arch, circuit, qmap)
+        mp.setattr(module, name, counting)
+        route()
     return calls
 
 
 def test_greedy_route_bfs_calls(monkeypatch):
-    # the search is reached through the module attribute, once or more per
-    # routed gate (span shims rely on that), and a pending request is searched
-    # again only when the last pick took a vertex of its path
+    # the search is reached through the module attribute (span shims rely on
+    # that); a request's unobstructed search runs once per route, and a
+    # pending request is searched again only when the last pick took a vertex
+    # of its path, so memo hits leave fewer searches than gates
     c = known_optimal(6, 20, 1.0, seed=3)
     arch = bordered_architecture(c.num_qubits)
     counts = []
     for m in (struct_map(arch, c), random_map(arch, c, seed=0)):
-        calls = _count_bfs_calls(monkeypatch, scmr.routing, arch, c, m)
-        reference = _count_bfs_calls(monkeypatch, oracles, arch, c, m)
-        assert len(c.gates) <= calls <= reference
-        counts.append((calls, reference))
-    assert counts == [(120, 1260), (528, 1326)]
+        calls = _count_calls(monkeypatch, scmr.routing, "shortest_legal_path",
+                             lambda: greedy_route(arch, c, m))
+        with monkeypatch.context() as mp:
+            # one search per pending request per pick
+            mp.setattr(oracles, "lazy_shortest_first", oracles.shortest_first)
+            naive = _count_calls(monkeypatch, oracles, "shortest_legal_path",
+                                 lambda: oracles.lazy_greedy_route(arch, c, m))
+        lazy = _count_calls(monkeypatch, oracles, "lazy_shortest_legal_path",
+                            lambda: oracles.lazy_greedy_route(arch, c, m))
+        assert 1 <= calls <= lazy <= naive
+        counts.append((calls, naive))
+    assert counts == [(20, 1260), (362, 1326)]
