@@ -389,21 +389,31 @@ def test_process_backend_garbage_output(tmp_path):
 
 
 def test_encoding_bytes_pinned():
-    # the DIMACS text of two fixed instances: the free-map one hashed before
-    # the grid gained its adjacency table, the fixed-map one after the pinned
-    # map was folded into the formula. The digests guard the bytes external
-    # solvers read; the solver state the fold must preserve is checked
-    # directly by test_folded_encoding_matches_reference_solver
-    arch = bordered_architecture(4)
+    # the DIMACS text of four fixed instances: the free-map one hashed before
+    # the grid gained its adjacency table, the bordered fixed-map one after
+    # the pinned map was folded into the formula, and the two T-heavy ones
+    # (one step of slack, magic columns at the edge and down the middle)
+    # before the encoder read its neighbors from the cell index. The digests
+    # guard the bytes external solvers read; the solver state the fold must
+    # preserve is checked directly by
+    # test_folded_encoding_matches_reference_solver
+    bordered = bordered_architecture(4)
     fixed = random_circuit(4, 3, 0.2, seed=3)
     free = random_circuit(4, 2, 0.25, seed=5)
+    t_heavy = random_circuit(4, 3, 0.75, seed=0)
+    instances = [(bordered, fixed, struct_map(bordered, fixed), depth(fixed)),
+                 (bordered, free, None, depth(free))]
+    for arch in (right_column_architecture(4), center_column_architecture(4)):
+        instances.append((arch, t_heavy, struct_map(arch, t_heavy), depth(t_heavy) + 1))
     digests = []
-    for circuit, qmap in ((fixed, struct_map(arch, fixed)), (free, None)):
-        cnf = encode(arch, circuit, qmap, t_s=depth(circuit))
+    for arch, circuit, qmap, t_s in instances:
+        cnf = encode(arch, circuit, qmap, t_s=t_s)
         digests.append(hashlib.sha256(dimacs_text(cnf.num_vars, cnf.clauses).encode()).hexdigest())
     assert digests == [
         "6b0dc7d80c440f666d20ade933a49443218a6144bfcdee1fea20907dc0533335",
         "4428ad9e81e41a06db7827b56a64b0e5432d4fbb5ed389f08c606820e5b7a68b",
+        "3783bc0e599c2b471ed27ce8eb5c454e049b474a87d2a83645d9adf9d807bab0",
+        "26c8658874e3d0781ecd095dd86782cb391c9f340b130f3b2571f68ca959e8ba",
     ]
 
 
