@@ -10,10 +10,11 @@ A *regular mapping location* is a vertex centered in a 3x3 in-bounds,
 magic-free subgrid; the location set is thinned to pairwise Chebyshev
 distance >= 2 so each qubit keeps a private routing ring.
 
-Searches that expand many vertices (the routing BFS, the mapper's distance
-BFS) run on `Architecture.cells`, a `CellIndex` built once per instance: a
-padded integer id per cell, so neighbors are fixed id offsets and a border
-of never-free padding ids replaces bounds checks.
+`Architecture.cells`, a `CellIndex` built once per instance, is the grid's
+one adjacency source: a padded integer id per cell, so neighbors are fixed
+id offsets (horizontal ``± stride``, vertical ``± 1``) and a border of
+never-free padding ids replaces bounds checks. The routing BFS, the mapper's
+distance BFS and the SAT encoder's neighbor lists and edges all read it.
 """
 from __future__ import annotations
 
@@ -63,41 +64,15 @@ class Architecture:
             for a in range(1, self.cols + 1):
                 yield (a, b)
 
-    def horizontal_neighbors(self, v: Vertex) -> list[Vertex]:
-        self._check(v)
-        a, b = v
-        return [(c, b) for c in (a - 1, a + 1) if 1 <= c <= self.cols]
-
-    def vertical_neighbors(self, v: Vertex) -> list[Vertex]:
-        self._check(v)
-        a, b = v
-        return [(a, d) for d in (b - 1, b + 1) if 1 <= d <= self.rows]
-
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        return self.horizontal_neighbors(v) + self.vertical_neighbors(v)
-
     @cached_property
     def cells(self) -> CellIndex:
         """Padded integer index of the grid, built once per instance on first
-        use; searches that expand many vertices run on it."""
+        use; the grid's one adjacency source."""
         return CellIndex.of(self)
 
     def __getstate__(self):
         # Pickle and copy the fields only; a copy rebuilds its index on use.
         return {"rows": self.rows, "cols": self.cols, "magic": self.magic}
-
-    def edges(self):
-        """Undirected grid edges as ordered pairs (u, v) with u < v."""
-        for v in self.vertices():
-            a, b = v
-            if a + 1 <= self.cols:
-                yield (v, (a + 1, b))
-            if b + 1 <= self.rows:
-                yield (v, (a, b + 1))
-
-    def _check(self, v: Vertex):
-        if not self.in_bounds(v):
-            raise ArchitectureError(f"vertex {v} outside {self.cols}x{self.rows} grid")
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,10 @@ def _degree_bound(jobs, edges) -> int:
     return max([*out_deg.values(), *in_deg.values()], default=0)
 
 
-def _check_jobs(jobs: list, edges: list[tuple]):
-    """Each job listed once; every edge joins two distinct listed jobs."""
+def _job_order(jobs: list, edges: list[tuple]) -> list:
+    """The jobs in stable topological order, after checking that each job is
+    listed once, every edge joins two distinct listed jobs and the edges
+    contain no cycle."""
     seen = set()
     for j in jobs:
         if j in seen:
@@ -118,33 +120,7 @@ def _check_jobs(jobs: list, edges: list[tuple]):
             raise BenchError(f"edge ({a}, {b}) references unknown job")
         if a == b:
             raise BenchError(f"self-dependency on job {a}")
-
-
-def dependency_circuit(jobs, edges) -> Circuit:
-    """Concatenated job gadgets plus one transition CNOT per direct
-    dependency, wired so the T gates' dependency order equals the job order.
-
-    `jobs` is an ordered list of hashable ids; `edges` are Hasse-diagram
-    pairs (prerequisite, dependent). Edge endpoints get I/O qubit indices by
-    partner position in `jobs`.
-    """
-    jobs = list(jobs)
-    edges = list(edges)
-    _check_jobs(jobs, edges)
     pos = {j: i for i, j in enumerate(jobs)}
-    d = _degree_bound(jobs, edges)
-
-    out_index: dict[tuple, int] = {}
-    in_index: dict[tuple, int] = {}
-    for j in jobs:
-        outs = sorted((b for a, b in edges if a == j), key=pos.get)
-        for i, b in enumerate(outs, start=1):
-            out_index[(j, b)] = i
-        ins = sorted((a for a, b in edges if b == j), key=pos.get)
-        for i, a in enumerate(ins, start=1):
-            in_index[(a, j)] = i
-
-    # stable topological order; transitions into a job precede its gadget
     remaining = {j: sum(1 for a, b in edges if b == j) for j in jobs}
     ready = [j for j in jobs if remaining[j] == 0]
     topo = []
@@ -159,7 +135,34 @@ def dependency_circuit(jobs, edges) -> Circuit:
         ready.sort(key=pos.get)
     if len(topo) != len(jobs):
         raise BenchError("dependency edges contain a cycle")
+    return topo
 
+
+def dependency_circuit(jobs, edges) -> Circuit:
+    """Concatenated job gadgets plus one transition CNOT per direct
+    dependency, wired so the T gates' dependency order equals the job order.
+
+    `jobs` is an ordered list of hashable ids; `edges` are Hasse-diagram
+    pairs (prerequisite, dependent). Edge endpoints get I/O qubit indices by
+    partner position in `jobs`.
+    """
+    jobs = list(jobs)
+    edges = list(edges)
+    topo = _job_order(jobs, edges)
+    pos = {j: i for i, j in enumerate(jobs)}
+    d = _degree_bound(jobs, edges)
+
+    out_index: dict[tuple, int] = {}
+    in_index: dict[tuple, int] = {}
+    for j in jobs:
+        outs = sorted((b for a, b in edges if a == j), key=pos.get)
+        for i, b in enumerate(outs, start=1):
+            out_index[(j, b)] = i
+        ins = sorted((a for a, b in edges if b == j), key=pos.get)
+        for i, a in enumerate(ins, start=1):
+            in_index[(a, j)] = i
+
+    # transitions into a job precede its gadget
     gates = []
     for j in topo:
         for a in sorted((a for a, b in edges if b == j), key=pos.get):
@@ -207,7 +210,7 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
         raise BenchError("need at least one job")
-    dep = dependency_circuit(jobs, edges)  # rejects repeated jobs and unknown edge ends
+    dep = dependency_circuit(jobs, edges)  # rejects repeated jobs, unknown edge ends and cycles
     d = _degree_bound(jobs, edges)
     width = processor_unit_width(len(jobs))
     magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
@@ -221,8 +224,8 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
 
 def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
     """`{"jobs": [id, ...], "edges": [[a, b], ...]}` -> (jobs, edges), job
-    ids being distinct strings or integers and edges joining two of them;
-    `psp_to_scmr` rejects a cycle."""
+    ids being distinct strings or integers and edges joining two of them
+    with no cycle."""
     data = json.loads(text)
     is_job = lambda x: type(x) in (int, str)
     edges = data.get("edges", []) if isinstance(data, dict) else None
@@ -232,7 +235,7 @@ def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
                     for e in edges)):
         raise BenchError('expected {"jobs": [id, ...], "edges": [[a, b], ...]}')
     edges = [tuple(e) for e in edges]
-    _check_jobs(data["jobs"], edges)
+    _job_order(data["jobs"], edges)
     return data["jobs"], edges
 
 

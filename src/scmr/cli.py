@@ -219,9 +219,7 @@ def build_parser() -> _Parser:
     c.add_argument("--metrics", default=None, help="append one CSV row here")
     c.add_argument("--jobs", type=int, default=1,
                    help="worker processes for rand:<N> trials (default 1)")
-    strictness = c.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="lenient", action="store_false", default=False)
-    strictness.add_argument("--lenient", dest="lenient", action="store_true")
+    c.add_argument("--lenient", action="store_true", default=False)
     c.set_defaults(func=cmd_compile)
 
     v = sub.add_parser("validate", help="check a (circuit, arch, map, route) solution")

@@ -13,9 +13,13 @@ across all gates; inductive path-connectivity from each gate's start vertex
 horizontal edge, the mapped target for CNOT, any magic vertex for T).
 
 Gate execution steps are restricted to the feasible window
-[dependency depth, t_s - height + 1]; `prune=False` keeps the full range.
-A T gate enters at most one magic vertex per step, and at least one at the
-step it executes.
+[dependency depth, t_s - height + 1]. A T gate enters at most one magic
+vertex per step, and at least one at the step it executes.
+
+Neighbor lists and directed edges come from `Architecture.cells`, once per
+formula, in orders that fix variable ids and so the DIMACS bytes: horizontal
+neighbors (a - 1, a + 1), then vertical ones (b - 1, b + 1); edges in
+`vertices()` order, (v, w) then (w, v) for each right and upper neighbor w.
 
 A pinned map is folded into the formula: the unit clauses that pin it stay,
 clauses it satisfies are left out and map literals it makes false are
@@ -48,7 +52,6 @@ class VarTable:
     exec_ids: dict[tuple[int, int], int] = field(default_factory=dict)
     path_ids: dict[tuple[Vertex, Vertex, int, int], int] = field(default_factory=dict)
     num_named: int = 0
-    num_total: int = 0
 
     def describe(self, var: int) -> str:
         for (q, v), i in self.map_ids.items():
@@ -89,22 +92,30 @@ class CnfInstance:
                 raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
-def _directed_edges(arch: Architecture):
-    for u, v in arch.edges():
-        yield (u, v)
-        yield (v, u)
+def _adjacency(arch: Architecture):
+    """(horizontal, vertical, directed edges) of the grid, in the orders the
+    module docstring fixes."""
+    cells = arch.cells
+    at, s = cells.vertex_of, cells.stride
+    horizontal: dict[Vertex, list[Vertex]] = {}
+    vertical: dict[Vertex, list[Vertex]] = {}
+    edges: list[tuple[Vertex, Vertex]] = []
+    for v in arch.vertices():
+        i = cells.id_of[v]
+        horizontal[v] = [w for w in (at[i - s], at[i + s]) if w is not None]
+        vertical[v] = [w for w in (at[i - 1], at[i + 1]) if w is not None]
+        edges += [e for w in (at[i + s], at[i + 1]) if w is not None for e in ((v, w), (w, v))]
+    return horizontal, vertical, edges
 
 
-def exec_windows(circuit: Circuit, t_s: int, prune: bool = True) -> list[range]:
-    if not prune:
-        return [range(1, t_s + 1)] * len(circuit.gates)
+def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
     depths = gate_depths(circuit)
     heights = gate_heights(circuit)
     return [range(depths[i], t_s - heights[i] + 2) for i in range(len(circuit.gates))]
 
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
-           t_s: int = 1, prune: bool = True) -> CnfInstance:
+           t_s: int = 1) -> CnfInstance:
     """Build the decision formula for `t_s` steps; pin and fold in the map if
     one is given."""
     if t_s < 1:
@@ -112,13 +123,14 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     table = VarTable()
     free_vertices = [v for v in arch.vertices() if v not in arch.magic]
     if circuit.num_qubits > len(free_vertices):
-        table.num_total = 1
         return CnfInstance(
             1, [[]], table, t_s,
             diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
         )
 
-    windows = exec_windows(circuit, t_s, prune=prune)
+    windows = exec_windows(circuit, t_s)
+    horizontal, vertical, edges = _adjacency(arch)
+    neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
     counter = 0
 
     def fresh() -> int:
@@ -132,7 +144,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     for g in circuit.gates:
         for t in windows[g.index]:
             table.exec_ids[(g.index, t)] = fresh()
-    for u, v in _directed_edges(arch):
+    for u, v in edges:
         for g in circuit.gates:
             for t in windows[g.index]:
                 table.path_ids[(u, v, g.index, t)] = fresh()
@@ -176,7 +188,6 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                     add([-evar[(i, t)], -evar[(j, t2)]])
 
     # routed edges keep clear of stored data
-    neigh = {v: arch.neighbors(v) for v in arch.vertices()}
     for v in arch.vertices():
         if v in arch.magic:
             guards = [[]]
@@ -215,14 +226,14 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                 # leave the start vertex through a vertical edge
                 guard = unless(start_q, v)
                 if guard is not None:
-                    vertical = [pvar[(v, u, g.index, t)] for u in arch.vertical_neighbors(v)]
-                    add(guard + [-e] + vertical)
+                    leave = [pvar[(v, u, g.index, t)] for u in vertical[v]]
+                    add(guard + [-e] + leave)
                 guard = None if end_q is None else unless(end_q, v)
                 if guard is not None:
-                    horizontal = [pvar[(u, v, g.index, t)] for u in arch.horizontal_neighbors(v)]
-                    add(guard + [-e] + horizontal)
+                    enter = [pvar[(u, v, g.index, t)] for u in horizontal[v]]
+                    add(guard + [-e] + enter)
             # every used edge chains back toward the start vertex
-            for u, v in _directed_edges(arch):
+            for u, v in edges:
                 if pinned is not None and pinned[start_q] == u:
                     continue  # the pinned start vertex satisfies the head
                 back = [pvar[(w, u, g.index, t)] for w in neigh[u] if w != v]
@@ -231,11 +242,10 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             if end_q is None:
                 # T gates end by entering some magic vertex horizontally
                 entries = [pvar[(u, v, g.index, t)] for v in sorted(arch.magic)
-                           for u in arch.horizontal_neighbors(v)]
+                           for u in horizontal[v]]
                 add([-e] + entries)
                 clauses.extend(encode_amo(entries, fresh))
 
-    table.num_total = counter
     return CnfInstance(counter, clauses, table, t_s)
 
 

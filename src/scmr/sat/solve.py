@@ -108,8 +108,7 @@ class OptimalResult:
 
 
 def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
-                  t_max: int | None = None, backend=None, timeout: float | None = None,
-                  prune: bool = True) -> OptimalResult:
+                  t_max: int | None = None, backend=None, timeout: float | None = None) -> OptimalResult:
     """Smallest-step solution by probing t = depth, depth+1, ... up to t_max.
 
     `timeout` applies per probe; a probe that times out is skipped (the loop
@@ -128,7 +127,7 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
     timed_out = False
     for t in range(d, t_max + 1):
         probe_start = time.monotonic()
-        cnf = encode(arch, circuit, qmap=qmap, t_s=t, prune=prune)
+        cnf = encode(arch, circuit, qmap=qmap, t_s=t)
         remaining = None
         if timeout is not None:
             remaining = timeout - (time.monotonic() - probe_start)

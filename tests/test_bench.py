@@ -23,7 +23,7 @@ from scmr.bench import (
 )
 from scmr.circuit import GateKind, depth, gate_depths, gate_heights, serialize_circuit
 
-from oracles import enumerate_legal_paths
+from oracles import enumerate_legal_paths, neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _free_paths(arch, blocked, start, stop):
         if v == stop:
             out.append(path)
             continue
-        for u in arch.neighbors(v):
+        for u in neighbors(arch, v):
             if u in path or u in arch.magic or u in blocked:
                 continue
             stack.append((u, path + (u,)))

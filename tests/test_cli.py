@@ -8,6 +8,7 @@ from scmr.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    build_parser,
     run,
 )
 
@@ -90,6 +91,14 @@ def test_compile_lenient_flag(tmp_path, capsys):
     assert code == EXIT_USAGE
     code, _ = _compile(tmp_path, circ, "--lenient")
     assert code == EXIT_OK
+
+
+def test_compile_option_strings_pinned():
+    # every `scmr compile` knob is listed here, so a new one shows up in review
+    sub = next(a for a in build_parser()._actions if a.choices and "compile" in a.choices)
+    options = {s for a in sub.choices["compile"]._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--mapper", "--router", "--arch", "--timeout",
+                       "--seed", "--out", "--metrics", "--jobs", "--lenient"}
 
 
 def test_compile_infeasible_t_gate_without_magic(tmp_path):
@@ -202,6 +211,7 @@ def test_gen_ndp(tmp_path):
     {"jobs": ["A", "B"], "edges": [["A"]]},
     {"jobs": [1, 1]},                     # a repeated job id
     {"jobs": ["A", "B"], "edges": [["A", "C"]]},  # an edge naming no job
+    {"jobs": ["A", "B"], "edges": [["A", "B"], ["B", "A"]]},  # a cycle
 ])
 def test_gen_psp_bad_spec_exits_1_naming_the_file(tmp_path, capsys, spec):
     jobs = tmp_path / "jobs.json"

@@ -31,10 +31,13 @@ from scmr.sat import (
     solve_clauses,
     solve_optimal,
 )
+from scmr.sat.encoding import _adjacency
 
+import oracles
 from oracles import CdclSolver as ReferenceSolver
 from oracles import brute_force_optimum, count_projected_models, dpll_satisfiable
 from oracles import encode as reference_encode
+from oracles import exec_windows as reference_exec_windows
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def test_single_cnot_decode_orientation():
 
 def test_decode_ignores_spurious_cycle():
     c = circuit_from_gates([cnot("a", "b")])
-    cnf = encode(GRID3, c, t_s=2, prune=False)
+    cnf = encode(GRID3, c, t_s=2)  # the gate's window spans both steps
     verdict = solve(cnf)
     qm, route = decode(verdict.model, cnf.table, c, GRID3)
     # plant a directed 4-cycle of path variables at the unused step
@@ -239,7 +242,8 @@ def test_exec_window_pruning_shapes():
     c = parse_circuit("cnot a b; cnot b c; cnot c a")
     wins = exec_windows(c, 3)
     assert list(wins[0]) == [1] and list(wins[1]) == [2] and list(wins[2]) == [3]
-    wide = exec_windows(c, 3, prune=False)
+    assert wins == reference_exec_windows(c, 3)
+    wide = reference_exec_windows(c, 3, prune=False)
     assert all(list(w) == [1, 2, 3] for w in wide)
 
 
@@ -248,9 +252,21 @@ def test_prune_and_no_prune_agree():
         c = random_circuit(3, 2, 0.4, seed=seed)
         arch = bordered_architecture(3)
         for t in range(depth(c), depth(c) + 2):
-            a = solve(encode(arch, c, t_s=t, prune=True)).satisfiable
-            b = solve(encode(arch, c, t_s=t, prune=False)).satisfiable
+            a = solve(encode(arch, c, t_s=t)).satisfiable
+            b = solve(reference_encode(arch, c, t_s=t, prune=False)).satisfiable
             assert a == b
+
+
+@pytest.mark.parametrize("arch", [
+    bordered_architecture(4), right_column_architecture(4), center_column_architecture(4),
+    custom_architecture(1, 1, []), custom_architecture(1, 5, [(3, 1)]), custom_architecture(4, 1, []),
+], ids=["bordered", "right-column", "center-column", "1x1", "one-row", "one-column"])
+def test_encoder_adjacency_matches_oracle(arch):
+    horizontal, vertical, edges = _adjacency(arch)
+    for v in arch.vertices():
+        assert horizontal[v] == oracles.horizontal_neighbors(arch, v)
+        assert vertical[v] == oracles.vertical_neighbors(arch, v)
+    assert edges == list(oracles._directed_edges(arch))
 
 
 def test_two_t_gates_share_one_magic_vertex():
@@ -459,18 +475,17 @@ def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
     arch = make_arch(4)
     circuit = random_circuit(4, 2, t_fraction, seed=seed)
     for label, qmap in _differential_maps(arch, circuit, seed):
-        for prune in (True, False) if qmap is not None else (True,):
-            for t in (depth(circuit), depth(circuit) + 1):
-                ref = reference_encode(arch, circuit, qmap, t_s=t, prune=prune)
-                cnf = encode(arch, circuit, qmap, t_s=t, prune=prune)
-                assert (cnf.num_vars, cnf.table) == (ref.num_vars, ref.table), label
-                if qmap is not None:
-                    assert len(cnf.clauses) < len(ref.clauses) / 2, label
-                model = _assert_same_solver_run(cnf.num_vars, cnf.clauses, ref.clauses)
-                if model is not None:
-                    truth = set(model)
-                    assert all(any(l in truth for l in c) for c in ref.clauses), label
-                    break
+        for t in (depth(circuit), depth(circuit) + 1):
+            ref = reference_encode(arch, circuit, qmap, t_s=t)
+            cnf = encode(arch, circuit, qmap, t_s=t)
+            assert (cnf.num_vars, cnf.table) == (ref.num_vars, ref.table), label
+            if qmap is not None:
+                assert len(cnf.clauses) < len(ref.clauses) / 2, label
+            model = _assert_same_solver_run(cnf.num_vars, cnf.clauses, ref.clauses)
+            if model is not None:
+                truth = set(model)
+                assert all(any(l in truth for l in c) for c in ref.clauses), label
+                break
 
 
 def test_cdcl_matches_reference_on_random_cnf():
