@@ -27,9 +27,9 @@ def main():
     print("sidecar table head:")
     print("\n".join(table.table_text().splitlines()[:3]))
 
-    verdict = solve(cnf)
-    print(f"\nverdict: {'SAT' if verdict.satisfiable else 'UNSAT'}")
-    qmap, route = decode(verdict.model, table, circuit, arch)
+    model = solve(cnf)
+    print(f"\nverdict: {'SAT' if model is not None else 'UNSAT'}")
+    qmap, route = decode(model, table, circuit, arch)
     print("decoded map:", dict(qmap.assignment))
     for i in sorted(route.time):
         print(f"gate {i}: step {route.time[i]}, path {route.space[i]}")

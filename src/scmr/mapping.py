@@ -1,12 +1,20 @@
 """Qubit maps: uniform-random placement and structural chain placement.
 
-Both mappers draw from an explicit candidate-location set. The default is
-the architecture's regular mapping locations, which keep a private 3x3 ring
-around every qubit so any single gate is always routable; pass
-``locations=unrestricted_locations(arch)`` for the raw non-magic vertex set.
+Both mappers draw from an explicit candidate-location set, checked once by
+`_candidates`: no magic, off-grid or repeated vertex, and at least one per
+qubit. The default is the architecture's regular mapping locations, which
+keep a private 3x3 ring around every qubit so any single gate is always
+routable; pass ``locations=unrestricted_locations(arch)`` for the raw
+non-magic vertex set.
+
+`struct_map` takes each location from one of three candidate orders: the
+row-major order, the by-magic order (row-major, stably sorted by grid
+distance to the magic set) and the stride-2 ring around the qubit placed
+before it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -51,21 +59,23 @@ def unrestricted_locations(arch: Architecture) -> tuple[Vertex, ...]:
     return tuple(v for v in arch.vertices() if v not in arch.magic)
 
 
-def _candidates(arch: Architecture, locations) -> list[Vertex]:
+def _candidates(arch: Architecture, locations, num_qubits: int) -> list[Vertex]:
     locs = list(regular_locations(arch) if locations is None else locations)
     bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
     if bad:
         raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
+    if len(set(locs)) < len(locs):
+        repeated = sorted({v for v in locs if locs.count(v) > 1})
+        raise MappingError(f"candidate locations repeat vertices: {repeated}")
+    if len(locs) < num_qubits:
+        raise MappingError(f"{len(locs)} locations for {num_qubits} qubits")
     return locs
 
 
 def random_map(arch: Architecture, circuit: Circuit, seed: int, locations=None) -> QubitMap:
     """Uniformly random injective assignment of qubits onto candidate locations."""
-    locs = _candidates(arch, locations)
-    if len(locs) < circuit.num_qubits:
-        raise MappingError(f"{len(locs)} locations for {circuit.num_qubits} qubits")
-    rng = random.Random(seed)
-    picks = rng.sample(locs, circuit.num_qubits)
+    locs = _candidates(arch, locations, circuit.num_qubits)
+    picks = random.Random(seed).sample(locs, circuit.num_qubits)
     return qubit_map(dict(zip(circuit.qubits, picks)))
 
 
@@ -87,83 +97,52 @@ def _distance_to_set(arch: Architecture, sources) -> dict[Vertex, int]:
 _STRIDE2 = ((-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
+def _row_major(v: Vertex):
+    return v[1], v[0]
+
+
 def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap:
     """Chain placement: lay each interaction chain out at stride-2 locations.
 
     Chains are placed from the magic end inward: the qubit adjacent to the
-    T vertex goes nearest the magic set (distance 2 when possible), and each
-    remaining chain qubit goes at grid distance exactly 2 from its already
-    placed successor, falling back to the first free candidate in row-major
-    order when no distance-2 candidate is free. For chains without the T
-    vertex, the end whose qubit appears first in the circuit is placed last,
-    anchoring the chain from its far end. Runs in time linear in the
-    architecture plus the circuit, up to the candidate-set constant.
-    """
-    locs = _candidates(arch, locations)
-    if len(locs) < circuit.num_qubits:
-        raise MappingError(f"{len(locs)} locations for {circuit.num_qubits} qubits")
-    row_major = sorted(locs, key=lambda v: (v[1], v[0]))
-    available = set(row_major)
-    order = {q: i for i, q in enumerate(circuit.qubits)}
-    assignment: dict[str, Vertex] = {}
-    state = {"pop": 0, "buckets": None, "bucket_pos": None}
+    T vertex takes the first free location of the by-magic order (distance 2
+    when possible), and each remaining chain qubit the first free location
+    of the stride-2 ring around its already placed successor, sorted
+    row-major, falling back to the first free location of the row-major
+    order. For chains without the T vertex, the end whose qubit appears
+    first in the circuit is placed last, anchoring the chain from its far
+    end, and the first placed qubit takes the first free row-major location.
 
-    def pop_first_free() -> Vertex:
-        while row_major[state["pop"]] not in available:
-            state["pop"] += 1
-        v = row_major[state["pop"]]
+    Locations are only ever taken, so each order is one forward iterator
+    that never has to look back; the by-magic order is built on first use.
+    Runs in time linear in the architecture plus the circuit, up to the
+    candidate-set constant.
+    """
+    row_major = sorted(_candidates(arch, locations, circuit.num_qubits), key=_row_major)
+    available = set(row_major)
+
+    def take(order) -> Vertex:
+        """Remove and return the first still-available vertex of `order`."""
+        v = next(v for v in order if v in available)
         available.remove(v)
         return v
 
-    def pop_nearest_magic() -> Vertex:
-        if not arch.magic:
-            return pop_first_free()
-        if state["buckets"] is None:
-            dist = _distance_to_set(arch, arch.magic)
-            grouped: dict[int, list[Vertex]] = {}
-            for v in row_major:
-                grouped.setdefault(dist[v], []).append(v)
-            state["buckets"] = sorted(grouped.items())
-            state["bucket_pos"] = [0] * len(state["buckets"])
-        for i, (_, vs) in enumerate(state["buckets"]):
-            pos = state["bucket_pos"][i]
-            while pos < len(vs) and vs[pos] not in available:
-                pos += 1
-            state["bucket_pos"][i] = pos
-            if pos < len(vs):
-                v = vs[pos]
-                available.remove(v)
-                return v
-        raise MappingError("no candidate locations left")
+    def by_magic():
+        dist = _distance_to_set(arch, arch.magic)  # {} on a magic-free grid
+        yield from sorted(row_major, key=lambda v: dist.get(v, 0))
 
-    def pop_stride2_from(prev: Vertex) -> Vertex:
-        cells = sorted(((prev[0] + da, prev[1] + db) for da, db in _STRIDE2),
-                       key=lambda v: (v[1], v[0]))
-        for v in cells:
-            if v in available:
-                available.remove(v)
-                return v
-        return pop_first_free()
-
-    def place_chain(chain):
-        if chain and chain[0] is T_VERTEX:
-            chain = tuple(reversed(chain))
-        if chain and chain[-1] is not T_VERTEX and order[chain[0]] > order[chain[-1]]:
-            chain = tuple(reversed(chain))
-        prev: Vertex | None = None
-        for q in reversed(chain):
-            if q is T_VERTEX:
-                continue
-            if prev is None and chain[-1] is T_VERTEX:
-                assignment[q] = pop_nearest_magic()
-            elif prev is None:
-                assignment[q] = pop_first_free()
-            else:
-                assignment[q] = pop_stride2_from(prev)
-            prev = assignment[q]
-
+    rows, near_magic = iter(row_major), by_magic()
+    order = {q: i for i, q in enumerate(circuit.qubits)}
+    assignment: dict[str, Vertex] = {}
     for chain in interaction_chain_set(interaction_graph(circuit)).chains:
-        place_chain(chain)
+        # placement order: from the T end, else toward the earlier end qubit
+        if chain[-1] is T_VERTEX or (chain[0] is not T_VERTEX and order[chain[0]] < order[chain[-1]]):
+            chain = chain[::-1]
+        first, *rest = [q for q in chain if q is not T_VERTEX]
+        prev = assignment[first] = take(near_magic if chain[0] is T_VERTEX else rows)
+        for q in rest:
+            ring = sorted(((prev[0] + da, prev[1] + db) for da, db in _STRIDE2), key=_row_major)
+            prev = assignment[q] = take(itertools.chain(ring, rows))
     return qubit_map(assignment)
 
 

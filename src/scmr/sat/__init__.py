@@ -5,10 +5,8 @@ from .encoding import CnfInstance, DecodeError, VarTable, decode, encode, exec_w
 from .solve import (
     BackendError,
     CapExhausted,
-    CdclBackend,
     OptimalResult,
     ProcessBackend,
-    Verdict,
     solve,
     solve_optimal,
 )
@@ -18,6 +16,5 @@ __all__ = [
     "CdclSolver", "SolverTimeout", "solve_clauses",
     "dimacs_text", "parse_dimacs", "parse_solver_output", "write_dimacs", "write_instance",
     "CnfInstance", "DecodeError", "VarTable", "decode", "encode", "exec_windows",
-    "BackendError", "CapExhausted", "CdclBackend", "OptimalResult",
-    "ProcessBackend", "Verdict", "solve", "solve_optimal",
+    "BackendError", "CapExhausted", "OptimalResult", "ProcessBackend", "solve", "solve_optimal",
 ]

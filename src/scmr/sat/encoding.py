@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
 from ..mapping import QubitMap
-from ..routing import GateRoute
+from ..routing import GateRoute, request_for_gate
 from .cardinality import encode_amo, encode_eo
 
 
@@ -255,7 +255,8 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
 
 def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tuple[QubitMap, GateRoute]:
     """Rebuild (map, route) from true variables; spurious path cycles at
-    non-execution steps are ignored by construction."""
+    non-execution steps are ignored by construction. Each gate's path starts
+    and may end where the greedy router's request for it does."""
     from ..mapping import qubit_map
 
     true_vars = {lit for lit in model if lit > 0}
@@ -287,27 +288,19 @@ def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tupl
     space: dict[int, tuple[Vertex, ...]] = {}
     for g in circuit.gates:
         t = time[g.index]
-        if g.kind is GateKind.CNOT:
-            start, stop = qmap[g.control], qmap[g.target]
-            stop_at_magic = False
-        else:
-            start, stop = qmap[g.operand], None
-            stop_at_magic = True
-        path = [start]
-        cur = start
+        request = request_for_gate(arch, qmap, g)
+        path = [request.source]
+        cur = request.source
         for _ in range(arch.num_vertices):
             if (g.index, t, cur) not in succ:
                 break
             cur = succ[(g.index, t, cur)]
             path.append(cur)
-            if stop_at_magic and cur in arch.magic:
-                break
-            if not stop_at_magic and cur == stop:
+            if cur in request.sinks:
                 break
         else:
             raise DecodeError(f"gate {g.index}: path does not terminate")
-        ok_end = (cur in arch.magic) if stop_at_magic else (cur == stop)
-        if not ok_end:
+        if cur not in request.sinks:
             raise DecodeError(f"gate {g.index}: path ends at {cur}")
         space[g.index] = tuple(path)
 

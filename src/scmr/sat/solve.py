@@ -1,7 +1,8 @@
 """Solver backends and the incremental optimal loop.
 
-A backend takes a CNF and returns SAT (with a full model) or UNSAT; timeouts
-and process failures raise. The default backend is the in-process CDCL
+A backend's `solve(cnf, timeout)` returns a model (signed literals covering
+every variable) or None when the formula is unsatisfiable; timeouts and
+process failures raise. Without a backend, `solve` runs the in-process CDCL
 solver; `ProcessBackend` shells out to any DIMACS solver that prints the
 conventional `s`/`v` lines (kissat, cadical, minisat-style exit codes 10/20).
 """
@@ -35,29 +36,13 @@ class CapExhausted(RuntimeError):
         return CapExhausted, (self.t_max,)
 
 
-@dataclass
-class Verdict:
-    satisfiable: bool
-    model: list[int] | None = None  # signed literals covering every variable
-
-
-class CdclBackend:
-    """In-process CDCL solver."""
-
-    def solve(self, cnf: CnfInstance, timeout: float | None = None) -> Verdict:
-        model = CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout=timeout)
-        if model is None:
-            return Verdict(False)
-        return Verdict(True, model)
-
-
 class ProcessBackend:
     """External DIMACS solver, e.g. ProcessBackend(["kissat", "-q"])."""
 
     def __init__(self, command: list[str]):
         self.command = list(command)
 
-    def solve(self, cnf: CnfInstance, timeout: float | None = None) -> Verdict:
+    def solve(self, cnf: CnfInstance, timeout: float | None = None) -> list[int] | None:
         with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
             f.write(dimacs_text(cnf.num_vars, cnf.clauses))
             path = f.name
@@ -77,26 +62,21 @@ class ProcessBackend:
             if proc.returncode == 10:
                 raise BackendError(f"{self.command[0]} said SAT but printed no model")
             if proc.returncode == 20:
-                return Verdict(False)
+                return None
             raise BackendError(
                 f"{self.command[0]} exited {proc.returncode} without a verdict: {proc.stderr[:500]}"
             )
         if model is None:
-            return Verdict(False)
-        filled = _fill_model(model, cnf.num_vars)
-        return Verdict(True, filled)
+            return None
+        by_var = {abs(l): l for l in model}
+        return [by_var.get(v, -v) for v in range(1, cnf.num_vars + 1)]
 
 
-def _fill_model(model: list[int], num_vars: int) -> list[int]:
-    by_var = {abs(l): l for l in model}
-    return [by_var.get(v, -v) for v in range(1, num_vars + 1)]
-
-
-DEFAULT_BACKEND = CdclBackend()
-
-
-def solve(cnf: CnfInstance, backend=None, timeout: float | None = None) -> Verdict:
-    return (backend or DEFAULT_BACKEND).solve(cnf, timeout=timeout)
+def solve(cnf: CnfInstance, backend=None, timeout: float | None = None) -> list[int] | None:
+    """A model of `cnf`, or None when it is unsatisfiable."""
+    if backend is not None:
+        return backend.solve(cnf, timeout=timeout)
+    return CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout=timeout)
 
 
 @dataclass
@@ -136,13 +116,13 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
                 timed_out = True
                 continue
         try:
-            verdict = solve(cnf, backend=backend, timeout=remaining)
+            model = solve(cnf, backend=backend, timeout=remaining)
         except SolverTimeout:
             proven = False
             timed_out = True
             continue
-        if verdict.satisfiable:
-            got_map, route = decode(verdict.model, cnf.table, circuit, arch)
+        if model is not None:
+            got_map, route = decode(model, cnf.table, circuit, arch)
             return OptimalResult(got_map, route, route.steps, proven)
     if timed_out:
         raise SolverTimeout(f"probes up to {t_max} steps timed out without a solution")

@@ -16,7 +16,9 @@ from heapq import heapify, heappop, heappush
 from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.circuit import (Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights,
                           topological_layering)
-from scmr.mapping import QubitMap, random_map
+from scmr.architecture import regular_locations as _regular_locations
+from scmr.circuit import T_VERTEX, interaction_chain_set, interaction_graph
+from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 from scmr.routing import GateRoute, Path, UnroutableGateError, greedy_route, request_for_gate
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
@@ -427,6 +429,105 @@ def _best_random(arch, circuit, n, seed, router_fn, jobs=1):
         if best is None or route.steps < best[1].steps:
             best = (qmap, route, trial_proven)
     return best
+
+
+# ---------------------------------------------------------------------------
+# The structural mapper as it was before it became one ordered take over
+# three candidate orders: a row-major pointer, per-distance buckets with one
+# pointer each, and the stride-2 ring. Kept verbatim as the reference the
+# rewrite must match map for map and error for error; `_distance_to_set`,
+# `_STRIDE2` and the chain builders are the library's own, unchanged by it.
+# The one edit: the default locations come from the library's
+# `regular_locations`, imported as `_regular_locations`, since this module's
+# own `regular_locations` is the all-pairs reference above.
+# ---------------------------------------------------------------------------
+
+def _candidates(arch: Architecture, locations) -> list[Vertex]:
+    locs = list(_regular_locations(arch) if locations is None else locations)
+    bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
+    if bad:
+        raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
+    return locs
+
+
+def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap:
+    """Chain placement: lay each interaction chain out at stride-2 locations.
+
+    Chains are placed from the magic end inward: the qubit adjacent to the
+    T vertex goes nearest the magic set (distance 2 when possible), and each
+    remaining chain qubit goes at grid distance exactly 2 from its already
+    placed successor, falling back to the first free candidate in row-major
+    order when no distance-2 candidate is free. For chains without the T
+    vertex, the end whose qubit appears first in the circuit is placed last,
+    anchoring the chain from its far end. Runs in time linear in the
+    architecture plus the circuit, up to the candidate-set constant.
+    """
+    locs = _candidates(arch, locations)
+    if len(locs) < circuit.num_qubits:
+        raise MappingError(f"{len(locs)} locations for {circuit.num_qubits} qubits")
+    row_major = sorted(locs, key=lambda v: (v[1], v[0]))
+    available = set(row_major)
+    order = {q: i for i, q in enumerate(circuit.qubits)}
+    assignment: dict[str, Vertex] = {}
+    state = {"pop": 0, "buckets": None, "bucket_pos": None}
+
+    def pop_first_free() -> Vertex:
+        while row_major[state["pop"]] not in available:
+            state["pop"] += 1
+        v = row_major[state["pop"]]
+        available.remove(v)
+        return v
+
+    def pop_nearest_magic() -> Vertex:
+        if not arch.magic:
+            return pop_first_free()
+        if state["buckets"] is None:
+            dist = _distance_to_set(arch, arch.magic)
+            grouped: dict[int, list[Vertex]] = {}
+            for v in row_major:
+                grouped.setdefault(dist[v], []).append(v)
+            state["buckets"] = sorted(grouped.items())
+            state["bucket_pos"] = [0] * len(state["buckets"])
+        for i, (_, vs) in enumerate(state["buckets"]):
+            pos = state["bucket_pos"][i]
+            while pos < len(vs) and vs[pos] not in available:
+                pos += 1
+            state["bucket_pos"][i] = pos
+            if pos < len(vs):
+                v = vs[pos]
+                available.remove(v)
+                return v
+        raise MappingError("no candidate locations left")
+
+    def pop_stride2_from(prev: Vertex) -> Vertex:
+        cells = sorted(((prev[0] + da, prev[1] + db) for da, db in _STRIDE2),
+                       key=lambda v: (v[1], v[0]))
+        for v in cells:
+            if v in available:
+                available.remove(v)
+                return v
+        return pop_first_free()
+
+    def place_chain(chain):
+        if chain and chain[0] is T_VERTEX:
+            chain = tuple(reversed(chain))
+        if chain and chain[-1] is not T_VERTEX and order[chain[0]] > order[chain[-1]]:
+            chain = tuple(reversed(chain))
+        prev: Vertex | None = None
+        for q in reversed(chain):
+            if q is T_VERTEX:
+                continue
+            if prev is None and chain[-1] is T_VERTEX:
+                assignment[q] = pop_nearest_magic()
+            elif prev is None:
+                assignment[q] = pop_first_free()
+            else:
+                assignment[q] = pop_stride2_from(prev)
+            prev = assignment[q]
+
+    for chain in interaction_chain_set(interaction_graph(circuit)).chains:
+        place_chain(chain)
+    return qubit_map(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree and prints
+the pinned bytes."""
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,9 +11,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; every demo is seeded, so a change here means
+# a map, a route, a formula or a printed figure changed
+STDOUT_SHA256 = {
+    "01_compile_a_circuit": "78e76ea2777a62a625b023735d2e639be177a64d035e20acfaacf58e0a3c546c",
+    "02_exact_vs_heuristic": "63eba0541dcd199fdcc2eebdd7354fd3f932cf1e7c6ccf9cf9d1deeb31bebd80",
+    "03_mapper_quality_sweep": "f2854dc0a58ae0e07b8b6230d378f1804c7db97613fab1c9618c547b90a1b19a",
+    "04_reduction_instances": "8ca912f8ae54871a997799be019b83b0b42c0123a1d421a9b56cc58eae978aa9",
+    "05_sat_encoding_tour": "086303a8992a001cf4daa2fd05f30a3a9c5b7e9e35b5cc76d9de888aceabc59e",
+}
+
 
 def test_demos_are_found():
     assert len(DEMOS) >= 5
+    assert sorted(STDOUT_SHA256) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -19,6 +32,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[demo.stem], done.stdout.decode()

@@ -5,8 +5,16 @@ from collections import Counter
 import pytest
 
 import oracles
-from scmr.architecture import bordered_architecture, custom_architecture, grid_distance, regular_locations
-from scmr.bench import random_circuit
+from scmr.architecture import (
+    ArchitectureError,
+    bordered_architecture,
+    center_column_architecture,
+    custom_architecture,
+    grid_distance,
+    regular_locations,
+    right_column_architecture,
+)
+from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import parse_circuit
 from scmr.mapping import (
     MappingError,
@@ -122,6 +130,57 @@ def test_struct_map_linear_time_smoke():
     small_t = best_of_three(arch_small, small)
     big_t = best_of_three(arch_big, big)
     assert big_t < 30 * max(small_t, 0.005)
+
+
+def _map_or_error(mapper, arch, circuit, locations):
+    try:
+        return map_to_json(mapper(arch, circuit, locations=locations))
+    except MappingError as e:
+        return f"MappingError: {e}"
+
+
+def _mapper_corpus():
+    """(arch, circuit, locations) over bordered, right-column, center-column
+    and magic-free grids, T fractions up to 0.8, regular and unrestricted
+    locations, too few locations, and wide known-optimum circuits."""
+    for seed in range(12):
+        for n in range(1 + seed % 3, 34, 3):
+            for t_fraction in (0.0, 0.2, 0.5, 0.8):
+                c = random_circuit(n, 1 + seed % 4, t_fraction, seed=seed * 1000 + n)
+                grids = [custom_architecture(3 + n // 3, 4 + n // 2, [])]
+                for build in (bordered_architecture, right_column_architecture,
+                              center_column_architecture):
+                    try:
+                        grids.append(build(n))
+                    except ArchitectureError:
+                        pass
+                for arch in grids:
+                    yield arch, c, None
+                    yield arch, c, unrestricted_locations(arch)
+                yield bordered_architecture(max(1, n // 3)), c, None
+    for d, k in ((1, 1), (2, 15), (3, 40), (2, 200)):
+        c = known_optimal(d, k, 0.5, seed=k)
+        yield bordered_architecture(c.num_qubits), c, None
+
+
+def test_struct_map_matches_reference():
+    # byte-identical maps and error texts to the pointer-and-bucket mapper
+    cases = 0
+    for arch, c, locs in _mapper_corpus():
+        want = _map_or_error(oracles.struct_map, arch, c, locs)
+        assert _map_or_error(struct_map, arch, c, locs) == want, (arch, c.num_qubits, locs)
+        cases += 1
+    assert cases > 2000
+
+
+def test_mappers_reject_repeated_locations():
+    arch = bordered_architecture(4)
+    c = parse_circuit("cnot a b; cnot c d")
+    for mapper in (struct_map, functools.partial(random_map, seed=0)):
+        with pytest.raises(MappingError, match=r"repeat vertices: \[\(3, 3\)\]"):
+            mapper(arch, c, locations=[(3, 3)] * 4)
+        with pytest.raises(MappingError, match="repeat"):
+            mapper(arch, c, locations=[(3, 3), (5, 5), (3, 3), (3, 5)])
 
 
 def test_best_of_n_first_trial_matches_n1():
