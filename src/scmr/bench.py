@@ -56,6 +56,8 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
     gets a T. Full per-layer coverage makes every gate depend on the layer
     above, pinning the depth.
     """
+    if num_qubits < 0 or depth < 0:
+        raise BenchError(f"need qubits >= 0 and depth >= 0, got {num_qubits} and {depth}")
     if depth > 0 and num_qubits < 1:
         raise BenchError("positive depth needs at least one qubit")
     if not 0 <= t_fraction <= 1:
@@ -286,6 +288,8 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
     step exactly when the original instance has node-disjoint paths.
     """
     gw, gh = dims
+    if gw < 1 or gh < 1:
+        raise BenchError(f"pair grid must be at least 1x1, got {gw}x{gh}")
     pairs = [((int(s[0]), int(s[1])), (int(t[0]), int(t[1]))) for s, t in pairs]
     used: list[Vertex] = []
     for s, t in pairs:

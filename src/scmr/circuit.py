@@ -251,74 +251,59 @@ class InteractionChainSet:
 
 def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
     """Greedy single pass over edges: add an edge iff the result is still a
-    disjoint set of paths with at most one T_VERTEX edge per path."""
-    chains: list[list] = []
-    chain_of: dict[str, int] = {}  # qubit -> chain idx
-    has_t: list[bool] = []
+    disjoint set of paths with at most one T_VERTEX edge per path.
 
-    def endpoint_side(q):
-        c = chains[chain_of[q]]
-        if c[0] == q:
-            return 0
-        if c[-1] == q:
-            return -1
-        return None
+    ``end_of`` has a key for every qubit already on a chain: its chain while
+    the qubit is one of the chain's two ends, None once it is interior. A T
+    edge is read as ``(qubit, T_VERTEX)``; T_VERTEX is never a key, so a
+    T-capped end takes nothing more, and a chain has its T edge exactly when
+    T_VERTEX sits at one of its ends. A merge keeps the joined chain in x's
+    slot and empties y's, so chains come out in the order of their first
+    edge, followed by the qubits that no edge placed.
+    """
+    chains: list[list] = []
+    end_of: dict = {}
+
+    def capped(chain) -> bool:
+        return chain[0] is T_VERTEX or chain[-1] is T_VERTEX
 
     for x, y in graph.edges:
-        if x is T_VERTEX or y is T_VERTEX:
-            q = y if x is T_VERTEX else x
-            if q not in chain_of:
-                chains.append([q, T_VERTEX])
-                chain_of[q] = len(chains) - 1
-                has_t.append(True)
-            else:
-                ci = chain_of[q]
-                side = endpoint_side(q)
-                if side is None or has_t[ci]:
-                    continue
-                if side == 0:
-                    chains[ci].insert(0, T_VERTEX)
-                else:
-                    chains[ci].append(T_VERTEX)
-                has_t[ci] = True
+        if x is T_VERTEX or (x not in end_of and y in end_of):
+            x, y = y, x  # x is the placed endpoint when there is one
+        if x not in end_of:
+            chain = [x, y]
+            chains.append(chain)
+            end_of[x] = chain
+            if y is not T_VERTEX:
+                end_of[y] = chain
             continue
-
-        a, b = x, y
-        in_a, in_b = a in chain_of, b in chain_of
-        if not in_a and not in_b:
-            chains.append([a, b])
-            chain_of[a] = chain_of[b] = len(chains) - 1
-            has_t.append(False)
-        elif in_a != in_b:
-            q_old, q_new = (a, b) if in_a else (b, a)
-            ci = chain_of[q_old]
-            side = endpoint_side(q_old)
-            if side is None:
+        cx = end_of[x]
+        if cx is None:
+            continue
+        if y not in end_of:
+            if y is T_VERTEX and capped(cx):
                 continue
-            if side == 0:
-                chains[ci].insert(0, q_new)
+            if cx[0] == x:
+                cx.insert(0, y)
             else:
-                chains[ci].append(q_new)
-            chain_of[q_new] = ci
-        else:
-            ca, cb = chain_of[a], chain_of[b]
-            if ca == cb or has_t[ca] and has_t[cb]:
-                continue
-            sa, sb = endpoint_side(a), endpoint_side(b)
-            if sa is None or sb is None:
-                continue
-            left = chains[ca] if sa == -1 else list(reversed(chains[ca]))
-            right = chains[cb] if sb == 0 else list(reversed(chains[cb]))
-            merged = left + right
-            chains[ca] = merged
-            chains[cb] = []
-            has_t[ca] = has_t[ca] or has_t[cb]
-            for v in merged:
-                if v is not T_VERTEX:
-                    chain_of[v] = ca
+                cx.append(y)
+            end_of[x] = None
+            if y is not T_VERTEX:
+                end_of[y] = cx
+            continue
+        cy = end_of[y]
+        if cy is None or cy is cx or capped(cx) and capped(cy):
+            continue
+        if cx[-1] != x:
+            cx.reverse()
+        if cy[0] != y:
+            cy.reverse()
+        cx += cy
+        cy.clear()
+        end_of[x] = end_of[y] = None
+        if cx[-1] is not T_VERTEX:
+            end_of[cx[-1]] = cx
 
     out = [tuple(c) for c in chains if c]
-    for q in graph.vertices:
-        if q is not T_VERTEX and q not in chain_of:
-            out.append((q,))
+    out += [(q,) for q in graph.vertices if q is not T_VERTEX and q not in end_of]
     return InteractionChainSet(tuple(out))

@@ -90,6 +90,10 @@ def _parse_mapper(name: str) -> tuple[str, int]:
 
 
 def cmd_compile(args) -> int:
+    if args.jobs < 1:
+        raise CliUsage(f"--jobs must be at least 1, got {args.jobs}")
+    if args.timeout is not None and not args.timeout > 0:  # also rejects nan
+        raise CliUsage(f"--timeout must be above 0 seconds, got {args.timeout}")
     circuit = _read(args.circuit, functools.partial(parse_circuit, strict=not args.lenient))
     arch = _load_architecture(args.arch, circuit)
     mapper, n_trials = _parse_mapper(args.mapper)
@@ -213,12 +217,13 @@ def build_parser() -> _Parser:
     c.add_argument("--router", default="greedy", choices=["optimal", "greedy"])
     c.add_argument("--arch", default="bordered",
                    help="bordered | right-column | center-column | path to arch JSON")
-    c.add_argument("--timeout", type=float, default=None, help="per-solve timeout in seconds")
+    c.add_argument("--timeout", type=float, default=None,
+                   help="per-solve timeout in seconds, above 0 (default none)")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="out")
     c.add_argument("--metrics", default=None, help="append one CSV row here")
     c.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for rand:<N> trials (default 1)")
+                   help="worker processes for rand:<N> trials, at least 1 (default 1)")
     c.add_argument("--lenient", action="store_true", default=False)
     c.set_defaults(func=cmd_compile)
 

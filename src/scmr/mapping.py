@@ -1,11 +1,11 @@
 """Qubit maps: uniform-random placement and structural chain placement.
 
 Both mappers draw from an explicit candidate-location set, checked once by
-`_candidates`: no magic, off-grid or repeated vertex, and at least one per
-qubit. The default is the architecture's regular mapping locations, which
-keep a private 3x3 ring around every qubit so any single gate is always
-routable; pass ``locations=unrestricted_locations(arch)`` for the raw
-non-magic vertex set.
+`_candidates`: every location an (int, int) tuple, no magic, off-grid or
+repeated vertex, and at least one per qubit. The default is the
+architecture's regular mapping locations, which keep a private 3x3 ring
+around every qubit so any single gate is always routable; pass
+``locations=unrestricted_locations(arch)`` for the raw non-magic vertex set.
 
 `struct_map` takes each location from one of three candidate orders: the
 row-major order, the by-magic order (row-major, stably sorted by grid
@@ -61,6 +61,10 @@ def unrestricted_locations(arch: Architecture) -> tuple[Vertex, ...]:
 
 def _candidates(arch: Architecture, locations, num_qubits: int) -> list[Vertex]:
     locs = list(regular_locations(arch) if locations is None else locations)
+    malformed = [v for v in locs if not (isinstance(v, tuple) and len(v) == 2
+                                         and all(type(x) is int for x in v))]
+    if malformed:
+        raise MappingError(f"candidate locations must be (int, int) tuples: {malformed}")
     bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
     if bad:
         raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")

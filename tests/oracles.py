@@ -17,7 +17,7 @@ from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.circuit import (Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights,
                           topological_layering)
 from scmr.architecture import regular_locations as _regular_locations
-from scmr.circuit import T_VERTEX, interaction_chain_set, interaction_graph
+from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 from scmr.routing import GateRoute, Path, UnroutableGateError, greedy_route, request_for_gate
 from scmr.sat.cardinality import encode_amo, encode_eo
@@ -432,14 +432,97 @@ def _best_random(arch, circuit, n, seed, router_fn, jobs=1):
 
 
 # ---------------------------------------------------------------------------
+# The interaction chain builder as it was before it kept one map from chain
+# ends to chains: a qubit-to-chain-index map relabelled on every merge, a
+# parallel has-T list and an endpoint-side helper. Kept verbatim as the
+# reference the rewrite must match chain for chain, in order and orientation.
+# ---------------------------------------------------------------------------
+
+def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
+    """Greedy single pass over edges: add an edge iff the result is still a
+    disjoint set of paths with at most one T_VERTEX edge per path."""
+    chains: list[list] = []
+    chain_of: dict[str, int] = {}  # qubit -> chain idx
+    has_t: list[bool] = []
+
+    def endpoint_side(q):
+        c = chains[chain_of[q]]
+        if c[0] == q:
+            return 0
+        if c[-1] == q:
+            return -1
+        return None
+
+    for x, y in graph.edges:
+        if x is T_VERTEX or y is T_VERTEX:
+            q = y if x is T_VERTEX else x
+            if q not in chain_of:
+                chains.append([q, T_VERTEX])
+                chain_of[q] = len(chains) - 1
+                has_t.append(True)
+            else:
+                ci = chain_of[q]
+                side = endpoint_side(q)
+                if side is None or has_t[ci]:
+                    continue
+                if side == 0:
+                    chains[ci].insert(0, T_VERTEX)
+                else:
+                    chains[ci].append(T_VERTEX)
+                has_t[ci] = True
+            continue
+
+        a, b = x, y
+        in_a, in_b = a in chain_of, b in chain_of
+        if not in_a and not in_b:
+            chains.append([a, b])
+            chain_of[a] = chain_of[b] = len(chains) - 1
+            has_t.append(False)
+        elif in_a != in_b:
+            q_old, q_new = (a, b) if in_a else (b, a)
+            ci = chain_of[q_old]
+            side = endpoint_side(q_old)
+            if side is None:
+                continue
+            if side == 0:
+                chains[ci].insert(0, q_new)
+            else:
+                chains[ci].append(q_new)
+            chain_of[q_new] = ci
+        else:
+            ca, cb = chain_of[a], chain_of[b]
+            if ca == cb or has_t[ca] and has_t[cb]:
+                continue
+            sa, sb = endpoint_side(a), endpoint_side(b)
+            if sa is None or sb is None:
+                continue
+            left = chains[ca] if sa == -1 else list(reversed(chains[ca]))
+            right = chains[cb] if sb == 0 else list(reversed(chains[cb]))
+            merged = left + right
+            chains[ca] = merged
+            chains[cb] = []
+            has_t[ca] = has_t[ca] or has_t[cb]
+            for v in merged:
+                if v is not T_VERTEX:
+                    chain_of[v] = ca
+
+    out = [tuple(c) for c in chains if c]
+    for q in graph.vertices:
+        if q is not T_VERTEX and q not in chain_of:
+            out.append((q,))
+    return InteractionChainSet(tuple(out))
+
+
+# ---------------------------------------------------------------------------
 # The structural mapper as it was before it became one ordered take over
 # three candidate orders: a row-major pointer, per-distance buckets with one
 # pointer each, and the stride-2 ring. Kept verbatim as the reference the
-# rewrite must match map for map and error for error; `_distance_to_set`,
-# `_STRIDE2` and the chain builders are the library's own, unchanged by it.
-# The one edit: the default locations come from the library's
-# `regular_locations`, imported as `_regular_locations`, since this module's
-# own `regular_locations` is the all-pairs reference above.
+# rewrite must match map for map and error for error; `_distance_to_set` and
+# `_STRIDE2` are the library's own, unchanged by it, and the chains come from
+# the `interaction_chain_set` reference above, so the whole old mapper path
+# is compared with the new one. The one edit: the default locations come from
+# the library's `regular_locations`, imported as `_regular_locations`, since
+# this module's own `regular_locations` is the all-pairs reference above.
 # ---------------------------------------------------------------------------
 
 def _candidates(arch: Architecture, locations) -> list[Vertex]:

@@ -82,7 +82,11 @@ def test_random_circuit_deterministic():
 def test_random_circuit_infeasible():
     with pytest.raises(BenchError):
         random_circuit(0, 3, 0.0, seed=0)
+    for qubits, depth in ((5, -3), (-2, 0), (-1, 2)):
+        with pytest.raises(BenchError, match=">= 0"):
+            random_circuit(qubits, depth, 0.0, seed=0)
     assert len(random_circuit(0, 0, 0.0, seed=0).gates) == 0
+    assert len(random_circuit(5, 0, 0.0, seed=0).gates) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from scmr.bench import known_optimal, ndp_to_scr, psp_to_scmr, random_circuit
 from scmr.circuit import (
     Circuit,
     CircuitError,
     GateKind,
+    InteractionGraph,
     ParseError,
     T_VERTEX,
     circuit_from_gates,
@@ -195,6 +200,53 @@ def circuits(draw, max_gates=12):
 @settings(max_examples=200, deadline=None)
 def test_chain_set_invariants_fuzzed(circuit):
     _chain_set_invariants(circuit)
+
+
+def _chain_corpus():
+    """Circuits whose chain sets exercise every case of the chain builder:
+    layered random circuits with T fractions 0-0.8, known-optimum circuits,
+    arbitrary gate lists (repeated partners, so chains merge), and the psp
+    and ndp reduction circuits."""
+    for seed in range(40):
+        for t_fraction in (0.0, 0.2, 0.5, 0.8):
+            yield random_circuit(1 + seed % 13, 1 + seed % 5, t_fraction, seed=seed)
+    for d, k in ((1, 1), (2, 5), (3, 12), (2, 40)):
+        yield known_optimal(d, k, 0.5, seed=k)
+    rng = random.Random(8)
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        specs = []
+        for _ in range(rng.randint(0, 25)):
+            if n == 1 or rng.random() < 0.3:
+                specs.append(tgate(f"q{rng.randrange(n)}"))
+            else:
+                a, b = rng.sample(range(n), 2)
+                specs.append(cnot(f"q{a}", f"q{b}"))
+        yield circuit_from_gates(specs)
+    for n in (1, 2, 3):
+        for closure in oracles.all_labeled_posets(n):
+            for k, t_p in ((1, 1), (2, 2)):
+                yield psp_to_scmr(range(n), oracles.hasse_edges(closure), k, t_p)[1]
+    for dims, pairs in (((2, 2), [((1, 1), (2, 2))]),
+                        ((2, 2), [((1, 1), (2, 2)), ((1, 2), (2, 1))]),
+                        ((3, 3), [((1, 1), (3, 3)), ((1, 3), (3, 1)), ((2, 2), (3, 2))])):
+        yield ndp_to_scr(dims, pairs)[1]
+
+
+def test_chain_set_matches_reference():
+    # same chains, in the same order and orientation, as the builder that
+    # relabelled a qubit-to-chain-index map on every merge; T edges are read
+    # both as interaction_graph writes them and flipped to (q, T_VERTEX)
+    cases = 0
+    for circuit in _chain_corpus():
+        graph = interaction_graph(circuit)
+        flipped = InteractionGraph(graph.vertices, tuple(
+            (y, x) if x is T_VERTEX else (x, y) for x, y in graph.edges))
+        for g in (graph, flipped):
+            want = oracles.interaction_chain_set(g).chains
+            assert interaction_chain_set(g).chains == want, g
+            cases += 1
+    assert cases > 6000
 
 
 @given(circuits())

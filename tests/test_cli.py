@@ -101,6 +101,16 @@ def test_compile_option_strings_pinned():
                        "--seed", "--out", "--metrics", "--jobs", "--lenient"}
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "-3"), ("--jobs", "0"), ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+])
+def test_compile_rejects_non_positive_jobs_and_timeout(tmp_path, fig1, capsys, flag, value):
+    code, out = _compile(tmp_path, fig1, "--mapper", "rand:2", flag, value)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+    assert not out.exists()
+
+
 def test_compile_infeasible_t_gate_without_magic(tmp_path):
     circ = tmp_path / "t.qc"
     circ.write_text("t q0;")
@@ -201,6 +211,22 @@ def test_gen_ndp(tmp_path):
                 "--pairs-file", str(pairs), "-o", str(out)]) == EXIT_OK
     arch = json.loads((tmp_path / "ndp.arch.json").read_text())
     assert arch["rows"] == 10 and arch["cols"] == 10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["random", "-q", "5", "-d", "-3"], "need qubits >= 0 and depth >= 0, got 5 and -3"),
+    (["random", "-q", "-2", "-d", "0"], "need qubits >= 0 and depth >= 0, got -2 and 0"),
+    (["ndp", "--cols", "0", "--rows", "2"], "pair grid must be at least 1x1, got 0x2"),
+    (["ndp", "--cols", "2", "--rows", "-1"], "pair grid must be at least 1x1, got 2x-1"),
+])
+def test_gen_out_of_range_sizes_exit_1(tmp_path, capsys, argv, message):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text("[]")
+    if argv[0] == "ndp":
+        argv = argv + ["--pairs-file", str(pairs)]
+    assert run(["gen", *argv, "-o", str(tmp_path / "g")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.qc").exists()
 
 
 @pytest.mark.parametrize("spec", [

@@ -183,6 +183,21 @@ def test_mappers_reject_repeated_locations():
             mapper(arch, c, locations=[(3, 3), (5, 5), (3, 3), (3, 5)])
 
 
+@pytest.mark.parametrize("locations", [
+    [[3, 3], [5, 5]],            # lists, not tuples
+    [(3, 3, 0), (5, 5, 0)],      # three coordinates
+    [("3", "3"), (5, 5)],        # strings
+    [(3.0, 3.0), (5, 5)],        # floats
+    [(True, 3), (5, 5)],         # a bool is not a coordinate
+])
+def test_mappers_reject_malformed_locations(locations):
+    arch = bordered_architecture(4)
+    c = parse_circuit("cnot a b")
+    for mapper in (struct_map, functools.partial(random_map, seed=0)):
+        with pytest.raises(MappingError, match=r"must be \(int, int\) tuples"):
+            mapper(arch, c, locations=locations)
+
+
 def test_best_of_n_first_trial_matches_n1():
     arch = bordered_architecture(4)
     c = random_circuit(4, 3, 0.0, seed=3)
