@@ -7,12 +7,17 @@ vertex; T paths run from the operand's vertex to any magic-state vertex.
 Mapped and magic vertices may appear only as path endpoints, and paths that
 share a time step must be vertex-disjoint, endpoints included.
 
-The greedy router searches over `Architecture.cells` ids: `shortest_first`
-turns its blocked vertices into one `bytearray` mask of free cells per call
-and zeroes each picked path in it, and the BFS marks reached cells in a copy
-of that mask. Every step of a route starts from the same blocking, so
-`greedy_route` keeps one dict per route from (source, sinks) to the path of
-that first, unobstructed search, and runs it at most once per pair.
+The greedy router searches over `Architecture.cells` ids. `greedy_route`
+builds one `bytearray` mask of free cells per route; `shortest_first` copies
+it per step and zeroes each picked path in the copy, and the BFS marks
+reached cells in a copy of its own. `shortest_first` keeps the pending
+requests in a heap keyed by path length and gate index and searches a
+request again only when it is popped with a path that meets an earlier
+pick; since consuming vertices only lengthens or removes paths, the picks
+are those of searching every pending request again after every pick. Every
+step of a route starts from the same mask, so `greedy_route` keeps one dict
+per route from (source, sinks) to the path of that first, unobstructed
+search, and runs it at most once per pair.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
 from .architecture import Architecture, Vertex, is_json_vertex
@@ -148,53 +154,56 @@ def free_mask(arch: Architecture, blocked) -> bytearray:
     return free
 
 
-def shortest_first(arch: Architecture, requests, blocked: set,
+def shortest_first(arch: Architecture, requests, free: bytearray,
                    first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
     vertices, repeat until nothing is routable. Ties go to the lower gate
-    index. Returns the routed subset with vertex-disjoint paths.
+    index, then to the earlier request. Returns the routed subset with
+    vertex-disjoint paths, in pick order.
 
-    `blocked` (vertices never usable as interiors) becomes one `free` mask
-    per call, and each picked path's cells are zeroed in it. Each request's
-    path is searched again only when the last pick consumed one of its
-    vertices. Consuming vertices only removes paths, and the search returns
-    the first shortest path in its fixed expansion order, so a path that
-    stays clear is still the one the search would return, and a request
-    without a path never gets one.
+    `free` is a `shortest_legal_path` mask (see `free_mask`); it is copied,
+    and each picked path's cells are zeroed in the copy. Requests wait in a
+    heap keyed by (path length, gate index, position in `requests`). A
+    popped path that still avoids every consumed vertex is picked; one that
+    meets them is searched again under the current mask and pushed back, or
+    dropped when it has no path left. Consuming vertices only removes paths,
+    and the search returns the first shortest path in its fixed expansion
+    order, so a path that stays clear is the one a fresh search would return,
+    and a stale key is a lower bound on its request's current key. The pick
+    is therefore the minimum over the current paths, as if every pending
+    request were searched again after every pick, while a request is
+    searched again at most once per pop.
 
     `first_paths`, when given, maps (source, sinks) to the path of a search
-    under `blocked` alone; missing entries are searched and stored. It is
-    valid only across calls with the same `blocked`.
+    under `free` alone; missing entries are searched and stored. It is valid
+    only across calls with the same mask.
     """
-    free = free_mask(arch, blocked)
-    remaining = sorted(requests, key=lambda r: r.gate.index)
+    free = bytearray(free)
     if first_paths is None:
         first_paths = {}
-    paths = []
-    for r in remaining:
+    heap = []
+    for position, r in enumerate(requests):
         key = (r.source, r.sinks)
         if key not in first_paths:
             first_paths[key] = shortest_legal_path(arch, free, r.source, r.sinks)
-        paths.append(first_paths[key])
+        path = first_paths[key]
+        if path is not None:
+            heap.append((len(path), r.gate.index, position, path, r))
+    heapify(heap)
     id_of = arch.cells.id_of
     used: set[Vertex] = set()
     routed: list[tuple[Gate, Path]] = []
-    while True:
-        best = None
-        for i, path in enumerate(paths):
-            if path is not None and (best is None or len(path) < len(paths[best])):
-                best = i
-        if best is None:
-            break
-        req, picked = remaining.pop(best), paths.pop(best)
-        used.update(picked)
-        for v in picked:
-            free[id_of[v]] = 0
-        routed.append((req.gate, picked))
-        for i, path in enumerate(paths):
-            if path is not None and not used.isdisjoint(path):
-                r = remaining[i]
-                paths[i] = shortest_legal_path(arch, free, r.source, r.sinks, used)
+    while heap:
+        _, index, position, path, r = heappop(heap)
+        if used.isdisjoint(path):
+            used.update(path)
+            for v in path:
+                free[id_of[v]] = 0
+            routed.append((r.gate, path))
+        else:
+            path = shortest_legal_path(arch, free, r.source, r.sinks, used)
+            if path is not None:
+                heappush(heap, (len(path), index, position, path, r))
     return routed
 
 
@@ -203,13 +212,13 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     layer until the layer drains, never starting a layer before the previous
     one finishes.
 
-    Every step starts from the same blocking (mapped and magic vertices), so
-    a request's first search in any step gives the same path; one dict per
-    route keeps it, and each (source, sinks) pair is searched unobstructed
-    at most once per route.
+    Every step starts from the same mask, `free_mask(arch, mapped vertices)`
+    (magic cells are never free), built once per route; so a request's
+    first search in any step gives the same path, one dict per route keeps
+    it, and each (source, sinks) pair is searched unobstructed at most once
+    per route.
     """
-    mapped = set(qmap.vertices())
-    base_blocked = mapped | set(arch.magic)
+    free = free_mask(arch, qmap.vertices())
     first_paths: dict = {}
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
@@ -218,7 +227,7 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
         pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
         while pending:
             step += 1
-            routed = shortest_first(arch, pending, base_blocked, first_paths)
+            routed = shortest_first(arch, pending, free, first_paths)
             if not routed:
                 bad = pending[0].gate
                 raise UnroutableGateError(
@@ -289,8 +298,9 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
             continue
         if not 1 <= step <= route.steps:
             bad(Violation(Rule.LOGICAL_ORDER, (g.index,), f"step {step} outside 1..{route.steps}"))
-        out.extend(_check_path_shape(arch, g, path, rule))
-        if _path_well_formed(arch, path):
+        shape, well_formed = _check_path_shape(arch, g, path, rule)
+        out.extend(shape)
+        if well_formed:
             if g.kind is GateKind.CNOT:
                 if path[0] != qmap[g.control]:
                     bad(Violation(rule, (g.index,), f"path starts at {path[0]}, control is at {qmap[g.control]}"))
@@ -312,6 +322,8 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     last = max((route.time[i] for i in indices if i in route.time), default=0)
     if route.steps > last:
         bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, last used step is {last}"))
+    elif route.steps < 0:
+        bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, below 0"))
 
     for i, j in consecutive_qubit_pairs(circuit):
         ti, tj = route.time.get(i), route.time.get(j)
@@ -334,37 +346,39 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     return out
 
 
-def _path_well_formed(arch: Architecture, path: Path) -> bool:
-    return (
-        len(path) >= 2
-        and len(set(path)) == len(path)
-        and all(arch.in_bounds(v) for v in path)
-        and all(abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1 for u, v in zip(path, path[1:]))
-    )
-
-
-def _check_path_shape(arch: Architecture, g: Gate, path: Path, rule: Rule) -> list[Violation]:
-    out = []
-    if len(path) < 3:
-        out.append(Violation(rule, (g.index,), f"path has {len(path)} vertices, needs at least 3"))
-        return out
-    if len(set(path)) != len(path):
-        out.append(Violation(rule, (g.index,), "path revisits a vertex"))
+def _check_path_shape(arch: Architecture, g: Gate, path: Path,
+                      rule: Rule) -> tuple[list[Violation], bool]:
+    """The shape violations of a gate's path, and whether the path is well
+    formed: two or more distinct on-grid vertices, each a grid neighbor of
+    the next. A path of fewer than 3 vertices reports only its length, but a
+    well-formed 2-vertex path still has its endpoints checked."""
+    details = []
+    distinct = len(set(path)) == len(path)
+    if not distinct:
+        details.append("path revisits a vertex")
+    connected = True
     for v in path:
         if not arch.in_bounds(v):
-            out.append(Violation(rule, (g.index,), f"path vertex {v} is off-grid"))
-            return out
-    for u, v in zip(path, path[1:]):
-        if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
-            out.append(Violation(rule, (g.index,), f"{u} and {v} are not grid neighbors"))
-            return out
-    first, second = path[0], path[1]
-    if abs(first[1] - second[1]) != 1:
-        out.append(Violation(rule, (g.index,), f"first edge {first}->{second} is not vertical"))
-    last, before = path[-1], path[-2]
-    if abs(last[0] - before[0]) != 1:
-        out.append(Violation(rule, (g.index,), f"last edge {before}->{last} is not horizontal"))
-    return out
+            details.append(f"path vertex {v} is off-grid")
+            connected = False
+            break
+    else:
+        for u, v in zip(path, path[1:]):
+            if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
+                details.append(f"{u} and {v} are not grid neighbors")
+                connected = False
+                break
+    if len(path) < 3:
+        details = [f"path has {len(path)} vertices, needs at least 3"]
+    elif connected:
+        first, second = path[0], path[1]
+        if abs(first[1] - second[1]) != 1:
+            details.append(f"first edge {first}->{second} is not vertical")
+        last, before = path[-1], path[-2]
+        if abs(last[0] - before[0]) != 1:
+            details.append(f"last edge {before}->{last} is not horizontal")
+    well_formed = len(path) >= 2 and distinct and connected
+    return [Violation(rule, (g.index,), d) for d in details], well_formed
 
 
 # ---------------------------------------------------------------------------

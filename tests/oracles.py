@@ -19,7 +19,9 @@ from scmr.circuit import (Circuit, Gate, GateKind, consecutive_qubit_pairs, gate
 from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
-from scmr.routing import GateRoute, Path, UnroutableGateError, greedy_route, request_for_gate
+import scmr.routing as _routing
+from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route,
+                          request_for_gate)
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
 from scmr.sat.encoding import CnfInstance, VarTable
@@ -392,6 +394,217 @@ def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> G
                 space[g.index] = path
             pending = [r for r in pending if r.gate.index not in done]
     return GateRoute(step, time, space)
+
+
+# ---------------------------------------------------------------------------
+# Shortest-first as it was before the heap: one scan of every pending path
+# per pick, and every pending path the pick touched searched again at once.
+# Kept verbatim (renamed `eager_*`, with `free_mask` and
+# `shortest_legal_path` read through the `scmr.routing` module, so a counter
+# patched there sees this copy's searches too) as the reference the heap
+# router must match pick for pick, and as its search-count baseline.
+# ---------------------------------------------------------------------------
+
+def eager_shortest_first(arch: Architecture, requests, blocked: set,
+                         first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
+    """Route the request with the currently shortest legal path, consume its
+    vertices, repeat until nothing is routable. Ties go to the lower gate
+    index. Returns the routed subset with vertex-disjoint paths.
+
+    `blocked` (vertices never usable as interiors) becomes one `free` mask
+    per call, and each picked path's cells are zeroed in it. Each request's
+    path is searched again only when the last pick consumed one of its
+    vertices. Consuming vertices only removes paths, and the search returns
+    the first shortest path in its fixed expansion order, so a path that
+    stays clear is still the one the search would return, and a request
+    without a path never gets one.
+
+    `first_paths`, when given, maps (source, sinks) to the path of a search
+    under `blocked` alone; missing entries are searched and stored. It is
+    valid only across calls with the same `blocked`.
+    """
+    free = _routing.free_mask(arch, blocked)
+    remaining = sorted(requests, key=lambda r: r.gate.index)
+    if first_paths is None:
+        first_paths = {}
+    paths = []
+    for r in remaining:
+        key = (r.source, r.sinks)
+        if key not in first_paths:
+            first_paths[key] = _routing.shortest_legal_path(arch, free, r.source, r.sinks)
+        paths.append(first_paths[key])
+    id_of = arch.cells.id_of
+    used: set[Vertex] = set()
+    routed: list[tuple[Gate, Path]] = []
+    while True:
+        best = None
+        for i, path in enumerate(paths):
+            if path is not None and (best is None or len(path) < len(paths[best])):
+                best = i
+        if best is None:
+            break
+        req, picked = remaining.pop(best), paths.pop(best)
+        used.update(picked)
+        for v in picked:
+            free[id_of[v]] = 0
+        routed.append((req.gate, picked))
+        for i, path in enumerate(paths):
+            if path is not None and not used.isdisjoint(path):
+                r = remaining[i]
+                paths[i] = _routing.shortest_legal_path(arch, free, r.source, r.sinks, used)
+    return routed
+
+
+def eager_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRoute:
+    """Layer-by-layer routing: repeat shortest-first inside each topological
+    layer until the layer drains, never starting a layer before the previous
+    one finishes.
+
+    Every step starts from the same blocking (mapped and magic vertices), so
+    a request's first search in any step gives the same path; one dict per
+    route keeps it, and each (source, sinks) pair is searched unobstructed
+    at most once per route.
+    """
+    mapped = set(qmap.vertices())
+    base_blocked = mapped | set(arch.magic)
+    first_paths: dict = {}
+    time: dict[int, int] = {}
+    space: dict[int, Path] = {}
+    step = 0
+    for layer in topological_layering(circuit).layers:
+        pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
+        while pending:
+            step += 1
+            routed = eager_shortest_first(arch, pending, base_blocked, first_paths)
+            if not routed:
+                bad = pending[0].gate
+                raise UnroutableGateError(
+                    f"gate {bad.index} ({bad.kind.value} {' '.join(bad.qubits)}) has no legal path under this map"
+                )
+            done = {g.index for g, _ in routed}
+            for g, path in routed:
+                time[g.index] = step
+                space[g.index] = path
+            pending = [r for r in pending if r.gate.index not in done]
+    return GateRoute(step, time, space)
+
+
+# ---------------------------------------------------------------------------
+# The validator as it was before `_check_path_shape` also told whether a path
+# is well formed: every path walked twice, and a negative `steps` accepted
+# when no gate is scheduled. Kept verbatim as the reference whose violation
+# lists, order included, the one-walk validator must reproduce.
+# ---------------------------------------------------------------------------
+
+def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRoute) -> list[Violation]:
+    """Check every rule of a valid solution; empty list means ok."""
+    out: list[Violation] = []
+    bad = out.append
+
+    seen_vertices: dict[Vertex, str] = {}
+    mapping = qmap.as_dict
+    for q in circuit.qubits:
+        v = mapping.get(q)
+        if v is None:
+            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} is unmapped"))
+            continue
+        if not arch.in_bounds(v):
+            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped off-grid at {v}"))
+        elif v in arch.magic:
+            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped onto magic vertex {v}"))
+        if v in seen_vertices:
+            bad(Violation(Rule.MAP_VALIDITY, (), f"qubits {seen_vertices[v]!r} and {q!r} share vertex {v}"))
+        seen_vertices[v] = q
+    if out:
+        return out
+
+    mapped = set(qmap.vertices())
+
+    for g in circuit.gates:
+        rule = Rule.CNOT_ROUTING if g.kind is GateKind.CNOT else Rule.T_ROUTING
+        step = route.time.get(g.index)
+        path = route.space.get(g.index)
+        if step is None or path is None:
+            bad(Violation(rule, (g.index,), "gate missing from the schedule"))
+            continue
+        if not 1 <= step <= route.steps:
+            bad(Violation(Rule.LOGICAL_ORDER, (g.index,), f"step {step} outside 1..{route.steps}"))
+        out.extend(_check_path_shape(arch, g, path, rule))
+        if _path_well_formed(arch, path):
+            if g.kind is GateKind.CNOT:
+                if path[0] != qmap[g.control]:
+                    bad(Violation(rule, (g.index,), f"path starts at {path[0]}, control is at {qmap[g.control]}"))
+                if path[-1] != qmap[g.target]:
+                    bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, target is at {qmap[g.target]}"))
+            else:
+                if path[0] != qmap[g.operand]:
+                    bad(Violation(rule, (g.index,), f"path starts at {path[0]}, operand is at {qmap[g.operand]}"))
+                if path[-1] not in arch.magic:
+                    bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, not a magic vertex"))
+            for v in path[1:-1]:
+                if v in mapped or v in arch.magic:
+                    bad(Violation(Rule.DATA_PRESERVATION, (g.index,),
+                                  f"protected vertex {v} used as path interior"))
+
+    indices = {g.index for g in circuit.gates}
+    for idx in sorted((set(route.time) | set(route.space)) - indices):
+        bad(Violation(Rule.LOGICAL_ORDER, (idx,), f"gate {idx} is scheduled but not in the circuit"))
+    last = max((route.time[i] for i in indices if i in route.time), default=0)
+    if route.steps > last:
+        bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, last used step is {last}"))
+
+    for i, j in consecutive_qubit_pairs(circuit):
+        ti, tj = route.time.get(i), route.time.get(j)
+        if ti is not None and tj is not None and ti >= tj:
+            bad(Violation(Rule.LOGICAL_ORDER, (i, j),
+                          f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
+
+    by_step: dict[int, list[int]] = {}
+    for idx, step in route.time.items():
+        by_step.setdefault(step, []).append(idx)
+    for step, idxs in sorted(by_step.items()):
+        claimed: dict[Vertex, int] = {}
+        for idx in sorted(idxs):
+            for v in route.space.get(idx, ()):
+                if v in claimed:
+                    bad(Violation(Rule.DISJOINT_PATHS, (claimed[v], idx),
+                                  f"vertex {v} shared at step {step}"))
+                else:
+                    claimed[v] = idx
+    return out
+
+
+def _path_well_formed(arch: Architecture, path: Path) -> bool:
+    return (
+        len(path) >= 2
+        and len(set(path)) == len(path)
+        and all(arch.in_bounds(v) for v in path)
+        and all(abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1 for u, v in zip(path, path[1:]))
+    )
+
+
+def _check_path_shape(arch: Architecture, g: Gate, path: Path, rule: Rule) -> list[Violation]:
+    out = []
+    if len(path) < 3:
+        out.append(Violation(rule, (g.index,), f"path has {len(path)} vertices, needs at least 3"))
+        return out
+    if len(set(path)) != len(path):
+        out.append(Violation(rule, (g.index,), "path revisits a vertex"))
+    for v in path:
+        if not arch.in_bounds(v):
+            out.append(Violation(rule, (g.index,), f"path vertex {v} is off-grid"))
+            return out
+    for u, v in zip(path, path[1:]):
+        if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
+            out.append(Violation(rule, (g.index,), f"{u} and {v} are not grid neighbors"))
+            return out
+    first, second = path[0], path[1]
+    if abs(first[1] - second[1]) != 1:
+        out.append(Violation(rule, (g.index,), f"first edge {first}->{second} is not vertical"))
+    last, before = path[-1], path[-2]
+    if abs(last[0] - before[0]) != 1:
+        out.append(Violation(rule, (g.index,), f"last edge {before}->{last} is not horizontal"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def test_criterion_8_scaling_smoke():
     qmap = struct_map(arch, circuit)
     route = greedy_route(arch, circuit, qmap)
     elapsed = time.perf_counter() - started
-    # measured out-of-suite: struct map plus greedy routing here takes 1.0 s
+    # measured out-of-suite: struct map plus greedy routing here takes 0.25-0.30 s
     # (346 steps) on a 2-vCPU x86 VM with Python 3.11; the bound is loose on
     # purpose, for slow hosts.
     assert elapsed < 60

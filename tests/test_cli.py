@@ -322,6 +322,19 @@ def test_compile_empty_circuit(tmp_path, capsys):
                 str(out / "empty.map.json"), str(out / "empty.route.json")]) == EXIT_OK
 
 
+def test_validate_rejects_negative_steps(tmp_path, capsys):
+    circ = tmp_path / "empty.qc"
+    circ.write_text("# nothing here\n")
+    code, out = _compile(tmp_path, circ)
+    assert code == EXIT_OK
+    route = out / "empty.route.json"
+    route.write_text(json.dumps({"steps": -5, "gates": []}))
+    capsys.readouterr()
+    assert run(["validate", str(circ), str(out / "empty.arch.json"),
+                str(out / "empty.map.json"), str(route)]) == EXIT_INVALID
+    assert capsys.readouterr().out == "logical-order: steps is -5, below 0\n"
+
+
 def test_parallel_best_of_n_not_marked_proven(tmp_path, fig1, capsys):
     code, _ = _compile(tmp_path, fig1, "--mapper", "rand:3", "--jobs", "2")
     assert code == EXIT_OK

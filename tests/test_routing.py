@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import pickle
+import random
 
 import pytest
 
@@ -15,8 +16,8 @@ from scmr.architecture import (
     right_column_architecture,
 )
 from scmr.bench import known_optimal, random_circuit
-from scmr.circuit import circuit_from_gates, cnot, parse_circuit
-from scmr.mapping import qubit_map, random_map, struct_map, unrestricted_locations
+from scmr.circuit import circuit_from_gates, cnot, parse_circuit, tgate
+from scmr.mapping import QubitMap, qubit_map, random_map, struct_map, unrestricted_locations
 from scmr.routing import (
     GateRoute,
     RoutingError,
@@ -75,7 +76,7 @@ def test_shortest_path_matches_layered_oracle():
 
 def test_shortest_first_empty():
     arch = custom_architecture(3, 3, [])
-    assert shortest_first(arch, [], set()) == []
+    assert shortest_first(arch, [], free_mask(arch, set())) == []
 
 
 def test_shortest_first_two_parallel_cnots():
@@ -84,7 +85,7 @@ def test_shortest_first_two_parallel_cnots():
     c = circuit_from_gates([cnot("q0", "q1"), cnot("q2", "q3")])
     m = qubit_map({"q0": (1, 1), "q1": (2, 2), "q2": (4, 1), "q3": (5, 2)})
     reqs = [request_for_gate(arch, m, g) for g in c.gates]
-    routed = shortest_first(arch, reqs, set(m.vertices()))
+    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()))
     assert len(routed) == 2
     used = [v for _, path in routed for v in path]
     assert len(used) == len(set(used))
@@ -95,7 +96,7 @@ def test_shortest_first_crossing_requests_route_one():
     c = circuit_from_gates([cnot("q0", "q1"), cnot("q2", "q3")])
     m = qubit_map({"q0": (1, 1), "q1": (3, 3), "q2": (3, 1), "q3": (1, 3)})
     reqs = [request_for_gate(arch, m, g) for g in c.gates]
-    routed = shortest_first(arch, reqs, set(m.vertices()))
+    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()))
     assert len(routed) == 1
 
 
@@ -106,7 +107,7 @@ def test_shortest_first_is_maximal():
                    "e": (2, 2), "f": (3, 3)})
     reqs = [request_for_gate(arch, m, g) for g in c.gates]
     blocked = set(m.vertices())
-    routed = shortest_first(arch, reqs, blocked)
+    routed = shortest_first(arch, reqs, free_mask(arch, blocked))
     used = {v for _, path in routed for v in path}
     done = {g.index for g, _ in routed}
     for req in reqs:
@@ -243,6 +244,15 @@ def test_validator_flags_steps_above_the_last_used_step():
     assert [str(v) for v in bad] == ["logical-order: steps is 9, last used step is 1"]
 
 
+def test_validator_flags_negative_steps():
+    arch = bordered_architecture(1)
+    c = parse_circuit("")
+    m = struct_map(arch, c)
+    bad = validate(arch, c, m, GateRoute(-5, {}, {}))
+    assert [str(v) for v in bad] == ["logical-order: steps is -5, below 0"]
+    assert validate(arch, c, m, GateRoute(0, {}, {})) == []
+
+
 def test_route_from_json_rejects_malformed_routes():
     gate = {"index": 0, "step": 1, "path": [[1, 1], [1, 2], [2, 2]]}
     for data in ({"steps": 1}, [], {"steps": "1", "gates": [gate]},
@@ -302,7 +312,7 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
         m = qubit_map(dict(zip(["a", "b", "c", "d"], placement)))
         blocked = set(m.vertices())
         reqs = [request_for_gate(arch, m, g) for g in c.gates]
-        routed = shortest_first(arch, reqs, blocked)
+        routed = shortest_first(arch, reqs, free_mask(arch, blocked))
         alone = any(
             enumerate_legal_paths(arch, blocked, r.source, r.sinks) for r in reqs
         )
@@ -383,14 +393,18 @@ def _count_calls(monkeypatch, module, name, route) -> int:
 def test_greedy_route_bfs_calls(monkeypatch):
     # the search is reached through the module attribute (span shims rely on
     # that); a request's unobstructed search runs once per route, and a
-    # pending request is searched again only when the last pick took a vertex
-    # of its path, so memo hits leave fewer searches than gates
+    # pending request is searched again only when it is popped with a path
+    # that an earlier pick took a vertex of, so memo hits leave fewer
+    # searches than gates, and the eager copy, which searches again after
+    # every such pick, no fewer than the heap
     c = known_optimal(6, 20, 1.0, seed=3)
     arch = bordered_architecture(c.num_qubits)
     counts = []
     for m in (struct_map(arch, c), random_map(arch, c, seed=0)):
         calls = _count_calls(monkeypatch, scmr.routing, "shortest_legal_path",
                              lambda: greedy_route(arch, c, m))
+        eager = _count_calls(monkeypatch, scmr.routing, "shortest_legal_path",
+                             lambda: oracles.eager_greedy_route(arch, c, m))
         with monkeypatch.context() as mp:
             # one search per pending request per pick
             mp.setattr(oracles, "lazy_shortest_first", oracles.shortest_first)
@@ -398,6 +412,188 @@ def test_greedy_route_bfs_calls(monkeypatch):
                                  lambda: oracles.lazy_greedy_route(arch, c, m))
         lazy = _count_calls(monkeypatch, oracles, "lazy_shortest_legal_path",
                             lambda: oracles.lazy_greedy_route(arch, c, m))
-        assert 1 <= calls <= lazy <= naive
+        assert 1 <= calls <= eager <= lazy <= naive
         counts.append((calls, naive))
-    assert counts == [(20, 1260), (362, 1326)]
+    assert counts == [(20, 1260), (188, 1326)]
+
+
+# ---------------------------------------------------------------------------
+# Differential: the heap shortest-first against the eager copy in oracles
+# ---------------------------------------------------------------------------
+
+def _crowded_request_sets():
+    """Seeded single-layer request sets on crowded maps: qubits over every
+    non-magic vertex, CNOT and T requests (the T ones share the grid's magic
+    sinks) listed in shuffled order, so the input order is not gate order."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = 4 + seed % 11
+        arch = _BUILDERS[seed % 3](n)
+        qubits = [f"q{i}" for i in range(n)]
+        rng.shuffle(qubits)
+        specs = []
+        while qubits:
+            if len(qubits) >= 2 and rng.random() < 0.6:
+                specs.append(cnot(qubits.pop(), qubits.pop()))
+            else:
+                specs.append(tgate(qubits.pop()))
+        c = circuit_from_gates(specs)
+        m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+        requests = [request_for_gate(arch, m, g) for g in c.gates]
+        rng.shuffle(requests)
+        yield arch, m, requests
+
+
+def test_shortest_first_matches_eager_reference(monkeypatch):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    real = scmr.routing.shortest_legal_path
+    monkeypatch.setattr(scmr.routing, "shortest_legal_path", counting)
+    shared_sinks = no_path = taken = rounds = 0
+    for arch, m, requests in _crowded_request_sets():
+        blocked = set(m.vertices())
+        free = free_mask(arch, blocked)
+        shared_sinks += sum(len(r.sinks) > 1 for r in requests) >= 2
+        heap_memo, eager_memo = {}, {}
+        pending = requests
+        while True:   # the steps of one layer, as greedy_route runs them
+            calls = 0
+            want = oracles.eager_shortest_first(arch, pending, blocked, eager_memo)
+            eager_calls, calls = calls, 0
+            got = shortest_first(arch, pending, free, heap_memo)
+            assert got == want
+            assert calls <= eager_calls
+            assert heap_memo == eager_memo
+            rounds += 1
+            picked = dict(got)
+            no_path += any(heap_memo[r.source, r.sinks] is None for r in pending)
+            taken += any(heap_memo[r.source, r.sinks] not in (None, picked.get(r.gate))
+                         for r in pending)
+            if not got:
+                break
+            pending = [r for r in pending if r.gate not in picked]
+    assert shared_sinks > 0 and no_path > 0 and taken > 0 and rounds > 240
+
+
+# ---------------------------------------------------------------------------
+# Differential: the one-walk validator against the two-walk copy in oracles
+# ---------------------------------------------------------------------------
+
+def _walk(rng, arch, start, length, off_grid=False):
+    """A random walk of `length` vertices from `start` that revisits a vertex
+    only when boxed in; with `off_grid` it may step off the grid."""
+    path = [start]
+    while len(path) < length:
+        a, b = path[-1]
+        steps = [(a + da, b + db) for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        if not off_grid:
+            steps = [v for v in steps if arch.in_bounds(v)]
+        fresh = [v for v in steps if v not in path]
+        path.append(rng.choice(fresh or steps))
+    return tuple(path)
+
+
+def _corrupt_path(rng, arch, qmap, path, g):
+    start = qmap[g.qubits[0]]
+    if len(path) < 3:   # an earlier corruption cut it short
+        path = _walk(rng, arch, start, 4)
+    kind = rng.randrange(11)
+    if kind == 0:
+        return ()
+    if kind == 1:
+        return (start,)
+    if kind == 2:   # two vertices: adjacent, repeated or apart
+        return (start, rng.choice([_walk(rng, arch, start, 2)[1], start, path[-1]]))
+    if kind == 3:   # a 2-vertex path that is otherwise well formed
+        return _walk(rng, arch, start, 2)
+    if kind == 4:   # off-grid vertex
+        return path[:1] + ((0, rng.randint(0, arch.rows + 1)),) + path[1:]
+    if kind == 5:   # not grid neighbors
+        return path[:1] + path[2:] if len(path) > 3 else path + (path[0],)
+    if kind == 6:   # revisits a vertex
+        return path + (path[-2],)
+    if kind == 7:   # wrong orientation at both ends
+        return path[::-1]
+    if kind == 8:   # shifted vertex
+        i = rng.randrange(len(path))
+        return path[:i] + ((path[i][0] + 1, path[i][1]),) + path[i + 1:]
+    # a walk, often through mapped or magic vertices
+    return _walk(rng, arch, start, rng.randint(3, 12), off_grid=kind == 10)
+
+
+def _corrupt(rng, arch, circuit, qmap, route):
+    """A route, and sometimes a map, broken in 1-3 seeded ways."""
+    assignment = list(qmap.assignment)
+    time, space, steps = dict(route.time), dict(route.space), route.steps
+    for _ in range(rng.randint(1, 3)):
+        indices = sorted(i for i in space if i < len(circuit.gates))
+        if not indices:
+            break
+        kind = rng.randrange(12)
+        i = rng.choice(indices)
+        g = circuit.gates[i]
+        if kind == 0:   # the map: unmapped, off-grid, magic or shared vertex
+            j = rng.randrange(len(assignment))
+            q, v = assignment[j]
+            how = rng.randrange(4)
+            if how == 0:
+                del assignment[j]
+            else:
+                v = ((arch.cols + 1, 1), rng.choice(sorted(arch.magic) or [(0, 0)]),
+                     assignment[j - 1][1])[how - 1]
+                assignment[j] = (q, v)
+        elif kind <= 4:
+            space[i] = _corrupt_path(rng, arch, qmap, space[i], g)
+        elif kind == 5:   # another gate's path
+            space[i] = space[rng.choice(indices)]
+        elif kind == 6:   # step out of range, or dependent gates squashed
+            time[i] = rng.choice([0, -1, steps + 1, 1])
+        elif kind == 7:   # every gate in one step: shared vertices
+            time = dict.fromkeys(time, 1)
+            steps = 1
+        elif kind == 8:   # missing from the schedule
+            lose = rng.randrange(3)   # its step, its path or both
+            if lose != 1:
+                time.pop(i, None)
+            if lose != 0:
+                space.pop(i, None)
+        elif kind == 9:   # a gate the circuit does not have
+            time[len(circuit.gates) + 3] = 1
+            space[len(circuit.gates) + 3] = ((99, 99),)
+        elif kind == 10:   # padded or shortened steps, never below 0
+            steps = max(0, steps + rng.choice([-1, 2]))
+        else:   # two gates swapped in time
+            j = rng.choice(indices)
+            if i in time and j in time:
+                time[i], time[j] = time[j], time[i]
+    return QubitMap(tuple(assignment)), GateRoute(steps, time, space)
+
+
+def test_validate_matches_reference():
+    seen_rules, seen_details = set(), set()
+    marks = ("needs at least 3", "off-grid", "not grid neighbors", "revisits",
+             "not vertical", "not horizontal", "shared", "path ends at", "path starts at",
+             "protected vertex", "outside", "not in the circuit", "last used step",
+             "depends on", "missing", "unmapped", "magic vertex", "share vertex")
+    for seed in range(400):
+        rng = random.Random(seed)
+        c = random_circuit(2 + seed % 7, 1 + seed % 5, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
+        arch = _BUILDERS[seed % 3](c.num_qubits)
+        locations = unrestricted_locations(arch) if seed % 2 else None
+        m = random_map(arch, c, seed=seed, locations=locations)
+        try:
+            r = greedy_route(arch, c, m)
+        except UnroutableGateError:
+            continue
+        bad_map, bad_route = _corrupt(rng, arch, c, m, r)
+        got = validate(arch, c, bad_map, bad_route)
+        assert got == oracles.validate(arch, c, bad_map, bad_route)
+        seen_rules.update(v.rule for v in got)
+        seen_details.update(mark for v in got for mark in marks if mark in v.detail)
+    assert seen_rules == set(Rule)
+    assert seen_details == set(marks)
