@@ -272,12 +272,14 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
 
     seen_vertices: dict[Vertex, str] = {}
     mapping = qmap.as_dict
+    cols, rows = arch.cols, arch.rows
     for q in circuit.qubits:
         v = mapping.get(q)
         if v is None:
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} is unmapped"))
             continue
-        if not arch.in_bounds(v):
+        a, b = v
+        if not (1 <= a <= cols and 1 <= b <= rows):
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped off-grid at {v}"))
         elif v in arch.magic:
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped onto magic vertex {v}"))
@@ -357,8 +359,10 @@ def _check_path_shape(arch: Architecture, g: Gate, path: Path,
     if not distinct:
         details.append("path revisits a vertex")
     connected = True
+    cols, rows = arch.cols, arch.rows
     for v in path:
-        if not arch.in_bounds(v):
+        a, b = v
+        if not (1 <= a <= cols and 1 <= b <= rows):
             details.append(f"path vertex {v} is off-grid")
             connected = False
             break

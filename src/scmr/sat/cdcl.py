@@ -6,9 +6,17 @@ package produces (up to a few hundred thousand clauses); anything heavier
 should go through the external-process backend instead.
 
 As in MiniSat (Een & Sorensson, "An Extensible SAT-solver", SAT 2003), values
-live in a table indexed by literal, and the decision heap gets a variable's
-entry again only when it lacks the one with the current activity. Stale
-entries from earlier activities are skipped when popped.
+and watch lists live in tables indexed by literal (a negative literal counts
+from the end), and the decision heap gets a variable's entry again only when
+it lacks the one with the current activity. Stale entries from earlier
+activities are skipped when popped.
+
+Clauses are loaded in one pass in the constructor. A two-literal clause over
+two distinct in-range variables, both unassigned at the root (most clauses
+the encoder emits), is kept and watched directly; every other clause goes
+through `_add_clause`, which sorts, drops duplicates, tautologies and
+root-false literals, and propagates units. Both paths keep the same clause,
+in the same watch-list position, as `_add_clause` alone would.
 
 Literals use DIMACS convention: variable v > 0, literal +v or -v. Models are
 verified against the full clause set before being returned.
@@ -52,25 +60,49 @@ class CdclSolver:
         # queued[v]: the heap holds the entry with v's current activity
         self.queued = bytearray(b"\x01" * (num_vars + 1))
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[list[int]]] = {}
+        # indexed like vals: watches[l] holds the clauses watching literal l
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.ok = True
         self._seen = bytearray(num_vars + 1)
-        for c in clauses:
-            if not self._add_clause(c):
-                self.ok = False
-                break
+        self._load(clauses)
 
     # -- clause management ---------------------------------------------------
 
+    def _load(self, clauses):
+        n = self.n
+        vals = self.vals
+        watches = self.watches
+        kept = self.clauses
+        add = self._add_clause
+        for c in clauses:
+            if type(c) is list and len(c) == 2:
+                a, b = c
+                va = a if a > 0 else -a
+                vb = b if b > 0 else -b
+                if vb < va:
+                    a, b, va, vb = b, a, vb, va
+                if 0 < va < vb <= n and not vals[a] and not vals[b]:
+                    # what _add_clause keeps of it: a new list sorted by
+                    # variable, watched on both literals
+                    c = [a, b]
+                    kept.append(c)
+                    watches[a].append(c)
+                    watches[b].append(c)
+                    continue
+            if not add(c):
+                self.ok = False
+                break
+
     def _add_clause(self, lits) -> bool:
-        lits = sorted(set(lits), key=abs)
+        distinct = set(lits)
+        lits = sorted(distinct, key=abs)
         if lits and (lits[0] == 0 or abs(lits[-1]) > self.n):
             bad = lits[0] if lits[0] == 0 else lits[-1]
             raise ValueError(f"literal {bad} out of range 1..{self.n}")
-        if any(-l in lits for l in lits):
+        if any(-l in distinct for l in lits):
             return True  # tautology
         vals = self.vals
         out = []
@@ -85,8 +117,8 @@ class CdclSolver:
         if len(out) == 1:
             return self._enqueue(out[0], None) and self._propagate() is None
         self.clauses.append(out)
-        self.watches.setdefault(out[0], []).append(out)
-        self.watches.setdefault(out[1], []).append(out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
         return True
 
     # -- assignment ----------------------------------------------------------
@@ -115,7 +147,7 @@ class CdclSolver:
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
-            watchers = watches.get(false_lit)
+            watchers = watches[false_lit]
             if not watchers:
                 continue
             keep = []
@@ -135,7 +167,7 @@ class CdclSolver:
                     other = clause[k]
                     if vals[other] != -1:
                         clause[1], clause[k] = other, false_lit
-                        watches.setdefault(other, []).append(clause)
+                        watches[other].append(clause)
                         break
                 else:
                     keep.append(clause)
@@ -256,11 +288,11 @@ class CdclSolver:
 
     def solve(self, timeout: float | None = None) -> list[int] | None:
         """Return a model as a list of signed literals, or None if UNSAT."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         if not self.ok:
             return None
         if self._propagate() is not None:
             return None
-        deadline = None if timeout is None else time.monotonic() + timeout
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout(f"no verdict within {timeout:.3f}s")
         conflicts = 0
@@ -285,8 +317,8 @@ class CdclSolver:
                         return None
                 else:
                     self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(learnt)
-                    self.watches.setdefault(learnt[1], []).append(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 self.var_inc /= 0.95
                 continue
@@ -298,17 +330,17 @@ class CdclSolver:
                 continue
             lit = self._decide()
             if lit == 0:
-                model = [v if self.vals[v] == 1 else -v for v in range(1, self.n + 1)]
-                self._verify(model)
-                return model
+                self._verify()
+                return [v if self.vals[v] == 1 else -v for v in range(1, self.n + 1)]
             decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 
-    def _verify(self, model: list[int]):
-        truth = {l for l in model}
+    def _verify(self):
+        """Every kept and learned clause has a true literal under `vals`."""
+        value = self.vals.__getitem__
         for clause in self.clauses:
-            if not any(l in truth for l in clause):
+            if 1 not in map(value, clause):
                 raise RuntimeError("internal error: model does not satisfy clause set")
 
 

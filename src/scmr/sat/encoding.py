@@ -33,6 +33,7 @@ clause list either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
@@ -85,11 +86,13 @@ class CnfInstance:
     diagnostic: str = ""
 
     def __post_init__(self):
+        # three passes over the literals in C, none of which copies them
         n = self.num_vars
-        for clause in self.clauses:
-            if clause and (min(clause) < -n or max(clause) > n or 0 in clause):
-                lit = next(l for l in clause if l == 0 or abs(l) > n)
-                raise ValueError(f"literal {lit} out of range 1..{n}")
+        lits = chain.from_iterable
+        if (min(lits(self.clauses), default=0) < -n or max(lits(self.clauses), default=0) > n
+                or 0 in lits(self.clauses)):
+            lit = next(l for l in lits(self.clauses) if l == 0 or abs(l) > n)
+            raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
 def _adjacency(arch: Architecture):

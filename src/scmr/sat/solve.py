@@ -76,7 +76,15 @@ def solve(cnf: CnfInstance, backend=None, timeout: float | None = None) -> list[
     """A model of `cnf`, or None when it is unsatisfiable."""
     if backend is not None:
         return backend.solve(cnf, timeout=timeout)
-    return CdclSolver(cnf.num_vars, cnf.clauses).solve(timeout=timeout)
+    start = time.monotonic()
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    if timeout is None:
+        return solver.solve()
+    # loading the clauses counts against the timeout
+    remaining = timeout - (time.monotonic() - start)
+    if remaining <= 0:
+        raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+    return solver.solve(timeout=remaining)
 
 
 @dataclass

@@ -1369,3 +1369,287 @@ class CdclSolver:
         for clause in self.clauses:
             if not any(l in truth for l in clause):
                 raise RuntimeError("internal error: model does not satisfy clause set")
+
+
+# ---------------------------------------------------------------------------
+# The CDCL solver as it was before one-pass clause intake and literal-indexed
+# watch lists: every clause sorted and deduplicated by `_add_clause`, watch
+# lists in a dict keyed by literal, the model checked through a set. Kept
+# verbatim (renamed from `CdclSolver`) as the reference the new solver must
+# match state for state: clauses, trail, watch lists, learned clauses,
+# activities, models and error texts.
+# ---------------------------------------------------------------------------
+
+class DictWatchCdclSolver:
+    def __init__(self, num_vars: int, clauses):
+        self.n = num_vars
+        # indexed by literal: vals[v] and vals[-v] (from the end) are 1 true,
+        # -1 false, 0 unassigned
+        self.vals = [0] * (2 * num_vars + 1)
+        self.level = [0] * (num_vars + 1)
+        self.reason: list = [None] * (num_vars + 1)
+        self.saved_phase = bytearray(num_vars + 1)
+        self.activity = [0.0] * (num_vars + 1)
+        self.var_inc = 1.0
+        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+        # queued[v]: the heap holds the entry with v's current activity
+        self.queued = bytearray(b"\x01" * (num_vars + 1))
+        self.clauses: list[list[int]] = []
+        self.watches: dict[int, list[list[int]]] = {}
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.ok = True
+        self._seen = bytearray(num_vars + 1)
+        for c in clauses:
+            if not self._add_clause(c):
+                self.ok = False
+                break
+
+    # -- clause management ---------------------------------------------------
+
+    def _add_clause(self, lits) -> bool:
+        lits = sorted(set(lits), key=abs)
+        if lits and (lits[0] == 0 or abs(lits[-1]) > self.n):
+            bad = lits[0] if lits[0] == 0 else lits[-1]
+            raise ValueError(f"literal {bad} out of range 1..{self.n}")
+        if any(-l in lits for l in lits):
+            return True  # tautology
+        vals = self.vals
+        out = []
+        for l in lits:
+            val = vals[l]
+            if val == 1:
+                return True  # satisfied at root
+            if val == 0:
+                out.append(l)
+        if not out:
+            return False
+        if len(out) == 1:
+            return self._enqueue(out[0], None) and self._propagate() is None
+        self.clauses.append(out)
+        self.watches.setdefault(out[0], []).append(out)
+        self.watches.setdefault(out[1], []).append(out)
+        return True
+
+    # -- assignment ----------------------------------------------------------
+
+    def _enqueue(self, lit: int, reason) -> bool:
+        val = self.vals[lit]
+        if val:
+            return val == 1
+        self.vals[lit] = 1
+        self.vals[-lit] = -1
+        v = lit if lit > 0 else -lit
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(lit)
+        return True
+
+    def _propagate(self):
+        """Unit propagation; returns a conflicting clause or None."""
+        vals = self.vals
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches.get(false_lit)
+            if not watchers:
+                continue
+            keep = []
+            i = 0
+            n_w = len(watchers)
+            while i < n_w:
+                clause = watchers[i]
+                i += 1
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                val = vals[first]
+                if val == 1:
+                    keep.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if vals[other] != -1:
+                        clause[1], clause[k] = other, false_lit
+                        watches.setdefault(other, []).append(clause)
+                        break
+                else:
+                    keep.append(clause)
+                    if val == -1:
+                        keep.extend(watchers[i:])
+                        watches[false_lit] = keep
+                        self.qhead = qhead
+                        return clause
+                    vals[first] = 1
+                    vals[-first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = cur_level
+                    reason[v] = clause
+                    trail.append(first)
+            watches[false_lit] = keep
+        self.qhead = qhead
+        return None
+
+    # -- learning ------------------------------------------------------------
+
+    def _bump(self, v: int):
+        act = self.activity[v] + self.var_inc
+        self.activity[v] = act
+        heappush(self.heap, (-act, v))
+        self.queued[v] = 1
+        if act > 1e100:
+            for u in range(1, self.n + 1):
+                self.activity[u] *= 1e-100
+            self.var_inc *= 1e-100
+            vals = self.vals
+            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if not vals[u]]
+            heapify(self.heap)
+            self.queued = bytearray(0 if vals[u] else 1 for u in range(self.n + 1))
+
+    def _analyze(self, conflict):
+        learnt = [0]  # slot for the asserting literal
+        seen = self._seen
+        counter = 0
+        lit = 0
+        reason = conflict
+        idx = len(self.trail) - 1
+        cur_level = len(self.trail_lim)
+        touched = []
+        while True:
+            for q in reason:
+                if q == lit:
+                    continue
+                v = abs(q)
+                if not seen[v] and self.level[v] > 0:
+                    seen[v] = 1
+                    touched.append(v)
+                    self._bump(v)
+                    if self.level[v] >= cur_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(self.trail[idx])]:
+                idx -= 1
+            lit = -self.trail[idx]
+            v = abs(lit)
+            counter -= 1
+            idx -= 1
+            if counter == 0:
+                break
+            reason = self.reason[v]
+        learnt[0] = lit
+        for v in touched:
+            seen[v] = 0
+        # slot 1 gets the deepest remaining literal so watches stay coherent
+        back = 0
+        if len(learnt) > 1:
+            deepest = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+            learnt[1], learnt[deepest] = learnt[deepest], learnt[1]
+            back = self.level[abs(learnt[1])]
+        return learnt, back
+
+    def _cancel_until(self, level: int):
+        trail_lim = self.trail_lim
+        if len(trail_lim) > level:
+            trail = self.trail
+            vals = self.vals
+            reason = self.reason
+            saved_phase = self.saved_phase
+            activity = self.activity
+            queued = self.queued
+            heap = self.heap
+            bound = trail_lim[level]
+            del trail_lim[level:]
+            for lit in reversed(trail[bound:]):
+                v = lit if lit > 0 else -lit
+                saved_phase[v] = 1 if lit > 0 else 0
+                vals[lit] = 0
+                vals[-lit] = 0
+                reason[v] = None
+                if not queued[v]:
+                    heappush(heap, (-activity[v], v))
+                    queued[v] = 1
+            del trail[bound:]
+        self.qhead = len(self.trail)
+
+    def _decide(self) -> int:
+        heap = self.heap
+        vals = self.vals
+        activity = self.activity
+        queued = self.queued
+        while heap:
+            act, v = heappop(heap)
+            if -act == activity[v]:
+                queued[v] = 0
+                if not vals[v]:
+                    return v if self.saved_phase[v] else -v
+        for v in range(1, self.n + 1):
+            if not vals[v]:
+                return v if self.saved_phase[v] else -v
+        return 0
+
+    # -- main loop -----------------------------------------------------------
+
+    def solve(self, timeout: float | None = None) -> list[int] | None:
+        """Return a model as a list of signed literals, or None if UNSAT."""
+        if not self.ok:
+            return None
+        if self._propagate() is not None:
+            return None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+        conflicts = 0
+        decisions = 0
+        restart_idx = 1
+        budget = 100 * _luby(restart_idx)
+        since_restart = 0
+        while True:
+            conflict = self._propagate()
+            if deadline is not None and (conflicts + decisions) % 64 == 0 \
+                    and time.monotonic() > deadline:
+                raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+            if conflict is not None:
+                conflicts += 1
+                since_restart += 1
+                if len(self.trail_lim) == 0:
+                    return None
+                learnt, back = self._analyze(conflict)
+                self._cancel_until(back)
+                if len(learnt) == 1:
+                    if not (self._enqueue(learnt[0], None) and self._propagate() is None):
+                        return None
+                else:
+                    self.clauses.append(learnt)
+                    self.watches.setdefault(learnt[0], []).append(learnt)
+                    self.watches.setdefault(learnt[1], []).append(learnt)
+                    self._enqueue(learnt[0], learnt)
+                self.var_inc /= 0.95
+                continue
+            if since_restart >= budget and self.trail_lim:
+                since_restart = 0
+                restart_idx += 1
+                budget = 100 * _luby(restart_idx)
+                self._cancel_until(0)
+                continue
+            lit = self._decide()
+            if lit == 0:
+                model = [v if self.vals[v] == 1 else -v for v in range(1, self.n + 1)]
+                self._verify(model)
+                return model
+            decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(lit, None)
+
+    def _verify(self, model: list[int]):
+        truth = {l for l in model}
+        for clause in self.clauses:
+            if not any(l in truth for l in clause):
+                raise RuntimeError("internal error: model does not satisfy clause set")

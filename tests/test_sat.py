@@ -10,7 +10,8 @@ from scmr.architecture import (
     right_column_architecture,
 )
 from scmr.bench import known_optimal, random_circuit
-from scmr.circuit import circuit_from_gates, cnot, depth, parse_circuit, tgate
+from scmr.circuit import (GateKind, circuit_from_gates, cnot, depth, parse_circuit,
+                          serialize_circuit, tgate)
 from scmr.mapping import qubit_map, random_map, struct_map
 from scmr.routing import GateRoute, validate
 from scmr.sat import (
@@ -18,6 +19,7 @@ from scmr.sat import (
     CdclSolver,
     CnfInstance,
     ProcessBackend,
+    SolverTimeout,
     VarTable,
     decode,
     dimacs_text,
@@ -35,6 +37,7 @@ from scmr.sat.encoding import _adjacency
 
 import oracles
 from oracles import CdclSolver as ReferenceSolver
+from oracles import DictWatchCdclSolver
 from oracles import brute_force_optimum, count_projected_models, dpll_satisfiable
 from oracles import encode as reference_encode
 from oracles import exec_windows as reference_exec_windows
@@ -297,6 +300,18 @@ def test_cnf_instance_rejects_bad_literals():
         CnfInstance(1, [[0]], VarTable(), 1)
 
 
+def test_cnf_instance_names_first_bad_literal_in_clause_order():
+    # the largest and the smallest bad literal come later than the first one
+    with pytest.raises(ValueError, match=r"^literal 5 out of range 1\.\.3$"):
+        CnfInstance(3, [[1, -2], [], [3, 5, 0], [-9], [40]], VarTable(), 1)
+    with pytest.raises(ValueError, match=r"^literal 0 out of range 1\.\.3$"):
+        CnfInstance(3, [[-3], [0, -4]], VarTable(), 1)
+    with pytest.raises(ValueError, match=r"^literal -4 out of range 1\.\.3$"):
+        CnfInstance(3, [[2, -4, 4]], VarTable(), 1)
+    CnfInstance(3, [[], [3, -3, 1]], VarTable(), 1)
+    CnfInstance(0, [[]], VarTable(), 1)
+
+
 # ---------------------------------------------------------------------------
 # Optimal loop
 # ---------------------------------------------------------------------------
@@ -438,13 +453,23 @@ def test_encoding_bytes_pinned():
 # folded into the encoding and the CDCL inner loops were tightened
 # ---------------------------------------------------------------------------
 
+def _watch_lists(solver):
+    """Each literal's non-empty watch list, from a dict keyed by literal or a
+    list indexed by literal (negative ones from the end)."""
+    watches = solver.watches
+    if isinstance(watches, dict):
+        return {lit: w for lit, w in watches.items() if w}
+    assert len(watches) == 2 * solver.n + 1 and not watches[0]
+    return {lit: watches[lit] for lit in range(-solver.n, solver.n + 1) if watches[lit]}
+
+
 def _assert_same_solver_run(num_vars, clauses, ref_clauses):
     """Both solvers hold the same state after construction, then return the
     same model and end with the same clauses, learned ones included."""
     new = CdclSolver(num_vars, clauses)
     ref = ReferenceSolver(num_vars, ref_clauses)
     assert (new.clauses, new.trail, new.ok) == (ref.clauses, ref.trail, ref.ok)
-    assert new.watches == ref.watches
+    assert _watch_lists(new) == _watch_lists(ref)
     model = new.solve()
     assert model == ref.solve()
     assert new.clauses == ref.clauses
@@ -554,3 +579,159 @@ def test_cdcl_rejects_out_of_range_literals():
         solve_clauses(1, [[2]])
     with pytest.raises(ValueError, match="literal 0 out of range"):
         solve_clauses(2, [[1, 0]])
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the solver before one-pass clause intake and
+# literal-indexed watch lists
+# ---------------------------------------------------------------------------
+
+def _assert_matches_dict_watch_solver(num_vars, clauses_of):
+    """Both solvers raise the same error, or hold the same state after
+    construction and then return the same model, learn the same clauses and
+    end with the same activities and watch lists. `clauses_of()` builds the
+    clauses afresh for each solver, so they may hold generators. Returns the
+    model (or None) and the number of learned clauses, or the error text."""
+    try:
+        ref = DictWatchCdclSolver(num_vars, clauses_of())
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            CdclSolver(num_vars, clauses_of())
+        assert str(got.value) == str(e)
+        return str(e)
+    new = CdclSolver(num_vars, clauses_of())
+    assert (new.clauses, new.trail, new.ok) == (ref.clauses, ref.trail, ref.ok)
+    assert _watch_lists(new) == _watch_lists(ref)
+    kept = len(new.clauses)
+    model = new.solve()
+    assert model == ref.solve()
+    assert new.clauses == ref.clauses
+    assert new.activity == ref.activity
+    assert (new.trail, _watch_lists(new)) == (ref.trail, _watch_lists(ref))
+    return model, len(new.clauses) - kept
+
+
+def _perfbench_shaped_probes():
+    """(label, cnf) for the kinds of formula the `exact` benchmark workload
+    solves: fixed struct maps at depth 6 and 10, a T-heavy right-column map,
+    a free map and a center-column map with a CNOT across the magic column."""
+    bordered = bordered_architecture(4)
+    for d in (6, 10):
+        circuit = random_circuit(4, d, 0.2, seed=d)
+        yield f"fixed d{d}", encode(bordered, circuit, struct_map(bordered, circuit), t_s=d)
+    right = right_column_architecture(4)
+    t_heavy = random_circuit(4, 3, 0.7, seed=1)
+    for t in (3, 4, 5):
+        yield f"T-heavy t={t}", encode(right, t_heavy, struct_map(right, t_heavy), t_s=t)
+    free = random_circuit(4, 2, 0.2, seed=2)
+    yield "free map", encode(bordered, free, None, t_s=2)
+    center = center_column_architecture(4, widen=True)
+    column = min(v[0] for v in center.magic)
+    for seed in itertools.count():
+        cross = random_circuit(4, 2, 0.3, seed=seed)
+        qmap = struct_map(center, cross)
+        if any(g.kind is GateKind.CNOT
+               and (qmap[g.control][0] < column) != (qmap[g.target][0] < column)
+               for g in cross.gates):
+            yield "cross-column", encode(center, cross, qmap, t_s=2)
+            break
+
+
+def test_cdcl_matches_dict_watch_solver_on_perfbench_shaped_formulas():
+    verdicts = {}
+    learned = 0
+    for label, cnf in _perfbench_shaped_probes():
+        model, n_learned = _assert_matches_dict_watch_solver(cnf.num_vars, lambda: cnf.clauses)
+        verdicts[label] = model is not None
+        learned += n_learned
+    assert verdicts["fixed d6"] and verdicts["fixed d10"] and verdicts["free map"]
+    assert not verdicts["cross-column"]
+    assert learned > 0
+
+
+_CLAUSE_SHAPES = (list, tuple, lambda lits: (l for l in lits))
+
+
+def _random_clause_specs(rng):
+    """A random formula over 2-60 variables with the cases clause intake
+    tells apart: duplicate literals, tautologies, literals fixed by earlier
+    units (root-satisfied or root-false clauses), now and then conflicting
+    units, the empty clause or a 0 / out-of-range literal; each clause a
+    list, tuple or generator."""
+    n = rng.randint(2, 60)
+    lit = lambda v: v if rng.random() < 0.5 else -v
+    specs = [[lit(rng.randint(1, n))] for _ in range(rng.randint(0, 3))]
+    for _ in range(int(n * rng.uniform(1.5, 5.0))):
+        width = 1 if rng.random() < 0.02 else rng.choice((2, 3, 3, 3, 4))
+        lits = [lit(v) for v in rng.sample(range(1, n + 1), min(width, n))]
+        r = rng.random()
+        if r < 0.05:
+            lits.insert(rng.randrange(len(lits) + 1), lits[0])
+        elif r < 0.1:
+            lits.insert(rng.randrange(len(lits) + 1), -lits[0])
+        specs.append(lits)
+    r = rng.random()
+    if r < 0.05:
+        specs.insert(rng.randrange(len(specs) + 1), [])
+    elif r < 0.1:
+        v, at = rng.randint(1, n), rng.randrange(len(specs) + 1)
+        specs[at:at] = [[v], [-v]]
+    elif r < 0.2:
+        bad = rng.choice((0, n + 1, -(n + 1), 2 * n, -2 * n))
+        target = rng.choice(specs)
+        target.insert(rng.randrange(len(target) + 1), bad)
+    shapes = [rng.choice(_CLAUSE_SHAPES) for _ in specs]
+    return n, lambda: [shape(lits) for shape, lits in zip(shapes, specs)]
+
+
+def test_cdcl_matches_dict_watch_solver_on_random_cnf():
+    import random
+    rng = random.Random(23)
+    outcomes = {"sat": 0, "unsat": 0, "error": 0}
+    learned = 0
+    for trial in range(400):
+        n, clauses_of = _random_clause_specs(rng)
+        got = _assert_matches_dict_watch_solver(n, clauses_of)
+        if isinstance(got, str):
+            outcomes["error"] += 1
+            continue
+        model, n_learned = got
+        outcomes["sat" if model is not None else "unsat"] += 1
+        learned += n_learned
+    assert all(outcomes.values()) and learned > 0, outcomes
+
+
+def test_probe_timeout_counts_solver_construction(monkeypatch, tmp_path, capsys):
+    import sys
+    import time
+
+    from scmr.cli import EXIT_TIMEOUT, run
+
+    timeouts = []
+
+    class SlowBuild:
+        def __init__(self, num_vars, clauses):
+            time.sleep(0.05)
+
+        def solve(self, timeout=None):
+            timeouts.append(timeout)
+            return None
+
+    monkeypatch.setattr(sys.modules["scmr.sat.solve"], "CdclSolver", SlowBuild)
+    circuit = circuit_from_gates([cnot("a", "b")])
+    cnf = encode(GRID3, circuit, t_s=1)
+    with pytest.raises(SolverTimeout, match=r"^no verdict within 0\.010s$"):
+        solve(cnf, timeout=0.01)
+    assert timeouts == []
+    assert solve(cnf, timeout=5.0) is None
+    assert 0 < timeouts[-1] <= 5.0 - 0.05
+    assert solve(cnf) is None and timeouts[-1] is None
+    with pytest.raises(SolverTimeout, match="^probes up to 1 steps timed out without a solution$"):
+        solve_optimal(GRID3, circuit, timeout=0.01)
+    circuit_file = tmp_path / "one.qc"
+    circuit_file.write_text(serialize_circuit(circuit))
+    capsys.readouterr()
+    code = run(["compile", str(circuit_file), "--out", str(tmp_path / "out"), "--mapper",
+                "optimal", "--router", "optimal", "--timeout", "0.01"])
+    assert code == EXIT_TIMEOUT
+    assert capsys.readouterr().err == "timeout: probes up to 1 steps timed out without a solution\n"
