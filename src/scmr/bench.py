@@ -4,13 +4,18 @@ known_optimal builds circuits whose optimal step count equals their depth;
 random_circuit gives seeded filler workloads with exact qubit count and
 depth; the remaining generators are the constructive halves of the
 scheduling and disjoint-path reductions (job gadgets, dependency circuit,
-cycle circuit, processor-unit architectures, vertex-gadget tilings).
+cycle circuit, processor-unit architectures, vertex-gadget tilings). They
+reject, with BenchError, a repeated job or edge, a job id unfit for qubit
+names, an edge to an unknown job, to itself or on a cycle, and a pair
+vertex that is not two integers, lies off the pair grid or is in two pairs.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
+from heapq import heappop, heappush
 
 from .architecture import Architecture, Vertex, is_json_vertex
 from .circuit import Circuit, circuit_from_gates, cnot, tgate
@@ -88,9 +93,8 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
 def _gadget_gates(job, d: int):
     if d < 0:
         raise BenchError("degree bound must be nonnegative")
-    io = [f"q_{job}_{i}" for i in range(d + 1)]
-    ins = [cnot(io[0], io[i]) for i in range(1, d + 1)]
-    return ins + [tgate(io[0])] + list(ins)
+    ins = [cnot(f"q_{job}_0", f"q_{job}_{i}") for i in range(1, d + 1)]
+    return ins + [tgate(f"q_{job}_0")] + ins
 
 
 def job_gadget(job, d: int) -> Circuit:
@@ -99,45 +103,65 @@ def job_gadget(job, d: int) -> Circuit:
     return circuit_from_gates(_gadget_gates(job, d))
 
 
-def _degree_bound(jobs, edges) -> int:
-    out_deg = {j: 0 for j in jobs}
-    in_deg = {j: 0 for j in jobs}
-    for a, b in edges:
-        out_deg[a] += 1
-        in_deg[b] += 1
-    return max([*out_deg.values(), *in_deg.values()], default=0)
+def _job_graph(jobs: list, edges: list[tuple]) -> tuple[list, dict, dict]:
+    """Check a dependency spec once; return (order, preds, succs).
 
-
-def _job_order(jobs: list, edges: list[tuple]) -> list:
-    """The jobs in stable topological order, after checking that each job is
-    listed once, every edge joins two distinct listed jobs and the edges
-    contain no cycle."""
-    seen = set()
+    `order` is the stable topological order: of the ready jobs, the one listed
+    first goes first. `preds[j]` and `succs[j]` list j's direct prerequisites
+    and dependents in job order. BenchError names the first fault of: a
+    repeated job, an edge to an unknown job or to itself, a cycle, then per
+    job an id `str(j)` (j owns the qubits `q_<j>_<i>`) that is not letters,
+    digits and `_` only or is an earlier job's, or a repeated edge out of j.
+    """
+    pos = {}
     for j in jobs:
-        if j in seen:
+        if j in pos:
             raise BenchError(f"job {j!r} is listed more than once")
-        seen.add(j)
+        pos[j] = len(pos)
     for a, b in edges:
-        if a not in seen or b not in seen:
+        if a not in pos or b not in pos:
             raise BenchError(f"edge ({a}, {b}) references unknown job")
         if a == b:
             raise BenchError(f"self-dependency on job {a}")
-    pos = {j: i for i, j in enumerate(jobs)}
-    remaining = {j: sum(1 for a, b in edges if b == j) for j in jobs}
-    ready = [j for j in jobs if remaining[j] == 0]
-    topo = []
+    preds = {j: [] for j in jobs}
+    succs = {j: [] for j in jobs}
+    for a, b in sorted(edges, key=lambda e: (pos[e[0]], pos[e[1]])):
+        succs[a].append(b)
+        preds[b].append(a)
+    waiting = {j: len(preds[j]) for j in jobs}
+    ready = [pos[j] for j in jobs if not waiting[j]]  # ascending, so already a heap
+    order = []
     while ready:
-        j = ready.pop(0)
-        topo.append(j)
-        for a, b in edges:
-            if a == j:
-                remaining[b] -= 1
-                if remaining[b] == 0 and b not in ready:
-                    ready.append(b)
-        ready.sort(key=pos.get)
-    if len(topo) != len(jobs):
+        order.append(jobs[heappop(ready)])
+        for b in succs[order[-1]]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                heappush(ready, pos[b])
+    if len(order) != len(jobs):
         raise BenchError("dependency edges contain a cycle")
-    return topo
+    names = {}
+    for j in jobs:
+        if not re.fullmatch(r"[A-Za-z0-9_]*", str(j)):
+            raise BenchError(f"job {j!r} cannot name qubits: use only letters, digits and _")
+        if names.setdefault(str(j), j) is not j:
+            raise BenchError(f"jobs {names[str(j)]!r} and {j!r} would share the qubits q_{j}_<i>")
+        for b, c in zip(succs[j], succs[j][1:]):  # in job order, so repeats are neighbours
+            if b == c:
+                raise BenchError(f"edge ({j}, {b}) is listed more than once")
+    return order, preds, succs
+
+
+def _dependency_gates(jobs, edges) -> tuple[list, int]:
+    """Gate specs of the dependency circuit, and its degree bound."""
+    order, preds, succs = _job_graph(list(jobs), list(edges))
+    d = max(map(len, (*preds.values(), *succs.values())), default=0)
+    out_index = {(a, b): i for a in order for i, b in enumerate(succs[a], start=1)}
+    gates = []
+    for j in order:
+        for i, a in enumerate(preds[j], start=1):
+            gates.append(cnot(f"q_{a}_{out_index[a, j]}", f"q_{j}_{i}"))
+        gates.extend(_gadget_gates(j, d))
+    return gates, d
 
 
 def dependency_circuit(jobs, edges) -> Circuit:
@@ -146,53 +170,32 @@ def dependency_circuit(jobs, edges) -> Circuit:
 
     `jobs` is an ordered list of hashable ids; `edges` are Hasse-diagram
     pairs (prerequisite, dependent). Edge endpoints get I/O qubit indices by
-    partner position in `jobs`.
+    partner position in `jobs`. `_job_graph` lists the faults it rejects.
     """
-    jobs = list(jobs)
-    edges = list(edges)
-    topo = _job_order(jobs, edges)
-    pos = {j: i for i, j in enumerate(jobs)}
-    d = _degree_bound(jobs, edges)
-
-    out_index: dict[tuple, int] = {}
-    in_index: dict[tuple, int] = {}
-    for j in jobs:
-        outs = sorted((b for a, b in edges if a == j), key=pos.get)
-        for i, b in enumerate(outs, start=1):
-            out_index[(j, b)] = i
-        ins = sorted((a for a, b in edges if b == j), key=pos.get)
-        for i, a in enumerate(ins, start=1):
-            in_index[(a, j)] = i
-
-    # transitions into a job precede its gadget
-    gates = []
-    for j in topo:
-        for a in sorted((a for a, b in edges if b == j), key=pos.get):
-            gates.append(cnot(f"q_{a}_{out_index[(a, j)]}", f"q_{j}_{in_index[(a, j)]}"))
-        gates.extend(_gadget_gates(j, d))
-    return circuit_from_gates(gates)
+    return circuit_from_gates(_dependency_gates(jobs, edges)[0])
 
 
 def cycle_time_limit(d: int, k: int, t_p: int) -> int:
     return (2 * d + 1) * t_p + d * k * (t_p - 1)
 
 
-def cycle_circuit(d: int, k: int, t_p: int) -> Circuit:
-    """k independent two-qubit chains that hold the magic vertices busy in a
-    repeating pattern, releasing them once per cycle; every gate sits on a
-    dependency chain of the full time limit, so nothing can be delayed."""
+def _cycle_gates(d: int, k: int, t_p: int) -> list:
     if d < 0 or k < 1 or t_p < 1:
         raise BenchError("need d >= 0, k >= 1, t_p >= 1")
     gates = []
     for c in range(k):
         a, b = f"cyc{c}_a", f"cyc{c}_b"
         for cycle in range(t_p):
-            gates.extend(tgate(a) for _ in range(d))
-            gates.append(cnot(a, b))
-            gates.extend(tgate(a) for _ in range(d))
-            if cycle < t_p - 1:
-                gates.extend(tgate(a) for _ in range(d * k))
-    return circuit_from_gates(gates)
+            gap = d * k if cycle < t_p - 1 else 0
+            gates += [tgate(a)] * d + [cnot(a, b)] + [tgate(a)] * (d + gap)
+    return gates
+
+
+def cycle_circuit(d: int, k: int, t_p: int) -> Circuit:
+    """k independent two-qubit chains that hold the magic vertices busy in a
+    repeating pattern, releasing them once per cycle; every gate sits on a
+    dependency chain of the full time limit, so nothing can be delayed."""
+    return circuit_from_gates(_cycle_gates(d, k, t_p))
 
 
 def processor_unit_width(num_jobs: int) -> int:
@@ -212,22 +215,16 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
         raise BenchError("need at least one job")
-    dep = dependency_circuit(jobs, edges)  # rejects repeated jobs, unknown edge ends and cycles
-    d = _degree_bound(jobs, edges)
+    gates, d = _dependency_gates(jobs, edges)
     width = processor_unit_width(len(jobs))
     magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
     arch = Architecture(4, k * width, magic)
-    cyc = cycle_circuit(d, k, t_p)
-    circuit = circuit_from_gates(
-        [(g.kind, g.qubits) for g in dep.gates] + [(g.kind, g.qubits) for g in cyc.gates]
-    )
-    return arch, circuit, cycle_time_limit(d, k, t_p)
+    return arch, circuit_from_gates(gates + _cycle_gates(d, k, t_p)), cycle_time_limit(d, k, t_p)
 
 
 def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
     """`{"jobs": [id, ...], "edges": [[a, b], ...]}` -> (jobs, edges), job
-    ids being distinct strings or integers and edges joining two of them
-    with no cycle."""
+    ids being strings or integers, checked as `_job_graph` says."""
     data = json.loads(text)
     is_job = lambda x: type(x) in (int, str)
     edges = data.get("edges", []) if isinstance(data, dict) else None
@@ -237,7 +234,7 @@ def psp_spec_from_json(text: str) -> tuple[list, list[tuple]]:
                     for e in edges)):
         raise BenchError('expected {"jobs": [id, ...], "edges": [[a, b], ...]}')
     edges = [tuple(e) for e in edges]
-    _job_order(data["jobs"], edges)
+    _job_graph(data["jobs"], edges)
     return data["jobs"], edges
 
 
@@ -268,49 +265,49 @@ FULL_FREE = frozenset({
     (1, 2), (4, 5),                          # pockets
 })
 
-
-def _tile_cells(kind: str):
-    """(free, mapped) local cell sets for a tile kind."""
-    if kind == "empty":
-        return EMPTY_FREE, frozenset()
-    return FULL_FREE, frozenset({FULL_CENTER, FULL_BL, FULL_TR})
+# Magic cells of each tile kind: the cells a tile neither frees nor maps.
+_EMPTY_MAGIC, _FULL_MAGIC = (
+    tuple((a, b) for b in range(1, TILE + 1) for a in range(1, TILE + 1) if (a, b) not in keep)
+    for keep in (EMPTY_FREE, FULL_FREE | {FULL_CENTER, FULL_BL, FULL_TR}))
 
 
 def _offset(v: Vertex, cell: Vertex) -> Vertex:
     return ((v[0] - 1) * TILE + cell[0], (v[1] - 1) * TILE + cell[1])
 
 
+def _pair_vertices(pairs):
+    """The pair vertices in order; BenchError at the first that repeats."""
+    seen = set()
+    for pair in pairs:
+        for v in pair:
+            if v in seen:
+                raise BenchError(f"vertex {v} appears in more than one pair")
+            seen.add(v)
+            yield v
+
+
 def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, QubitMap]:
     """Node-disjoint-paths instance -> single-step routing instance.
 
     `dims` is the (cols, rows) of the pair grid; `pairs` are endpoint pairs
-    of grid vertices, each vertex in at most one pair. Solvable in one time
-    step exactly when the original instance has node-disjoint paths.
+    of grid vertices (int, int), each in at most one pair. Solvable in one
+    time step exactly when the original instance has node-disjoint paths.
     """
     gw, gh = dims
     if gw < 1 or gh < 1:
         raise BenchError(f"pair grid must be at least 1x1, got {gw}x{gh}")
-    pairs = [((int(s[0]), int(s[1])), (int(t[0]), int(t[1]))) for s, t in pairs]
-    used: list[Vertex] = []
-    for s, t in pairs:
-        for v in (s, t):
-            if not (1 <= v[0] <= gw and 1 <= v[1] <= gh):
-                raise BenchError(f"pair vertex {v} outside {gw}x{gh} grid")
-            if v in used:
-                raise BenchError(f"vertex {v} appears in more than one pair")
-            used.append(v)
+    pairs = [(tuple(s), tuple(t)) for s, t in pairs]
+    for v in _pair_vertices(pairs):
+        if not (len(v) == 2 and all(type(x) is int for x in v)):
+            raise BenchError(f"pair vertex {v} is not two integers")
+        if not (1 <= v[0] <= gw and 1 <= v[1] <= gh):
+            raise BenchError(f"pair vertex {v} outside {gw}x{gh} grid")
+    used = dict.fromkeys(v for pair in pairs for v in pair)
 
-    magic: set[Vertex] = set()
+    magic = frozenset(_offset((x, y), cell) for y in range(1, gh + 1) for x in range(1, gw + 1)
+                      for cell in (_FULL_MAGIC if (x, y) in used else _EMPTY_MAGIC))
     assignment: dict[str, Vertex] = {}
     gates = []
-    for y in range(1, gh + 1):
-        for x in range(1, gw + 1):
-            kind = "full" if (x, y) in used else "empty"
-            free, mapped = _tile_cells(kind)
-            for b in range(1, TILE + 1):
-                for a in range(1, TILE + 1):
-                    if (a, b) not in free and (a, b) not in mapped:
-                        magic.add(_offset((x, y), (a, b)))
     for i, (s, t) in enumerate(pairs):
         assignment[f"src{i}"] = _offset(s, FULL_CENTER)
         assignment[f"tar{i}"] = _offset(t, FULL_CENTER)
@@ -321,15 +318,17 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
         assignment[f"bl_{name}"] = _offset(v, FULL_BL)
         gates.append(cnot(f"tr_{name}", f"bl_{name}"))
 
-    arch = Architecture(gh * TILE, gw * TILE, frozenset(magic))
+    arch = Architecture(gh * TILE, gw * TILE, magic)
     return arch, circuit_from_gates(gates), qubit_map(assignment)
 
 
 def ndp_pairs_from_json(text: str) -> list[tuple[Vertex, Vertex]]:
-    """`[[[x, y], [x, y]], ...]` -> endpoint pairs of pair-grid vertices."""
+    """`[[[x, y], [x, y]], ...]` -> endpoint pairs, no vertex in two pairs."""
     data = json.loads(text)
     if not (isinstance(data, list)
             and all(isinstance(p, list) and len(p) == 2 and all(is_json_vertex(v) for v in p)
                     for p in data)):
         raise BenchError("expected [[[x, y], [x, y]], ...]")
-    return [(tuple(s), tuple(t)) for s, t in data]
+    pairs = [(tuple(s), tuple(t)) for s, t in data]
+    list(_pair_vertices(pairs))  # ends in BenchError at a repeated vertex
+    return pairs

@@ -14,8 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from heapq import heapify, heappop, heappush
 
 from scmr.architecture import Architecture, ArchitectureError, Vertex
-from scmr.circuit import (Circuit, Gate, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights,
-                          topological_layering)
+from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE, FULL_TR, TILE, _offset,
+                         cycle_time_limit, processor_unit_width)
+from scmr.circuit import (Circuit, Gate, GateKind, circuit_from_gates, cnot, consecutive_qubit_pairs, gate_depths,
+                          gate_heights, tgate, topological_layering)
 from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
@@ -1653,3 +1655,190 @@ class DictWatchCdclSolver:
         for clause in self.clauses:
             if not any(l in truth for l in clause):
                 raise RuntimeError("internal error: model does not satisfy clause set")
+
+
+# ---------------------------------------------------------------------------
+# The reduction generators as they were before one checked job graph and
+# precomputed tile magic cells: the degree bound and the topological order
+# computed separately, the edge list scanned once per job, the circuit built
+# twice, every tile's magic cells found by a 25-cell complement. Kept
+# verbatim as the reference the generators must match byte for byte; the
+# constants, `_offset`, `cycle_time_limit` and `processor_unit_width` are
+# imported from `scmr.bench`, where they are unchanged.
+# ---------------------------------------------------------------------------
+
+def _gadget_gates(job, d: int):
+    if d < 0:
+        raise BenchError("degree bound must be nonnegative")
+    io = [f"q_{job}_{i}" for i in range(d + 1)]
+    ins = [cnot(io[0], io[i]) for i in range(1, d + 1)]
+    return ins + [tgate(io[0])] + list(ins)
+
+
+def _degree_bound(jobs, edges) -> int:
+    out_deg = {j: 0 for j in jobs}
+    in_deg = {j: 0 for j in jobs}
+    for a, b in edges:
+        out_deg[a] += 1
+        in_deg[b] += 1
+    return max([*out_deg.values(), *in_deg.values()], default=0)
+
+
+def _job_order(jobs: list, edges: list[tuple]) -> list:
+    """The jobs in stable topological order, after checking that each job is
+    listed once, every edge joins two distinct listed jobs and the edges
+    contain no cycle."""
+    seen = set()
+    for j in jobs:
+        if j in seen:
+            raise BenchError(f"job {j!r} is listed more than once")
+        seen.add(j)
+    for a, b in edges:
+        if a not in seen or b not in seen:
+            raise BenchError(f"edge ({a}, {b}) references unknown job")
+        if a == b:
+            raise BenchError(f"self-dependency on job {a}")
+    pos = {j: i for i, j in enumerate(jobs)}
+    remaining = {j: sum(1 for a, b in edges if b == j) for j in jobs}
+    ready = [j for j in jobs if remaining[j] == 0]
+    topo = []
+    while ready:
+        j = ready.pop(0)
+        topo.append(j)
+        for a, b in edges:
+            if a == j:
+                remaining[b] -= 1
+                if remaining[b] == 0 and b not in ready:
+                    ready.append(b)
+        ready.sort(key=pos.get)
+    if len(topo) != len(jobs):
+        raise BenchError("dependency edges contain a cycle")
+    return topo
+
+
+def dependency_circuit(jobs, edges) -> Circuit:
+    """Concatenated job gadgets plus one transition CNOT per direct
+    dependency, wired so the T gates' dependency order equals the job order.
+
+    `jobs` is an ordered list of hashable ids; `edges` are Hasse-diagram
+    pairs (prerequisite, dependent). Edge endpoints get I/O qubit indices by
+    partner position in `jobs`.
+    """
+    jobs = list(jobs)
+    edges = list(edges)
+    topo = _job_order(jobs, edges)
+    pos = {j: i for i, j in enumerate(jobs)}
+    d = _degree_bound(jobs, edges)
+
+    out_index: dict[tuple, int] = {}
+    in_index: dict[tuple, int] = {}
+    for j in jobs:
+        outs = sorted((b for a, b in edges if a == j), key=pos.get)
+        for i, b in enumerate(outs, start=1):
+            out_index[(j, b)] = i
+        ins = sorted((a for a, b in edges if b == j), key=pos.get)
+        for i, a in enumerate(ins, start=1):
+            in_index[(a, j)] = i
+
+    # transitions into a job precede its gadget
+    gates = []
+    for j in topo:
+        for a in sorted((a for a, b in edges if b == j), key=pos.get):
+            gates.append(cnot(f"q_{a}_{out_index[(a, j)]}", f"q_{j}_{in_index[(a, j)]}"))
+        gates.extend(_gadget_gates(j, d))
+    return circuit_from_gates(gates)
+
+
+def cycle_circuit(d: int, k: int, t_p: int) -> Circuit:
+    """k independent two-qubit chains that hold the magic vertices busy in a
+    repeating pattern, releasing them once per cycle; every gate sits on a
+    dependency chain of the full time limit, so nothing can be delayed."""
+    if d < 0 or k < 1 or t_p < 1:
+        raise BenchError("need d >= 0, k >= 1, t_p >= 1")
+    gates = []
+    for c in range(k):
+        a, b = f"cyc{c}_a", f"cyc{c}_b"
+        for cycle in range(t_p):
+            gates.extend(tgate(a) for _ in range(d))
+            gates.append(cnot(a, b))
+            gates.extend(tgate(a) for _ in range(d))
+            if cycle < t_p - 1:
+                gates.extend(tgate(a) for _ in range(d * k))
+    return circuit_from_gates(gates)
+
+
+def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, int]:
+    """Scheduling instance -> (architecture, circuit, time limit).
+
+    The architecture chains k processor units (4 rows by 6|J|+1 columns,
+    magic vertex in the second row from the bottom, second column from the
+    right of each unit); the circuit runs the dependency circuit next to the
+    cycle circuit on disjoint qubits.
+    """
+    jobs = list(jobs)
+    if k < 1 or t_p < 1:
+        raise BenchError("need k >= 1 and t_p >= 1")
+    if not jobs:
+        raise BenchError("need at least one job")
+    dep = dependency_circuit(jobs, edges)  # rejects repeated jobs, unknown edge ends and cycles
+    d = _degree_bound(jobs, edges)
+    width = processor_unit_width(len(jobs))
+    magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
+    arch = Architecture(4, k * width, magic)
+    cyc = cycle_circuit(d, k, t_p)
+    circuit = circuit_from_gates(
+        [(g.kind, g.qubits) for g in dep.gates] + [(g.kind, g.qubits) for g in cyc.gates]
+    )
+    return arch, circuit, cycle_time_limit(d, k, t_p)
+
+
+def _tile_cells(kind: str):
+    """(free, mapped) local cell sets for a tile kind."""
+    if kind == "empty":
+        return EMPTY_FREE, frozenset()
+    return FULL_FREE, frozenset({FULL_CENTER, FULL_BL, FULL_TR})
+
+
+def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, QubitMap]:
+    """Node-disjoint-paths instance -> single-step routing instance.
+
+    `dims` is the (cols, rows) of the pair grid; `pairs` are endpoint pairs
+    of grid vertices, each vertex in at most one pair. Solvable in one time
+    step exactly when the original instance has node-disjoint paths.
+    """
+    gw, gh = dims
+    if gw < 1 or gh < 1:
+        raise BenchError(f"pair grid must be at least 1x1, got {gw}x{gh}")
+    pairs = [((int(s[0]), int(s[1])), (int(t[0]), int(t[1]))) for s, t in pairs]
+    used: list[Vertex] = []
+    for s, t in pairs:
+        for v in (s, t):
+            if not (1 <= v[0] <= gw and 1 <= v[1] <= gh):
+                raise BenchError(f"pair vertex {v} outside {gw}x{gh} grid")
+            if v in used:
+                raise BenchError(f"vertex {v} appears in more than one pair")
+            used.append(v)
+
+    magic: set[Vertex] = set()
+    assignment: dict[str, Vertex] = {}
+    gates = []
+    for y in range(1, gh + 1):
+        for x in range(1, gw + 1):
+            kind = "full" if (x, y) in used else "empty"
+            free, mapped = _tile_cells(kind)
+            for b in range(1, TILE + 1):
+                for a in range(1, TILE + 1):
+                    if (a, b) not in free and (a, b) not in mapped:
+                        magic.add(_offset((x, y), (a, b)))
+    for i, (s, t) in enumerate(pairs):
+        assignment[f"src{i}"] = _offset(s, FULL_CENTER)
+        assignment[f"tar{i}"] = _offset(t, FULL_CENTER)
+        gates.append(cnot(f"src{i}", f"tar{i}"))
+    for v in sorted(used):
+        name = f"{v[0]}_{v[1]}"
+        assignment[f"tr_{name}"] = _offset(v, FULL_TR)
+        assignment[f"bl_{name}"] = _offset(v, FULL_BL)
+        gates.append(cnot(f"tr_{name}", f"bl_{name}"))
+
+    arch = Architecture(gh * TILE, gw * TILE, frozenset(magic))
+    return arch, circuit_from_gates(gates), qubit_map(assignment)

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from scmr.architecture import custom_architecture
+import oracles
+import scmr.bench
+from scmr.architecture import Architecture, architecture_to_json, custom_architecture
 from scmr.bench import (
     BenchError,
     EMPTY_FREE,
@@ -21,9 +24,10 @@ from scmr.bench import (
     psp_to_scmr,
     random_circuit,
 )
-from scmr.circuit import GateKind, depth, gate_depths, gate_heights, serialize_circuit
+from scmr.circuit import Circuit, GateKind, depth, gate_depths, gate_heights, parse_circuit, serialize_circuit
+from scmr.mapping import map_to_json
 
-from oracles import enumerate_legal_paths, neighbors
+from oracles import all_labeled_posets, enumerate_legal_paths, hasse_edges, neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,27 @@ def test_dependency_circuit_rejects_cycles_and_unknowns():
         dependency_circuit(["A"], [("A", "Z")])
     with pytest.raises(BenchError):
         psp_to_scmr(["A"], [("A", "Z")], k=1, t_p=1)
+
+
+def test_dependency_circuit_rejects_repeated_edge():
+    # a repeated edge used to raise the degree bound and wire one transition twice
+    for make in (lambda: dependency_circuit(["A", "B"], [("A", "B"), ("A", "B")]),
+                 lambda: psp_to_scmr(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "B")], 1, 1)):
+        with pytest.raises(BenchError, match=r"^edge \(A, B\) is listed more than once$"):
+            make()
+
+
+@pytest.mark.parametrize("jobs, message", [
+    ([1, "1"], "jobs 1 and '1' would share the qubits q_1_<i>"),
+    (["A", "A-B"], "job 'A-B' cannot name qubits: use only letters, digits and _"),
+    (["A B"], "job 'A B' cannot name qubits: use only letters, digits and _"),
+    ([-1], "job -1 cannot name qubits: use only letters, digits and _"),
+])
+def test_dependency_circuit_rejects_job_ids_that_cannot_name_qubits(jobs, message):
+    for make in (dependency_circuit, lambda jobs, edges: psp_to_scmr(jobs, edges, 1, 1)):
+        with pytest.raises(BenchError) as e:
+            make(jobs, [])
+        assert str(e.value) == message
 
 
 def test_dependency_circuit_rejects_repeated_jobs():
@@ -331,9 +356,119 @@ def test_ndp_to_scr_rejects_repeated_vertex():
         ndp_to_scr((2, 2), [((1, 1), (3, 3))])
 
 
+@pytest.mark.parametrize("pair", [((1.7, 1), (2, 2)), (("1", "1"), (2, 2)), ((True, 1), (2, 2)),
+                                  ((1, 1), (2, 2, 1))])
+def test_ndp_to_scr_rejects_non_integer_coordinates(pair):
+    # coordinates used to go through int(), so (1.7, 1) became (1, 1)
+    with pytest.raises(BenchError, match="is not two integers"):
+        ndp_to_scr((2, 2), [pair])
+
+
 def test_known_optimal_2_3_layering():
     from scmr.circuit import topological_layering
 
     c = known_optimal(2, 3, 1.0, seed=1)
     layers = topological_layering(c).layers
     assert len(layers) == 2 and all(len(l) == 3 for l in layers)
+
+
+# ---------------------------------------------------------------------------
+# differential: the reduction generators against the parent's, kept verbatim
+# in tests/oracles.py; inputs that only the current generators reject (a
+# repeated edge, a job id that cannot name qubits, a non-integer coordinate)
+# are never drawn
+# ---------------------------------------------------------------------------
+
+def _outcome(make, *args, roundtrip=False):
+    """The generated files' text and the time limit, or the error text. With
+    `roundtrip`, a generated circuit must parse back to itself."""
+    try:
+        made = make(*args)
+    except BenchError as e:
+        return "error", str(e)
+    out = []
+    for part in made if isinstance(made, tuple) else (made,):
+        if isinstance(part, Architecture):
+            out.append(architecture_to_json(part))
+        elif isinstance(part, Circuit):
+            out.append(serialize_circuit(part))
+            assert not roundtrip or parse_circuit(out[-1]) == part
+        else:
+            out.append(part if isinstance(part, int) else map_to_json(part))
+    return tuple(out)
+
+
+_FAULTS = ("listed more than once", "unknown job", "self-dependency", "cycle", "need k", "at least one job",
+           "outside", "more than one pair", "at least 1x1")
+
+
+def _kind(outcome) -> str:
+    """The fault an error outcome names, or "ok"."""
+    return "ok" if outcome[0] != "error" else next(f for f in _FAULTS if f in outcome[1])
+
+
+def _assert_same(name, *args):
+    """The generator `name` and its parent copy give the same outcome."""
+    new = _outcome(getattr(scmr.bench, name), *args, roundtrip=True)
+    assert new == _outcome(getattr(oracles, name), *args), (name, args)
+    return new
+
+
+def test_psp_matches_parent_generators_on_every_poset():
+    # each poset's edge lists run with str ids in one job order and int ids
+    # in the other, the pairing flipping from one poset to the next
+    checked = 0
+    for n in range(1, 6):
+        for p, closure in enumerate(all_labeled_posets(n)):
+            for edges in dict.fromkeys((tuple(hasse_edges(closure)), tuple(sorted(closure)))):
+                for order, name in ((1, (str, int)[p % 2]), (-1, (int, str)[p % 2])):
+                    jobs = [name(i) for i in range(n)][::order]
+                    named = [(name(a), name(b)) for a, b in edges][::order]
+                    assert _assert_same("psp_to_scmr", jobs, named, 1, 1)[0] != "error"
+                    checked += 1
+    assert checked > 16000
+
+
+def test_psp_matches_parent_generators_on_random_digraphs():
+    rng = random.Random(7)
+    kinds = {}
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        jobs = [rng.choice((i, str(i), f"J_{i}")) for i in range(n)]
+        rng.shuffle(jobs)
+        if jobs and rng.random() < 0.1:
+            jobs.insert(rng.randrange(len(jobs) + 1), rng.choice(jobs))
+        ends = jobs + ["nope"] * (rng.random() < 0.1)
+        rank = {j: rng.random() for j in ends}
+        dag = rng.random() < 0.5  # else edges point either way, so cycles are common
+        edges = {}  # a dict, not a set, so the order is the same in every process
+        for _ in range(rng.randint(0, 2 * n) if len(ends) > 1 else 0):
+            a, b = rng.sample(ends, 2)
+            edges[(a, b) if not dag or rank[a] < rank[b] else (b, a)] = None
+        if ends and rng.random() < 0.05:
+            edges[ends[0], ends[0]] = None
+        edges = list(edges)
+        rng.shuffle(edges)
+        _assert_same("dependency_circuit", jobs, edges)
+        k, t_p = rng.choice((0, 1, 1, 2, 3)), rng.choice((0, 1, 1, 2, 3))
+        kind = _kind(_assert_same("psp_to_scmr", jobs, edges, k, t_p))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"ok", *_FAULTS[:6]} and min(kinds.values()) >= 30, kinds
+
+
+def test_ndp_matches_parent_generator():
+    rng = random.Random(8)
+    kinds = {}
+    for _ in range(3000):
+        gw, gh = rng.choice((0, 1, 2, 2, 3, 3, 4)), rng.randint(1, 4)
+
+        def vertex():
+            if rng.random() < 0.05:
+                return rng.choice((0, gw + 1)), rng.randint(0, gh + 1)
+            v = rng.randint(1, max(gw, 1)), rng.randint(1, gh)
+            return list(v) if rng.random() < 0.1 else v
+
+        pairs = [(vertex(), vertex()) for _ in range(rng.randint(0, 4))]
+        kind = _kind(_assert_same("ndp_to_scr", (gw, gh), pairs))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"ok", *_FAULTS[6:]} and min(kinds.values()) >= 100, kinds

@@ -238,6 +238,11 @@ def test_gen_out_of_range_sizes_exit_1(tmp_path, capsys, argv, message):
     {"jobs": [1, 1]},                     # a repeated job id
     {"jobs": ["A", "B"], "edges": [["A", "C"]]},  # an edge naming no job
     {"jobs": ["A", "B"], "edges": [["A", "B"], ["B", "A"]]},  # a cycle
+    {"jobs": ["A", "B"], "edges": [["A", "B"], ["A", "B"]]},  # a repeated edge
+    {"jobs": [1, "1"]},                   # two ids naming the same qubits
+    {"jobs": ["A-B"]},                    # ids that cannot name qubits
+    {"jobs": ["A B"]},
+    {"jobs": [-1]},
 ])
 def test_gen_psp_bad_spec_exits_1_naming_the_file(tmp_path, capsys, spec):
     jobs = tmp_path / "jobs.json"
@@ -253,6 +258,7 @@ def test_gen_psp_bad_spec_exits_1_naming_the_file(tmp_path, capsys, spec):
     {"pairs": []},            # not a list
     [[[1, 1], [2, 2, 2]]],    # a vertex of three coordinates
     [[[1, 1]]],               # a pair of one vertex
+    [[[1, 1], [2, 2]], [[1, 1], [2, 1]]],  # a vertex in two pairs
 ])
 def test_gen_ndp_bad_pairs_exit_1_naming_the_file(tmp_path, capsys, spec):
     pairs = tmp_path / "pairs.json"
