@@ -2,7 +2,7 @@
 
 Encodes a tiny instance, prints the variable families and a few clauses,
 emits the DIMACS text plus the sidecar variable table, solves with the
-in-process backend, and decodes the model back into a map and a route.
+built-in CDCL solver, and decodes the model back into a map and a route.
 """
 from scmr import custom_architecture, decode, encode, parse_circuit, solve, validate
 from scmr.sat import dimacs_text

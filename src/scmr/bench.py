@@ -5,9 +5,11 @@ random_circuit gives seeded filler workloads with exact qubit count and
 depth; the remaining generators are the constructive halves of the
 scheduling and disjoint-path reductions (job gadgets, dependency circuit,
 cycle circuit, processor-unit architectures, vertex-gadget tilings). They
-reject, with BenchError, a repeated job or edge, a job id unfit for qubit
-names, an edge to an unknown job, to itself or on a cycle, and a pair
-vertex that is not two integers, lies off the pair grid or is in two pairs.
+reject, with BenchError, a size that is not an int, a repeated job or edge,
+an edge that is not a pair, a job id unfit for qubit names, an edge to an
+unknown job, to itself or on a cycle, a pair that is not two vertices, and a
+pair vertex that is not two integers, lies off the pair grid or is in two
+pairs.
 """
 from __future__ import annotations
 
@@ -26,6 +28,13 @@ class BenchError(ValueError):
     pass
 
 
+def _check_sizes(**sizes) -> None:
+    """BenchError naming the first size that is not an int (a bool is not)."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise BenchError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Synthetic circuits
 # ---------------------------------------------------------------------------
@@ -34,6 +43,7 @@ def known_optimal(d: int, k: int, rho: float = 1.0, seed: int = 0) -> Circuit:
     """d layers of CNOTs between a random even partition Left/Right of 2k
     qubits; density rho keeps ceil(rho*k) pairs per layer, always including
     pair 0 so the depth stays exactly d."""
+    _check_sizes(d=d, k=k)
     if d < 1 or k < 1:
         raise BenchError("need d >= 1 and k >= 1")
     if not 0 < rho <= 1:
@@ -61,6 +71,7 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
     gets a T. Full per-layer coverage makes every gate depend on the layer
     above, pinning the depth.
     """
+    _check_sizes(num_qubits=num_qubits, depth=depth)
     if num_qubits < 0 or depth < 0:
         raise BenchError(f"need qubits >= 0 and depth >= 0, got {num_qubits} and {depth}")
     if depth > 0 and num_qubits < 1:
@@ -91,6 +102,7 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
 # ---------------------------------------------------------------------------
 
 def _gadget_gates(job, d: int):
+    _check_sizes(d=d)
     if d < 0:
         raise BenchError("degree bound must be nonnegative")
     ins = [cnot(f"q_{job}_0", f"q_{job}_{i}") for i in range(1, d + 1)]
@@ -118,7 +130,10 @@ def _job_graph(jobs: list, edges: list[tuple]) -> tuple[list, dict, dict]:
         if j in pos:
             raise BenchError(f"job {j!r} is listed more than once")
         pos[j] = len(pos)
-    for a, b in edges:
+    for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) == 2):
+            raise BenchError(f"edge {e!r} is not a (prerequisite, dependent) pair")
+        a, b = e
         if a not in pos or b not in pos:
             raise BenchError(f"edge ({a}, {b}) references unknown job")
         if a == b:
@@ -180,6 +195,7 @@ def cycle_time_limit(d: int, k: int, t_p: int) -> int:
 
 
 def _cycle_gates(d: int, k: int, t_p: int) -> list:
+    _check_sizes(d=d, k=k, t_p=t_p)
     if d < 0 or k < 1 or t_p < 1:
         raise BenchError("need d >= 0, k >= 1, t_p >= 1")
     gates = []
@@ -211,6 +227,7 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
     cycle circuit on disjoint qubits.
     """
     jobs = list(jobs)
+    _check_sizes(k=k, t_p=t_p)
     if k < 1 or t_p < 1:
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
@@ -293,9 +310,17 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
     of grid vertices (int, int), each in at most one pair. Solvable in one
     time step exactly when the original instance has node-disjoint paths.
     """
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
+        raise BenchError(f"dims must be (cols, rows), got {dims!r}")
     gw, gh = dims
+    _check_sizes(cols=gw, rows=gh)
     if gw < 1 or gh < 1:
         raise BenchError(f"pair grid must be at least 1x1, got {gw}x{gh}")
+    pairs = list(pairs)
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(v, (tuple, list)) for v in pair)):
+            raise BenchError(f"pair {pair!r} is not two vertices")
     pairs = [(tuple(s), tuple(t)) for s, t in pairs]
     for v in _pair_vertices(pairs):
         if not (len(v) == 2 and all(type(x) is int for x in v)):

@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
     c.add_argument("--arch", default="bordered",
                    help="bordered | right-column | center-column | path to arch JSON")
     c.add_argument("--timeout", type=float, default=None,
-                   help="per-solve timeout in seconds, above 0 (default none)")
+                   help="per-probe timeout in seconds, above 0 (default none)")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="out")
     c.add_argument("--metrics", default=None, help="append one CSV row here")

@@ -2,8 +2,8 @@
 
 Self-contained CDCL with two-literal watches, first-UIP learning, VSIDS-style
 activities, Luby restarts and phase saving. Built for the instance sizes this
-package produces (up to a few hundred thousand clauses); anything heavier
-should go through the external-process backend instead.
+package produces (up to a few hundred thousand clauses); for heavier ones,
+write the formula with `write_instance` and run an external solver on it.
 
 As in MiniSat (Een & Sorensson, "An Extensible SAT-solver", SAT 2003), values
 and watch lists live in tables indexed by literal (a negative literal counts

@@ -1,9 +1,11 @@
-"""DIMACS CNF emission/parsing and the solver-output format.
+"""DIMACS CNF emission and the solver-output format.
 
 Emission is byte-stable: `p cnf <vars> <clauses>` header, one clause per
 line, literals space-separated, zero-terminated. The sidecar variable table
 maps integer ids back to `map q (a,b)` / `exec g t` / `path (u) (v) g t`
-records for debugging.
+records for debugging. These files are the boundary to external solvers:
+run one on the `.cnf` file, read its `s`/`v` lines with
+`parse_solver_output` and pass the model to `encoding.decode`.
 """
 from __future__ import annotations
 
@@ -38,32 +40,6 @@ def write_instance(cnf, base_path) -> tuple[str, str]:
         write_dimacs(cnf.num_vars, cnf.clauses, f)
     vars_path.write_text(cnf.table.table_text())
     return str(cnf_path), str(vars_path)
-
-
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    num_vars = 0
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
-            continue
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
-    return num_vars, clauses
 
 
 def parse_solver_output(text: str) -> list[int] | None:

@@ -25,10 +25,10 @@ A pinned map is folded into the formula: the unit clauses that pin it stay,
 clauses it satisfies are left out and map literals it makes false are
 dropped, so the data-clear family keeps one two-literal clause per mapped
 vertex and none at an empty one. Every variable keeps its id, so the folded
-formula has the same variables and the same models; `write_instance` and
-`ProcessBackend` see the folded formula. The built-in CDCL solver drops the
-same clauses and literals at the root itself, and ends up with the same
-clause list either way.
+formula has the same variables and the same models; `write_instance` writes
+the folded formula. The built-in CDCL solver drops the same clauses and
+literals at the root itself, and ends up with the same clause list either
+way.
 """
 from __future__ import annotations
 

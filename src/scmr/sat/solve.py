@@ -1,30 +1,24 @@
-"""Solver backends and the incremental optimal loop.
+"""The exact engine's step loop: encode, then CDCL, then decode.
 
-A backend's `solve(cnf, timeout)` returns a model (signed literals covering
-every variable) or None when the formula is unsatisfiable; timeouts and
-process failures raise. Without a backend, `solve` runs the in-process CDCL
-solver; `ProcessBackend` shells out to any DIMACS solver that prints the
-conventional `s`/`v` lines (kissat, cadical, minisat-style exit codes 10/20).
+`solve(cnf, timeout)` runs the built-in CDCL solver and returns a model
+(signed literals covering every variable) or None when the formula is
+unsatisfiable; a timeout raises SolverTimeout. `solve_optimal` probes
+t = depth, depth + 1, ... and encodes each probe afresh, so a probe keeps
+nothing from the one before it. External DIMACS solvers are reached through
+files instead: `write_instance`, then the solver, then `parse_solver_output`
+and `decode`.
 """
 from __future__ import annotations
 
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path as FsPath
 
 from ..architecture import Architecture
 from ..circuit import Circuit, depth as circuit_depth
 from ..mapping import QubitMap, qubit_map
 from ..routing import GateRoute
 from .cdcl import CdclSolver, SolverTimeout
-from .dimacs import dimacs_text, parse_solver_output
 from .encoding import CnfInstance, decode, encode
-
-
-class BackendError(RuntimeError):
-    pass
 
 
 class CapExhausted(RuntimeError):
@@ -36,46 +30,8 @@ class CapExhausted(RuntimeError):
         return CapExhausted, (self.t_max,)
 
 
-class ProcessBackend:
-    """External DIMACS solver, e.g. ProcessBackend(["kissat", "-q"])."""
-
-    def __init__(self, command: list[str]):
-        self.command = list(command)
-
-    def solve(self, cnf: CnfInstance, timeout: float | None = None) -> list[int] | None:
-        with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
-            f.write(dimacs_text(cnf.num_vars, cnf.clauses))
-            path = f.name
-        try:
-            proc = subprocess.run(
-                self.command + [path], capture_output=True, text=True, timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as e:
-            raise SolverTimeout(f"{self.command[0]} exceeded {timeout}s") from e
-        except OSError as e:
-            raise BackendError(f"cannot run {self.command[0]}: {e}") from e
-        finally:
-            FsPath(path).unlink(missing_ok=True)
-        try:
-            model = parse_solver_output(proc.stdout)
-        except ValueError:
-            if proc.returncode == 10:
-                raise BackendError(f"{self.command[0]} said SAT but printed no model")
-            if proc.returncode == 20:
-                return None
-            raise BackendError(
-                f"{self.command[0]} exited {proc.returncode} without a verdict: {proc.stderr[:500]}"
-            )
-        if model is None:
-            return None
-        by_var = {abs(l): l for l in model}
-        return [by_var.get(v, -v) for v in range(1, cnf.num_vars + 1)]
-
-
-def solve(cnf: CnfInstance, backend=None, timeout: float | None = None) -> list[int] | None:
+def solve(cnf: CnfInstance, timeout: float | None = None) -> list[int] | None:
     """A model of `cnf`, or None when it is unsatisfiable."""
-    if backend is not None:
-        return backend.solve(cnf, timeout=timeout)
     start = time.monotonic()
     solver = CdclSolver(cnf.num_vars, cnf.clauses)
     if timeout is None:
@@ -96,7 +52,7 @@ class OptimalResult:
 
 
 def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
-                  t_max: int | None = None, backend=None, timeout: float | None = None) -> OptimalResult:
+                  t_max: int | None = None, timeout: float | None = None) -> OptimalResult:
     """Smallest-step solution by probing t = depth, depth+1, ... up to t_max.
 
     `timeout` applies per probe; a probe that times out is skipped (the loop
@@ -124,7 +80,7 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
                 timed_out = True
                 continue
         try:
-            model = solve(cnf, backend=backend, timeout=remaining)
+            model = solve(cnf, timeout=remaining)
         except SolverTimeout:
             proven = False
             timed_out = True

@@ -364,6 +364,24 @@ def test_ndp_to_scr_rejects_non_integer_coordinates(pair):
         ndp_to_scr((2, 2), [pair])
 
 
+@pytest.mark.parametrize("make, args, name", [
+    (known_optimal, (2.0, 2), "d"), (known_optimal, (2, 2.5), "k"), (known_optimal, (True, 1), "d"),
+    (random_circuit, (2.5, 2), "num_qubits"), (random_circuit, (2, 2.5), "depth"),
+    (job_gadget, ("A", 1.5), "d"),
+    (cycle_circuit, (1.5, 1, 1), "d"), (cycle_circuit, (1, 1.5, 1), "k"), (cycle_circuit, (1, 1, 1.5), "t_p"),
+    (psp_to_scmr, (["A"], [], 1.5, 1), "k"), (psp_to_scmr, (["A"], [], 1, 2.5), "t_p"),
+    (psp_to_scmr, (["A", "B"], [("A",)], 1, 1), "edge"),
+    (dependency_circuit, (["A", "B"], [("A", "B", "C")]), "edge"),
+    (ndp_to_scr, ((2.5, 2), []), "cols"), (ndp_to_scr, ((2, 2.5), []), "rows"),
+    (ndp_to_scr, ((2, 2, 2), []), "dims"),
+    (ndp_to_scr, ((2, 2), [((1, 1), (2, 2), (1, 2))]), "pair"), (ndp_to_scr, ((2, 2), [(1, 2)]), "pair"),
+])
+def test_generators_name_a_malformed_size_or_edge(make, args, name):
+    # these ended in a bare TypeError or ValueError from range() or unpacking
+    with pytest.raises(BenchError, match=rf"^{name} "):
+        make(*args)
+
+
 def test_known_optimal_2_3_layering():
     from scmr.circuit import topological_layering
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,32 @@ def test_compile_optimal_fig4(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["steps"] == 1
     assert record["proven_optimal"] is True
+
+
+def test_compile_optimal_timed_out_probe(tmp_path, capsys, first_probe_times_out):
+    # the first probe (t = 1) times out, so the compile succeeds at t = 2
+    # without a proof of optimality
+    circ = tmp_path / "fig4.qc"
+    circ.write_text("cnot q0 q1;\ncnot q2 q3;\n")
+    arch = tmp_path / "grid3.arch.json"
+    arch.write_text(json.dumps({"rows": 3, "cols": 3, "magic": []}))
+    code, _ = _compile(tmp_path, circ, "--mapper", "optimal", "--router", "optimal",
+                       "--arch", str(arch), "--timeout", "30")
+    assert code == EXIT_OK
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (record["steps"], record["proven_optimal"], record["validated"]) == (2, False, True)
+    assert len(first_probe_times_out) == 2
+
+
+def test_cli_import_loads_no_process_machinery():
+    # process pools are imported only when --jobs asks for workers, and the
+    # exact engine runs no external program
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, %r); import scmr.cli; print(sorted(m for m in "
+            "('subprocess', 'multiprocessing', 'concurrent.futures') if m in sys.modules))" % src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_compile_rand_mapper(tmp_path, fig1, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,6 @@ from scmr.sat import (
     CapExhausted,
     CdclSolver,
     CnfInstance,
-    ProcessBackend,
     SolverTimeout,
     VarTable,
     decode,
@@ -27,11 +27,11 @@ from scmr.sat import (
     encode_amo,
     encode_eo,
     exec_windows,
-    parse_dimacs,
     parse_solver_output,
     solve,
     solve_clauses,
     solve_optimal,
+    write_instance,
 )
 from scmr.sat.encoding import _adjacency
 
@@ -85,7 +85,7 @@ def test_amo_exactness(n):
 
 
 # ---------------------------------------------------------------------------
-# CDCL backend
+# CDCL solver
 # ---------------------------------------------------------------------------
 
 def test_cdcl_unit_and_contradiction():
@@ -130,12 +130,6 @@ def test_dimacs_exact_bytes():
     assert text == "p cnf 3 2\n1 -2 0\n3 0\n"
 
 
-def test_dimacs_roundtrip():
-    clauses = [[1, -2], [3], [-1, -3, 2]]
-    n, again = parse_dimacs(dimacs_text(3, clauses))
-    assert n == 3 and again == clauses
-
-
 def test_solver_output_parsing():
     assert parse_solver_output("c hi\ns SATISFIABLE\nv 1 -2\nv 3 0\n") == [1, -2, 3]
     assert parse_solver_output("s UNSATISFIABLE\n") is None
@@ -143,41 +137,39 @@ def test_solver_output_parsing():
         parse_solver_output("c nothing\n")
 
 
-def test_process_backend_against_builtin(tmp_path):
-    # stand up a trivial DIMACS solver script and check the adapter contract
-    script = tmp_path / "mini.py"
-    script.write_text(
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
-        "from scmr.sat.cdcl import solve_clauses\n"
-        "from scmr.sat.dimacs import parse_dimacs\n"
-        "n, clauses = parse_dimacs(open(sys.argv[1]).read())\n"
-        "m = solve_clauses(n, clauses)\n"
-        "if m is None:\n"
-        "    print('s UNSATISFIABLE'); sys.exit(20)\n"
-        "print('s SATISFIABLE')\n"
-        "print('v ' + ' '.join(map(str, m)) + ' 0')\n"
-        "sys.exit(10)\n" % str((tmp_path / ".." ).resolve())
-    )
-    import sys
-    backend = ProcessBackend([sys.executable, str(script)])
-    arch = custom_architecture(3, 3, [])
-    c = circuit_from_gates([cnot("a", "b")])
-    cnf = encode(arch, c, t_s=1)
-    model = backend.solve(cnf)
-    assert model is not None
-    qm, route = decode(model, cnf.table, c, arch)
-    assert validate(arch, c, qm, route) == []
-    # a pinned map reaches the external solver folded into the formula
-    arch = bordered_architecture(4)
-    c = random_circuit(4, 2, 0.25, seed=1)
-    pinned = struct_map(arch, c)
-    cnf = encode(arch, c, pinned, t_s=depth(c))
-    model = backend.solve(cnf)
-    assert model is not None
-    qm, route = decode(model, cnf.table, c, arch)
-    assert qm.as_dict == pinned.as_dict
-    assert validate(arch, c, qm, route) == []
+def _solver_stand_in(cnf_path) -> str:
+    """What an external DIMACS solver prints for the `.cnf` file at
+    `cnf_path`: the built-in solver's verdict on the file's clauses, as
+    `s` and `v` lines."""
+    header, *lines = Path(cnf_path).read_text().splitlines()
+    clauses = [[int(x) for x in line.split()[:-1]] for line in lines]
+    model = CdclSolver(int(header.split()[2]), clauses).solve()
+    if model is None:
+        return "s UNSATISFIABLE\n"
+    return f"s SATISFIABLE\nv {' '.join(map(str, model))} 0\n"
+
+
+def test_external_solver_round_trip(tmp_path):
+    # write_instance, then a DIMACS solver, then parse_solver_output and decode
+    bordered = bordered_architecture(4)
+    pinned_circuit = random_circuit(4, 2, 0.25, seed=1)
+    pinned = struct_map(bordered, pinned_circuit)
+    cases = [(custom_architecture(3, 3, []), circuit_from_gates([cnot("a", "b")]), None),
+             (bordered, pinned_circuit, pinned)]  # a pinned map is folded into the file
+    for i, (arch, circuit, qmap) in enumerate(cases):
+        cnf = encode(arch, circuit, qmap, t_s=depth(circuit))
+        cnf_path, vars_path = write_instance(cnf, tmp_path / f"probe{i}")
+        assert Path(cnf_path).read_bytes() == dimacs_text(cnf.num_vars, cnf.clauses).encode()
+        assert Path(vars_path).read_text() == cnf.table.table_text()
+        model = parse_solver_output(_solver_stand_in(cnf_path))
+        assert model is not None
+        got, route = decode(model, cnf.table, circuit, arch)
+        assert validate(arch, circuit, got, route) == []
+        if qmap is not None:
+            assert got.as_dict == qmap.as_dict
+    cnf_path, _ = write_instance(encode(GRID3, FIG4_CIRCUIT, FIG4_MAP, t_s=1), tmp_path / "unsat")
+    verdict = _solver_stand_in(cnf_path)
+    assert verdict == "s UNSATISFIABLE\n" and parse_solver_output(verdict) is None
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +329,16 @@ def test_solve_optimal_empty_circuit():
     assert res.steps == 0 and res.proven_minimal
 
 
+def test_solve_optimal_timed_out_probe_is_not_a_proof(first_probe_times_out):
+    # the probe at t = 1 times out instead of proving UNSAT, so the loop goes
+    # on to t = 2 and cannot call that solution minimal
+    res = solve_optimal(GRID3, FIG4_CIRCUIT, qmap=FIG4_MAP, timeout=30)
+    assert (res.steps, res.proven_minimal) == (2, False)
+    assert res.qmap.as_dict == FIG4_MAP.as_dict
+    assert validate(GRID3, FIG4_CIRCUIT, res.qmap, res.route) == []
+    assert len(first_probe_times_out) == 2 and all(0 < t <= 30 for t in first_probe_times_out)
+
+
 def test_solve_optimal_cap_exhausted():
     arch = custom_architecture(1, 2, [])  # single row: no vertical first edge exists
     c = circuit_from_gates([cnot("a", "b")])
@@ -398,25 +400,6 @@ def test_encode_rejects_incomplete_map():
     partial = qubit_map({"a": (2, 2)})
     with pytest.raises(ValueError):
         encode(GRID3, c, qmap=partial, t_s=1)
-
-
-def test_process_backend_missing_binary():
-    from scmr.sat import BackendError
-    backend = ProcessBackend(["definitely-not-a-solver-binary"])
-    cnf = encode(GRID3, circuit_from_gates([cnot("a", "b")]), t_s=1)
-    with pytest.raises(BackendError):
-        backend.solve(cnf)
-
-
-def test_process_backend_garbage_output(tmp_path):
-    import sys
-    from scmr.sat import BackendError
-    script = tmp_path / "noise.py"
-    script.write_text("print('c I have no verdict')\n")
-    backend = ProcessBackend([sys.executable, str(script)])
-    cnf = encode(GRID3, circuit_from_gates([cnot("a", "b")]), t_s=1)
-    with pytest.raises(BackendError):
-        backend.solve(cnf)
 
 
 def test_encoding_bytes_pinned():
