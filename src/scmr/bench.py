@@ -5,11 +5,11 @@ random_circuit gives seeded filler workloads with exact qubit count and
 depth; the remaining generators are the constructive halves of the
 scheduling and disjoint-path reductions (job gadgets, dependency circuit,
 cycle circuit, processor-unit architectures, vertex-gadget tilings). They
-reject, with BenchError, a size that is not an int, a repeated job or edge,
-an edge that is not a pair, a job id unfit for qubit names, an edge to an
-unknown job, to itself or on a cycle, a pair that is not two vertices, and a
-pair vertex that is not two integers, lies off the pair grid or is in two
-pairs.
+reject, with BenchError, a size or seed that is not an int, a density or T
+fraction that is not a number, a repeated job or edge, an edge that is not
+a pair, a job id unfit for qubit names, an edge to an unknown job, to itself
+or on a cycle, a pair that is not two vertices, and a pair vertex that is
+not two integers, lies off the pair grid or is in two pairs.
 """
 from __future__ import annotations
 
@@ -28,11 +28,17 @@ class BenchError(ValueError):
     pass
 
 
-def _check_sizes(**sizes) -> None:
-    """BenchError naming the first size that is not an int (a bool is not)."""
-    for name, value in sizes.items():
+def _check_ints(**values) -> None:
+    """BenchError naming the first value that is not an int (a bool is not)."""
+    for name, value in values.items():
         if type(value) is not int:
             raise BenchError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    """BenchError naming `value` unless it is an int or a float (a bool is not)."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise BenchError(f"{name} must be a number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +49,8 @@ def known_optimal(d: int, k: int, rho: float = 1.0, seed: int = 0) -> Circuit:
     """d layers of CNOTs between a random even partition Left/Right of 2k
     qubits; density rho keeps ceil(rho*k) pairs per layer, always including
     pair 0 so the depth stays exactly d."""
-    _check_sizes(d=d, k=k)
+    _check_ints(d=d, k=k, seed=seed)
+    _check_number("rho", rho)
     if d < 1 or k < 1:
         raise BenchError("need d >= 1 and k >= 1")
     if not 0 < rho <= 1:
@@ -71,7 +78,8 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
     gets a T. Full per-layer coverage makes every gate depend on the layer
     above, pinning the depth.
     """
-    _check_sizes(num_qubits=num_qubits, depth=depth)
+    _check_ints(num_qubits=num_qubits, depth=depth, seed=seed)
+    _check_number("t_fraction", t_fraction)
     if num_qubits < 0 or depth < 0:
         raise BenchError(f"need qubits >= 0 and depth >= 0, got {num_qubits} and {depth}")
     if depth > 0 and num_qubits < 1:
@@ -102,7 +110,7 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
 # ---------------------------------------------------------------------------
 
 def _gadget_gates(job, d: int):
-    _check_sizes(d=d)
+    _check_ints(d=d)
     if d < 0:
         raise BenchError("degree bound must be nonnegative")
     ins = [cnot(f"q_{job}_0", f"q_{job}_{i}") for i in range(1, d + 1)]
@@ -195,7 +203,7 @@ def cycle_time_limit(d: int, k: int, t_p: int) -> int:
 
 
 def _cycle_gates(d: int, k: int, t_p: int) -> list:
-    _check_sizes(d=d, k=k, t_p=t_p)
+    _check_ints(d=d, k=k, t_p=t_p)
     if d < 0 or k < 1 or t_p < 1:
         raise BenchError("need d >= 0, k >= 1, t_p >= 1")
     gates = []
@@ -227,7 +235,7 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
     cycle circuit on disjoint qubits.
     """
     jobs = list(jobs)
-    _check_sizes(k=k, t_p=t_p)
+    _check_ints(k=k, t_p=t_p)
     if k < 1 or t_p < 1:
         raise BenchError("need k >= 1 and t_p >= 1")
     if not jobs:
@@ -313,7 +321,7 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
     if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
         raise BenchError(f"dims must be (cols, rows), got {dims!r}")
     gw, gh = dims
-    _check_sizes(cols=gw, rows=gh)
+    _check_ints(cols=gw, rows=gh)
     if gw < 1 or gh < 1:
         raise BenchError(f"pair grid must be at least 1x1, got {gw}x{gh}")
     pairs = list(pairs)

@@ -3,7 +3,8 @@
 Variables:
   map(q, v)        qubit q sits at non-magic vertex v
   exec(g, t)       gate g runs at step t
-  path(u, v, g, t) directed grid edge (u, v) carries gate g's route at step t
+  path(u, v, g, t) directed grid edge (u, v) carries gate g's route at step t,
+                   allocated only for the edges gate g can use (below)
 
 Constraint families: injective total mapping; exactly-one execution step per
 gate with dependent gates strictly ordered; routed edges never pass through
@@ -23,17 +24,29 @@ neighbors (a - 1, a + 1), then vertical ones (b - 1, b + 1); edges in
 
 A pinned map is folded into the formula: the unit clauses that pin it stay,
 clauses it satisfies are left out and map literals it makes false are
-dropped, so the data-clear family keeps one two-literal clause per mapped
-vertex and none at an empty one. Every variable keeps its id, so the folded
-formula has the same variables and the same models; `write_instance` writes
-the folded formula. The built-in CDCL solver drops the same clauses and
-literals at the root itself, and ends up with the same clause list either
-way.
+dropped; `write_instance` writes the folded formula.
+
+Usable edges. A gate g gets path variables only on a directed edge (u, v)
+that some legal path of g can use: u is not magic and, under a pinned map,
+is g's start vertex with (u, v) vertical or an unmapped vertex; v is not g's
+start, is magic only for a T gate entered through a horizontal edge and,
+under a pinned map, is an unmapped non-magic vertex or g's end vertex
+entered horizontally. Every family reads a missing path literal as false:
+clauses it would satisfy are left out, and it is dropped from the others.
+The formula is the full one with every other path literal set to false, and
+the two are equisatisfiable: in a model of the full formula, each gate's
+path at its step is legal (the degree bounds make the chain of true edges
+back from the end vertex unique and acyclic), so setting every path literal
+off those paths to false, with the counter auxiliaries recomputed, still
+satisfies it, and uses usable edges only. Verdicts, and so the steps and
+proofs of the step loop, are those of the full formula; which optimal route
+a model holds may differ.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
@@ -117,6 +130,34 @@ def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
     return [range(depths[i], t_s - heights[i] + 2) for i in range(len(circuit.gates))]
 
 
+class _GateEdges(NamedTuple):
+    """The directed edges one gate's path may use: in `edges` order, as a
+    set, and per vertex the usable neighbors into and out of it, in
+    neighbor order."""
+    order: list[tuple[Vertex, Vertex]]
+    usable: frozenset[tuple[Vertex, Vertex]]
+    into: dict[Vertex, list[Vertex]]
+    out_of: dict[Vertex, list[Vertex]]
+
+
+def _gate_edges(neigh, edges, start: Vertex | None, ends, blocked) -> _GateEdges:
+    """The edges some legal path from `start` (None: any vertex outside
+    `blocked`) into `ends` can use: it leaves `start` through a vertical
+    edge, enters an end through a horizontal one, and passes only through
+    vertices outside `blocked`, which holds the ends, the magic vertices and,
+    under a pinned map, every mapped vertex."""
+    def usable(u, v):
+        horizontal = u[1] == v[1]
+        leaves = not horizontal if u == start else u not in blocked
+        return leaves and (horizontal if v in ends else v not in blocked)
+
+    order = [e for e in edges if usable(*e)]
+    kept = frozenset(order)
+    into = {v: [u for u in neigh[v] if (u, v) in kept] for v in neigh}
+    out_of = {v: [w for w in neigh[v] if (v, w) in kept] for v in neigh}
+    return _GateEdges(order, kept, into, out_of)
+
+
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
            t_s: int = 1) -> CnfInstance:
     """Build the decision formula for `t_s` steps; pin and fold in the map if
@@ -130,10 +171,30 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             1, [[]], table, t_s,
             diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
         )
+    pinned = None
+    if qmap is not None:
+        free_set = set(free_vertices)
+        pinned = qmap.as_dict
+        for q in circuit.qubits:
+            if q not in pinned:
+                raise ValueError(f"fixed map does not place qubit {q!r}")
+            if pinned[q] not in free_set:
+                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
 
     windows = exec_windows(circuit, t_s)
     horizontal, vertical, edges = _adjacency(arch)
     neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
+    magic = arch.magic
+    blocked = magic if pinned is None else magic | {pinned[q] for q in circuit.qubits}
+    shared: dict[tuple, _GateEdges] = {}
+    gate_edges: list[_GateEdges] = []
+    for g in circuit.gates:
+        is_t = g.kind is GateKind.T
+        ends = magic if is_t else frozenset() if pinned is None else frozenset([pinned[g.target]])
+        key = (None if pinned is None else pinned[g.operand if is_t else g.control], ends)
+        if key not in shared:
+            shared[key] = _gate_edges(neigh, edges, *key, blocked)
+        gate_edges.append(shared[key])
     counter = 0
 
     def fresh() -> int:
@@ -147,10 +208,11 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     for g in circuit.gates:
         for t in windows[g.index]:
             table.exec_ids[(g.index, t)] = fresh()
-    for u, v in edges:
+    for e in edges:
         for g in circuit.gates:
-            for t in windows[g.index]:
-                table.path_ids[(u, v, g.index, t)] = fresh()
+            if e in gate_edges[g.index].usable:
+                for t in windows[g.index]:
+                    table.path_ids[(*e, g.index, t)] = fresh()
     table.num_named = counter
 
     mvar = table.map_ids
@@ -164,14 +226,8 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
         clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
     for v in free_vertices:
         clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
-    pinned = None
-    if qmap is not None:
-        pinned = qmap.as_dict
+    if pinned is not None:
         for q in circuit.qubits:
-            if q not in pinned:
-                raise ValueError(f"fixed map does not place qubit {q!r}")
-            if (q, pinned[q]) not in mvar:
-                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
             add([mvar[(q, pinned[q])]])
 
     def unless(q: str, v: Vertex) -> list[int] | None:
@@ -190,30 +246,27 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                 if t2 <= t:
                     add([-evar[(i, t)], -evar[(j, t2)]])
 
-    # routed edges keep clear of stored data
-    for v in arch.vertices():
-        if v in arch.magic:
-            guards = [[]]
-        else:
-            guards = [p for p in (unless(q, v) for q in circuit.qubits) if p is not None]
-            if not guards:
-                continue  # a pinned map leaves this vertex empty
-        pairs = [(u, w) for u in neigh[v] for w in neigh[v]]
+    # routed edges keep clear of stored data (no usable edge leaves a magic
+    # vertex, and under a pinned map none passes through a mapped one)
+    for v in free_vertices:
+        guards = [p for p in (unless(q, v) for q in circuit.qubits) if p is not None]
+        if not guards:
+            continue  # a pinned map leaves this vertex empty
         for g in circuit.gates:
+            into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
             for t in windows[g.index]:
-                for u, w in pairs:
-                    into = pvar[(u, v, g.index, t)]
-                    out_of = pvar[(v, w, g.index, t)]
-                    for guard in guards:
-                        add(guard + [-into, -out_of])
+                for u in into:
+                    for w in out_of:
+                        pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
+                        for guard in guards:
+                            add(guard + pair)
 
     # vertex-disjointness: in/out degree at most one per vertex and step
     for t in range(1, t_s + 1):
+        active = [(g.index, gate_edges[g.index]) for g in circuit.gates if t in windows[g.index]]
         for u in arch.vertices():
-            outgoing = [pvar[(u, w, g.index, t)] for g in circuit.gates if t in windows[g.index]
-                        for w in neigh[u]]
-            incoming = [pvar[(w, u, g.index, t)] for g in circuit.gates if t in windows[g.index]
-                        for w in neigh[u]]
+            outgoing = [pvar[(u, w, i, t)] for i, ge in active for w in ge.out_of[u]]
+            incoming = [pvar[(w, u, i, t)] for i, ge in active for w in ge.into[u]]
             clauses.extend(encode_amo(outgoing, fresh))
             clauses.extend(encode_amo(incoming, fresh))
 
@@ -223,29 +276,29 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             start_q, end_q = g.control, g.target
         else:
             start_q, end_q = g.operand, None
+        ge = gate_edges[g.index]
         for t in windows[g.index]:
             e = evar[(g.index, t)]
             for v in free_vertices:
                 # leave the start vertex through a vertical edge
                 guard = unless(start_q, v)
                 if guard is not None:
-                    leave = [pvar[(v, u, g.index, t)] for u in vertical[v]]
+                    leave = [pvar[(v, u, g.index, t)] for u in ge.out_of[v] if u in vertical[v]]
                     add(guard + [-e] + leave)
                 guard = None if end_q is None else unless(end_q, v)
                 if guard is not None:
-                    enter = [pvar[(u, v, g.index, t)] for u in horizontal[v]]
+                    enter = [pvar[(u, v, g.index, t)] for u in ge.into[v] if u in horizontal[v]]
                     add(guard + [-e] + enter)
             # every used edge chains back toward the start vertex
-            for u, v in edges:
+            for u, v in ge.order:
                 if pinned is not None and pinned[start_q] == u:
                     continue  # the pinned start vertex satisfies the head
-                back = [pvar[(w, u, g.index, t)] for w in neigh[u] if w != v]
-                head = [mvar[(start_q, u)]] if pinned is None and u not in arch.magic else []
+                back = [pvar[(w, u, g.index, t)] for w in ge.into[u] if w != v]
+                head = [mvar[(start_q, u)]] if pinned is None else []
                 add([-pvar[(u, v, g.index, t)]] + back + head)
             if end_q is None:
                 # T gates end by entering some magic vertex horizontally
-                entries = [pvar[(u, v, g.index, t)] for v in sorted(arch.magic)
-                           for u in horizontal[v]]
+                entries = [pvar[(u, v, g.index, t)] for v in sorted(magic) for u in ge.into[v]]
                 add([-e] + entries)
                 clauses.extend(encode_amo(entries, fresh))
 

@@ -1001,8 +1001,10 @@ def hasse_edges(closure) -> list[tuple]:
 # The exact engine as it was before the pinned map was folded into the
 # encoding and the CDCL inner loops were tightened: every map literal
 # emitted, values looked up through `_value`, the VSIDS heap fed a fresh
-# entry on every unassign. Kept verbatim as the reference the folded formula
-# and the tightened solver must match state for state, with three edits: the
+# entry on every unassign, and every gate given a path variable on every
+# directed edge. Kept verbatim as the reference: the tightened solver must
+# match it state for state, and the usable-edge formula its verdicts and the
+# step loop's steps and proofs. There are three edits: the
 # neighbor calls read the helpers at the top of this module
 # (`arch.neighbors(v)` as `neighbors(arch, v)` and so on, same order),
 # `_directed_edges` and `exec_windows` are this module's own, and the

@@ -382,6 +382,21 @@ def test_generators_name_a_malformed_size_or_edge(make, args, name):
         make(*args)
 
 
+@pytest.mark.parametrize("make, args, kwargs, name", [
+    (known_optimal, (2, 2, "0.5"), {}, "rho"), (known_optimal, (2, 2, None), {}, "rho"),
+    (known_optimal, (2, 2, True), {}, "rho"), (known_optimal, (2, 2), {"seed": [1]}, "seed"),
+    (known_optimal, (2, 2), {"seed": 1.0}, "seed"),
+    (random_circuit, (2, 2, None), {}, "t_fraction"), (random_circuit, (2, 2, "0.5"), {}, "t_fraction"),
+    (random_circuit, (2, 2, False), {}, "t_fraction"),
+    (random_circuit, (2, 2, 0.5), {"seed": [1]}, "seed"),
+    (random_circuit, (2, 2, 0.5), {"seed": None}, "seed"),
+])
+def test_generators_name_a_malformed_fraction_or_seed(make, args, kwargs, name):
+    # these ended in a bare TypeError from a comparison or from random.Random
+    with pytest.raises(BenchError, match=rf"^{name} must be "):
+        make(*args, **kwargs)
+
+
 def test_known_optimal_2_3_layering():
     from scmr.circuit import topological_layering
 

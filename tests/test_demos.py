@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "02_exact_vs_heuristic": "63eba0541dcd199fdcc2eebdd7354fd3f932cf1e7c6ccf9cf9d1deeb31bebd80",
     "03_mapper_quality_sweep": "f2854dc0a58ae0e07b8b6230d378f1804c7db97613fab1c9618c547b90a1b19a",
     "04_reduction_instances": "8ca912f8ae54871a997799be019b83b0b42c0123a1d421a9b56cc58eae978aa9",
-    "05_sat_encoding_tour": "086303a8992a001cf4daa2fd05f30a3a9c5b7e9e35b5cc76d9de888aceabc59e",
+    "05_sat_encoding_tour": "75c7bc90518ee75c9937e9e29469a88a93f103ee8a682378527df6af8291094f",
 }
 
 

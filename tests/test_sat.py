@@ -14,7 +14,7 @@ from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import (GateKind, circuit_from_gates, cnot, depth, parse_circuit,
                           serialize_circuit, tgate)
 from scmr.mapping import qubit_map, random_map, struct_map
-from scmr.routing import GateRoute, validate
+from scmr.routing import GateRoute, request_for_gate, validate
 from scmr.sat import (
     CapExhausted,
     CdclSolver,
@@ -264,6 +264,60 @@ def test_encoder_adjacency_matches_oracle(arch):
     assert edges == list(oracles._directed_edges(arch))
 
 
+def _edges_at(cnf, gate, t):
+    return {(u, v) for (u, v, g, t2) in cnf.table.path_ids if (g, t2) == (gate, t)}
+
+
+def _path_edges(paths):
+    return {e for path in paths for e in zip(path, path[1:])}
+
+
+@pytest.mark.parametrize("arch", [
+    bordered_architecture(4), right_column_architecture(4), center_column_architecture(4),
+    custom_architecture(4, 5, [(3, 1), (5, 3), (1, 4)]),
+], ids=["bordered", "right-column", "center-column", "custom"])
+def test_path_variables_cover_every_legal_path_under_a_pinned_map(arch):
+    import random
+    rng = random.Random(arch.rows * arch.cols)
+    free = [v for v in arch.vertices() if v not in arch.magic]
+    locations = free if arch.rows * arch.cols <= 20 else None
+    covered = 0
+    for seed in range(2):
+        circuit = random_circuit(4, 2, 0.4, seed=seed)
+        t_s = depth(circuit) + 1
+        windows = exec_windows(circuit, t_s)
+        for qmap in (struct_map(arch, circuit, locations),
+                     random_map(arch, circuit, seed, locations),
+                     qubit_map(dict(zip(circuit.qubits, rng.sample(free, 4))))):
+            cnf = encode(arch, circuit, qmap, t_s=t_s)
+            for g in circuit.gates:
+                request = request_for_gate(arch, qmap, g)
+                others = set(qmap.vertices()) - {request.source} - request.sinks
+                needed = _path_edges(oracles.enumerate_legal_paths(
+                    arch, others, request.source, request.sinks))
+                for t in windows[g.index]:
+                    assert needed <= _edges_at(cnf, g.index, t), (qmap, g)
+                covered += len(needed)
+    assert covered > 0
+
+
+@pytest.mark.parametrize("arch", [
+    custom_architecture(3, 3, []), custom_architecture(3, 3, [(2, 2)]),
+    custom_architecture(3, 3, [(3, 1), (3, 3)]), custom_architecture(3, 2, [(1, 2)]),
+], ids=["3x3", "center-magic", "right-magic", "2x3"])
+def test_path_variables_cover_every_legal_path_under_a_free_map(arch):
+    circuit = parse_circuit("cnot a b; t c")
+    cnf = encode(arch, circuit, t_s=2)
+    free = [v for v in arch.vertices() if v not in arch.magic]
+    cnot_paths = [p for s in free for e in free if e != s
+                  for p in oracles.enumerate_legal_paths(arch, set(), s, {e})]
+    t_paths = [p for s in free for p in oracles.enumerate_legal_paths(arch, set(), s, arch.magic)]
+    for g, paths in ((0, cnot_paths), (1, t_paths)):
+        assert paths or (g == 1 and not arch.magic)
+        for t in (1, 2):
+            assert _path_edges(paths) <= _edges_at(cnf, g, t)
+
+
 def test_two_t_gates_share_one_magic_vertex():
     # the at-least-one magic entry is guarded by the gate's exec literal, so
     # two T gates with one magic vertex run at separate steps
@@ -403,14 +457,12 @@ def test_encode_rejects_incomplete_map():
 
 
 def test_encoding_bytes_pinned():
-    # the DIMACS text of four fixed instances: the free-map one hashed before
-    # the grid gained its adjacency table, the bordered fixed-map one after
-    # the pinned map was folded into the formula, and the two T-heavy ones
-    # (one step of slack, magic columns at the edge and down the middle)
-    # before the encoder read its neighbors from the cell index. The digests
-    # guard the bytes external solvers read; the solver state the fold must
-    # preserve is checked directly by
-    # test_folded_encoding_matches_reference_solver
+    # the DIMACS text of four fixed instances (a bordered fixed map, a free
+    # map, and two T-heavy ones with one step of slack and magic columns at
+    # the edge and down the middle), hashed after path variables were
+    # limited to the edges each gate can use. The digests guard the bytes
+    # external solvers read; that the formula keeps the reference encoding's
+    # verdicts is checked by test_folded_encoding_matches_reference_solver
     bordered = bordered_architecture(4)
     fixed = random_circuit(4, 3, 0.2, seed=3)
     free = random_circuit(4, 2, 0.25, seed=5)
@@ -424,10 +476,10 @@ def test_encoding_bytes_pinned():
         cnf = encode(arch, circuit, qmap, t_s=t_s)
         digests.append(hashlib.sha256(dimacs_text(cnf.num_vars, cnf.clauses).encode()).hexdigest())
     assert digests == [
-        "6b0dc7d80c440f666d20ade933a49443218a6144bfcdee1fea20907dc0533335",
-        "4428ad9e81e41a06db7827b56a64b0e5432d4fbb5ed389f08c606820e5b7a68b",
-        "3783bc0e599c2b471ed27ce8eb5c454e049b474a87d2a83645d9adf9d807bab0",
-        "26c8658874e3d0781ecd095dd86782cb391c9f340b130f3b2571f68ca959e8ba",
+        "34b2afdf2d110e03bcc0ff3da79e068f547540d8ebd8e6b37360924586c3892e",
+        "822e68f8c8ea350f36eaa200e17945610f6be13eb5fc1340c333b8b75b2c5957",
+        "ec7d19f28aee0b3420f99780c4cfa5372e0157adab80b46750041d1dd435c037",
+        "edb8c58865eced6f9df85382238331e042531f695d7d68beda715cbe659411bf",
     ]
 
 
@@ -446,11 +498,11 @@ def _watch_lists(solver):
     return {lit: watches[lit] for lit in range(-solver.n, solver.n + 1) if watches[lit]}
 
 
-def _assert_same_solver_run(num_vars, clauses, ref_clauses):
+def _assert_same_solver_run(num_vars, clauses):
     """Both solvers hold the same state after construction, then return the
     same model and end with the same clauses, learned ones included."""
     new = CdclSolver(num_vars, clauses)
-    ref = ReferenceSolver(num_vars, ref_clauses)
+    ref = ReferenceSolver(num_vars, clauses)
     assert (new.clauses, new.trail, new.ok) == (ref.clauses, ref.trail, ref.ok)
     assert _watch_lists(new) == _watch_lists(ref)
     model = new.solve()
@@ -480,20 +532,97 @@ def _differential_maps(arch, circuit, seed):
     (center_column_architecture, 1, 0.25),  # fixed maps: UNSAT at every probe
 ])
 def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
+    # the encoder allocates path variables only on edges a legal path of the
+    # gate can use, so its formula is the reference one with every other
+    # path literal false: the same map and exec ids, fewer path variables,
+    # the same verdicts, and models that decode to valid routes
     arch = make_arch(4)
     circuit = random_circuit(4, 2, t_fraction, seed=seed)
     for label, qmap in _differential_maps(arch, circuit, seed):
         for t in (depth(circuit), depth(circuit) + 1):
             ref = reference_encode(arch, circuit, qmap, t_s=t)
             cnf = encode(arch, circuit, qmap, t_s=t)
-            assert (cnf.num_vars, cnf.table) == (ref.num_vars, ref.table), label
+            assert cnf.table.map_ids == ref.table.map_ids, label
+            assert cnf.table.exec_ids == ref.table.exec_ids, label
+            assert cnf.table.path_ids.keys() <= ref.table.path_ids.keys(), label
             if qmap is not None:
                 assert len(cnf.clauses) < len(ref.clauses) / 2, label
-            model = _assert_same_solver_run(cnf.num_vars, cnf.clauses, ref.clauses)
+            model = _assert_same_solver_run(cnf.num_vars, cnf.clauses)
+            assert (model is None) == (solve(ref) is None), label
             if model is not None:
-                truth = set(model)
-                assert all(any(l in truth for l in c) for c in ref.clauses), label
+                got, route = decode(model, cnf.table, circuit, arch)
+                if qmap is not None:
+                    # the formula places the circuit's qubits only, so the
+                    # spare one of "extra qubit" is not part of the check
+                    placed = {q: qmap[q] for q in circuit.qubits}
+                    assert got.as_dict == placed, label
+                assert validate(arch, circuit, got, route) == [], label
                 break
+
+
+def _probe_corpus(rng, size):
+    """`size` seeded (arch, circuit, qmap) instances: 2-4 qubits, depth 1-3,
+    0-70% T gates, on bordered, right-column, center-column and small custom
+    grids, under struct, random and arbitrary maps, and free maps for up to
+    3 qubits and depth 2 on the small grids."""
+    grids = [bordered_architecture(4), right_column_architecture(4),
+             center_column_architecture(4), custom_architecture(3, 4, [(4, 1), (4, 3)]),
+             custom_architecture(4, 3, [(2, 2)])]
+    corpus = []
+    while len(corpus) < size:
+        arch = rng.choice(grids)
+        free = [v for v in arch.vertices() if v not in arch.magic]
+        small = arch.rows * arch.cols <= 12  # too small for regular locations
+        circuit = random_circuit(rng.randint(2, 4), rng.randint(1, 3), rng.choice((0.0, 0.3, 0.7)),
+                                 seed=rng.randrange(2 ** 30))
+        kind = rng.choice(("struct", "random", "arbitrary", "free"))
+        if kind == "struct":
+            qmap = struct_map(arch, circuit, free if small else None)
+        elif kind == "random":
+            qmap = random_map(arch, circuit, rng.randrange(2 ** 30), free if small else None)
+        elif kind == "arbitrary":
+            qmap = qubit_map(dict(zip(circuit.qubits, rng.sample(free, circuit.num_qubits))))
+        elif small and circuit.num_qubits < 4 and depth(circuit) < 3:
+            qmap = None  # larger free maps take seconds a probe on the reference
+        else:
+            continue
+        corpus.append((arch, circuit, qmap))
+    return corpus
+
+
+def _optimum(arch, circuit, qmap):
+    """(steps, proven_minimal) of `solve_optimal` up to two steps above the
+    depth, or "cap" when none of those step counts is feasible."""
+    try:
+        res = solve_optimal(arch, circuit, qmap=qmap, t_max=depth(circuit) + 2)
+    except CapExhausted:
+        return "cap"
+    assert validate(arch, circuit, res.qmap, res.route) == []
+    return res.steps, res.proven_minimal
+
+
+def test_solve_optimal_matches_reference_encoding_probe_loop(monkeypatch):
+    # the step loop over the usable-edge formula against the same loop over
+    # the reference formula, which gives every gate every edge
+    import importlib
+    import random
+    solve_module = importlib.import_module("scmr.sat.solve")
+    probes = []
+
+    def counted(encoder):
+        def probe(*args, **kwargs):
+            probes.append(encoder.__module__)
+            return encoder(*args, **kwargs)
+        return probe
+
+    corpus = _probe_corpus(random.Random(13), 170)
+    monkeypatch.setattr(solve_module, "encode", counted(encode))
+    got = [_optimum(*instance) for instance in corpus]
+    monkeypatch.setattr(solve_module, "encode", counted(reference_encode))
+    want = [_optimum(*instance) for instance in corpus]
+    assert got == want
+    assert probes.count("oracles") == probes.count("scmr.sat.encoding") >= 300
+    assert "cap" in got and any(r != "cap" and r[0] > depth(c) for r, (_, c, _) in zip(got, corpus))
 
 
 def test_cdcl_matches_reference_on_random_cnf():
@@ -506,7 +635,7 @@ def test_cdcl_matches_reference_on_random_cnf():
         clauses = [[v if rng.random() < 0.5 else -v
                     for v in rng.sample(range(1, n + 1), min(width, n))]
                    for _ in range(int(n * rng.uniform(1.0, 5.0)))]
-        model = _assert_same_solver_run(n, clauses, clauses)
+        model = _assert_same_solver_run(n, clauses)
         satisfiable += model is not None
     assert 0 < satisfiable < 60
 
