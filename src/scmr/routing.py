@@ -154,6 +154,23 @@ def free_mask(arch: Architecture, blocked) -> bytearray:
     return free
 
 
+def unroutable_gate(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> Gate | None:
+    """The first gate of `circuit` with no legal path under `qmap` even with
+    the whole grid to itself, or None when every gate has one. Every mapped
+    vertex, the circuit's or not, is kept out of path interiors, as
+    `validate` does; each (source, sinks) pair is searched once."""
+    free = free_mask(arch, qmap.vertices())
+    routable: dict = {}
+    for g in circuit.gates:
+        r = request_for_gate(arch, qmap, g)
+        key = (r.source, r.sinks)
+        if key not in routable:
+            routable[key] = shortest_legal_path(arch, free, r.source, r.sinks) is not None
+        if not routable[key]:
+            return g
+    return None
+
+
 def shortest_first(arch: Architecture, requests, free: bytearray,
                    first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its

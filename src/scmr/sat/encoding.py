@@ -31,16 +31,19 @@ that some legal path of g can use: u is not magic and, under a pinned map,
 is g's start vertex with (u, v) vertical or an unmapped vertex; v is not g's
 start, is magic only for a T gate entered through a horizontal edge and,
 under a pinned map, is an unmapped non-magic vertex or g's end vertex
-entered horizontally. Every family reads a missing path literal as false:
-clauses it would satisfy are left out, and it is dropped from the others.
-The formula is the full one with every other path literal set to false, and
-the two are equisatisfiable: in a model of the full formula, each gate's
-path at its step is legal (the degree bounds make the chain of true edges
-back from the end vertex unique and acyclic), so setting every path literal
-off those paths to false, with the counter auxiliaries recomputed, still
-satisfies it, and uses usable edges only. Verdicts, and so the steps and
-proofs of the step loop, are those of the full formula; which optimal route
-a model holds may differ.
+entered horizontally. A vertex the map places any qubit on counts as
+mapped, whether the circuit uses that qubit or not, so routes keep clear of
+every vertex `routing.validate` protects. Every family reads a missing path
+literal as false: clauses it would satisfy are left out, and it is dropped
+from the others. The formula is the full one with every other path literal
+set to false and, when the map places only the circuit's qubits, the two
+are equisatisfiable: in a model of the full formula, each gate's path at
+its step is legal (the degree bounds make the chain of true edges back from
+the end vertex unique and acyclic), so setting every path literal off those
+paths to false, with the counter auxiliaries recomputed, still satisfies
+it, and uses usable edges only. Verdicts, and so the steps and proofs of
+the step loop, are those of the full formula; which optimal route a model
+holds may differ.
 """
 from __future__ import annotations
 
@@ -92,6 +95,9 @@ class VarTable:
 
 @dataclass
 class CnfInstance:
+    """The formula for `t_s` steps. A non-empty `diagnostic` says why the
+    formula is the empty clause: the instance is unsatisfiable at every t,
+    not only at `t_s`."""
     num_vars: int
     clauses: list[list[int]]
     table: VarTable
@@ -185,7 +191,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     horizontal, vertical, edges = _adjacency(arch)
     neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
     magic = arch.magic
-    blocked = magic if pinned is None else magic | {pinned[q] for q in circuit.qubits}
+    blocked = magic if pinned is None else magic | set(pinned.values())
     shared: dict[tuple, _GateEdges] = {}
     gate_edges: list[_GateEdges] = []
     for g in circuit.gates:

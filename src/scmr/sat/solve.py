@@ -4,9 +4,13 @@
 (signed literals covering every variable) or None when the formula is
 unsatisfiable; a timeout raises SolverTimeout. `solve_optimal` probes
 t = depth, depth + 1, ... and encodes each probe afresh, so a probe keeps
-nothing from the one before it. External DIMACS solvers are reached through
-files instead: `write_instance`, then the solver, then `parse_solver_output`
-and `decode`.
+nothing from the one before it. When the first probe finds no model, the
+loop asks once whether any probe could: none can when the formula carries a
+`diagnostic`, or when a pinned map leaves some gate without a legal path
+even with the grid to itself (`routing.unroutable_gate`, the greedy
+router's BFS); the loop then stops with CapExhausted instead of climbing to
+the cap. External DIMACS solvers are reached through files instead:
+`write_instance`, then the solver, then `parse_solver_output` and `decode`.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from ..architecture import Architecture
 from ..circuit import Circuit, depth as circuit_depth
 from ..mapping import QubitMap, qubit_map
-from ..routing import GateRoute
+from ..routing import GateRoute, unroutable_gate
 from .cdcl import CdclSolver, SolverTimeout
 from .encoding import CnfInstance, decode, encode
 
@@ -53,12 +57,28 @@ class OptimalResult:
 
 def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                   t_max: int | None = None, timeout: float | None = None) -> OptimalResult:
-    """Smallest-step solution by probing t = depth, depth+1, ... up to t_max.
+    """Smallest-step solution by probing t = depth, depth+1, ... up to t_max
+    (default: the larger of the depth and the gate count).
 
     `timeout` applies per probe; a probe that times out is skipped (the loop
     keeps climbing, and any later solution is reported as not proven
     minimal). Raises CapExhausted when the cap runs out, or SolverTimeout
     when every remaining probe timed out.
+
+    After a first probe without a model, UNSAT or timed out, the loop raises
+    CapExhausted at once when no t can have one: the formula carries a
+    `diagnostic`, or a pinned map leaves some gate without a legal path even
+    with the grid to itself. That is sound: a probe's path for such a gate
+    would be a legal path, so every t is UNSAT. Under the default cap it is
+    also complete: when every gate has a legal path, running the gates one
+    per step in index order is a valid schedule at t = #gates (index order
+    is topological, so each gate's step lies in its execution window, and a
+    gate alone in its step needs only its own path). So a pinned-map climb
+    ends in CapExhausted exactly when some gate has no legal path, and the
+    loop now proves it with one probe. Steps, proofs and exception types are
+    those of the climb without the check, except that a timed-out first
+    probe on an instance the check rules out ends in CapExhausted, a proof,
+    instead of SolverTimeout.
     """
     d = circuit_depth(circuit)
     if len(circuit.gates) == 0:
@@ -67,27 +87,25 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
     t_max = t_max if t_max is not None else max(d, len(circuit.gates))
     if t_max < d:
         raise ValueError(f"cap {t_max} is below the depth lower bound {d}")
-    proven = True
     timed_out = False
     for t in range(d, t_max + 1):
         probe_start = time.monotonic()
         cnf = encode(arch, circuit, qmap=qmap, t_s=t)
-        remaining = None
-        if timeout is not None:
-            remaining = timeout - (time.monotonic() - probe_start)
-            if remaining <= 0:
-                proven = False
-                timed_out = True
-                continue
-        try:
-            model = solve(cnf, timeout=remaining)
-        except SolverTimeout:
-            proven = False
+        model = None
+        remaining = None if timeout is None else timeout - (time.monotonic() - probe_start)
+        if remaining is not None and remaining <= 0:
             timed_out = True
-            continue
+        else:
+            try:
+                model = solve(cnf, timeout=remaining)
+            except SolverTimeout:
+                timed_out = True
         if model is not None:
             got_map, route = decode(model, cnf.table, circuit, arch)
-            return OptimalResult(got_map, route, route.steps, proven)
+            return OptimalResult(got_map, route, route.steps, not timed_out)
+        if t == d and (cnf.diagnostic or qmap is not None
+                       and unroutable_gate(arch, circuit, qmap) is not None):
+            raise CapExhausted(t_max)
     if timed_out:
         raise SolverTimeout(f"probes up to {t_max} steps timed out without a solution")
     raise CapExhausted(t_max)

@@ -6,6 +6,7 @@ checks.
 """
 from __future__ import annotations
 
+import importlib
 import itertools
 import time
 from collections import deque
@@ -18,6 +19,7 @@ from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE,
                          cycle_time_limit, processor_unit_width)
 from scmr.circuit import (Circuit, Gate, GateKind, circuit_from_gates, cnot, consecutive_qubit_pairs, gate_depths,
                           gate_heights, tgate, topological_layering)
+from scmr.circuit import depth as circuit_depth
 from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
@@ -1844,3 +1846,58 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
 
     arch = Architecture(gh * TILE, gw * TILE, frozenset(magic))
     return arch, circuit_from_gates(gates), qubit_map(assignment)
+
+
+# ---------------------------------------------------------------------------
+# The exact engine's step loop as it was before it stopped after one probe on
+# an instance no step count can solve: it climbs from the depth to the cap
+# whatever the first probe says. Kept verbatim as the reference the loop must
+# match in steps, proofs and exceptions, with one edit: `encode`, `solve`,
+# `decode`, `CapExhausted` and `OptimalResult` are read from
+# `scmr.sat.solve` when the loop runs, so both loops run the same probes
+# and a counter patched in there sees the probes of both.
+# ---------------------------------------------------------------------------
+
+_sat = importlib.import_module("scmr.sat.solve")  # attribute scmr.sat.solve is a function
+
+
+def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
+                             t_max: int | None = None, timeout: float | None = None):
+    """Smallest-step solution by probing t = depth, depth+1, ... up to t_max.
+
+    `timeout` applies per probe; a probe that times out is skipped (the loop
+    keeps climbing, and any later solution is reported as not proven
+    minimal). Raises CapExhausted when the cap runs out, or SolverTimeout
+    when every remaining probe timed out.
+    """
+    d = circuit_depth(circuit)
+    if len(circuit.gates) == 0:
+        m = qmap if qmap is not None else qubit_map({})
+        return _sat.OptimalResult(m, GateRoute(0, {}, {}), 0, True)
+    t_max = t_max if t_max is not None else max(d, len(circuit.gates))
+    if t_max < d:
+        raise ValueError(f"cap {t_max} is below the depth lower bound {d}")
+    proven = True
+    timed_out = False
+    for t in range(d, t_max + 1):
+        probe_start = time.monotonic()
+        cnf = _sat.encode(arch, circuit, qmap=qmap, t_s=t)
+        remaining = None
+        if timeout is not None:
+            remaining = timeout - (time.monotonic() - probe_start)
+            if remaining <= 0:
+                proven = False
+                timed_out = True
+                continue
+        try:
+            model = _sat.solve(cnf, timeout=remaining)
+        except SolverTimeout:
+            proven = False
+            timed_out = True
+            continue
+        if model is not None:
+            got_map, route = _sat.decode(model, cnf.table, circuit, arch)
+            return _sat.OptimalResult(got_map, route, route.steps, proven)
+    if timed_out:
+        raise SolverTimeout(f"probes up to {t_max} steps timed out without a solution")
+    raise _sat.CapExhausted(t_max)

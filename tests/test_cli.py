@@ -71,6 +71,21 @@ def test_compile_optimal_timed_out_probe(tmp_path, capsys, first_probe_times_out
     assert len(first_probe_times_out) == 2
 
 
+def test_compile_optimal_timed_out_probe_of_unroutable_instance(tmp_path, capsys,
+                                                                first_probe_times_out):
+    # the first probe (t = 2) times out, but a T gate on a grid without a
+    # magic vertex has no legal path at any step count, so no probe follows
+    circ = tmp_path / "t.qc"
+    circ.write_text("t q0;\nt q0;\n")
+    arch = tmp_path / "grid3.arch.json"
+    arch.write_text(json.dumps({"rows": 3, "cols": 3, "magic": []}))
+    code, _ = _compile(tmp_path, circ, "--router", "optimal", "--arch", str(arch),
+                       "--timeout", "30")
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: no solution within 2 steps\n"
+    assert len(first_probe_times_out) == 1
+
+
 def test_cli_import_loads_no_process_machinery():
     # process pools are imported only when --jobs asks for workers, and the
     # exact engine runs no external program

@@ -603,10 +603,13 @@ def _optimum(arch, circuit, qmap):
 
 def test_solve_optimal_matches_reference_encoding_probe_loop(monkeypatch):
     # the step loop over the usable-edge formula against the same loop over
-    # the reference formula, which gives every gate every edge
+    # the reference formula, which gives every gate every edge; the check
+    # for gates without a legal path is off, so that both encoders walk the
+    # whole loop, the UNSAT probes of unroutable instances included
     import importlib
     import random
     solve_module = importlib.import_module("scmr.sat.solve")
+    monkeypatch.setattr(solve_module, "unroutable_gate", lambda arch, circuit, qmap: None)
     probes = []
 
     def counted(encoder):
@@ -847,3 +850,132 @@ def test_probe_timeout_counts_solver_construction(monkeypatch, tmp_path, capsys)
                 "optimal", "--router", "optimal", "--timeout", "0.01"])
     assert code == EXIT_TIMEOUT
     assert capsys.readouterr().err == "timeout: probes up to 1 steps timed out without a solution\n"
+
+
+# ---------------------------------------------------------------------------
+# The step loop against the loop that always climbs to the cap
+# ---------------------------------------------------------------------------
+
+def _climb_corpus(rng, size):
+    """`size` seeded (arch, circuit, qmap) instances: 2-4 qubits, depth 1-3,
+    0-70% T gates, on bordered, right-column and center-column grids (where
+    struct maps put CNOTs across the magic column) and on a grid with no
+    magic vertex (where every T gate is unroutable), under struct, random,
+    arbitrary and spare-qubit maps; and free maps for up to 3 qubits and
+    depth 2 on two small grids, or on one with fewer free vertices than
+    qubits."""
+    small = [custom_architecture(3, 4, []), custom_architecture(3, 4, [(4, 1), (4, 3)])]
+    grids = [bordered_architecture(4), right_column_architecture(4),
+             center_column_architecture(4), small[0]]
+    crowded = custom_architecture(2, 2, [(1, 1), (2, 1)])
+    corpus = []
+    while len(corpus) < size:
+        arch = rng.choice(grids)
+        free = [v for v in arch.vertices() if v not in arch.magic]
+        circuit = random_circuit(rng.randint(2, 4), rng.randint(1, 3), rng.choice((0.0, 0.3, 0.7)),
+                                 seed=rng.randrange(2 ** 30))
+        kind = rng.choice(("struct", "random", "arbitrary", "spare", "free", "crowded"))
+        locations = free if arch in small else None  # too small for regular locations
+        if kind == "struct":
+            qmap = struct_map(arch, circuit, locations)
+        elif kind == "random":
+            qmap = random_map(arch, circuit, rng.randrange(2 ** 30), locations)
+        elif kind in ("arbitrary", "spare"):
+            names = list(circuit.qubits) + (["spare"] if kind == "spare" else [])
+            qmap = qubit_map(dict(zip(names, rng.sample(free, len(names)))))
+        elif circuit.num_qubits == 4 or depth(circuit) == 3:
+            continue
+        elif kind == "free":
+            arch, qmap = rng.choice(small), None
+        elif circuit.num_qubits > 2:
+            arch, qmap = crowded, None
+        else:
+            continue
+        corpus.append((arch, circuit, qmap))
+    return corpus
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """A counter of the encodes, so the probes, of both step loops."""
+    import importlib
+
+    def probe(*args, **kwargs):
+        probe.calls += 1
+        return encode(*args, **kwargs)
+
+    probe.calls = 0
+    monkeypatch.setattr(importlib.import_module("scmr.sat.solve"), "encode", probe)
+    return probe
+
+
+def _outcome(solver, probes, arch, circuit, qmap):
+    """(result, probes): steps and proof of `solver`'s answer, or its
+    exception type and cap; every route must pass `validate`."""
+    before = probes.calls
+    try:
+        res = solver(arch, circuit, qmap=qmap)
+    except CapExhausted as e:
+        result = (type(e).__name__, e.t_max)
+    else:
+        assert validate(arch, circuit, res.qmap if qmap is None else qmap, res.route) == []
+        result = (res.steps, res.proven_minimal)
+    return result, probes.calls - before
+
+
+def _solo_unroutable(arch, circuit, qmap):
+    blocked = set(qmap.vertices())
+    return any(oracles.layered_shortest_length(arch, blocked, r.source, r.sinks) is None
+               for r in (request_for_gate(arch, qmap, g) for g in circuit.gates))
+
+
+def test_solve_optimal_matches_probe_loop_that_always_climbs(probes):
+    import random
+    corpus = _climb_corpus(random.Random(29), 220)
+    kinds = {"unroutable": 0, "diagnostic": 0, "free": 0, "above depth": 0}
+    for arch, circuit, qmap in corpus:
+        got, new_probes = _outcome(solve_optimal, probes, arch, circuit, qmap)
+        want, old_probes = _outcome(oracles.probe_loop_solve_optimal, probes, arch, circuit, qmap)
+        assert got == want, (serialize_circuit(circuit), qmap)
+        assert new_probes <= old_probes
+        if qmap is None:
+            kinds["free"] += 1
+            if arch.num_vertices - len(arch.magic) < circuit.num_qubits:
+                kinds["diagnostic"] += 1
+                assert new_probes == 1 < old_probes
+        elif _solo_unroutable(arch, circuit, qmap):
+            kinds["unroutable"] += 1
+            assert got == ("CapExhausted", len(circuit.gates)) and new_probes == 1
+        if got[0] != "CapExhausted" and got[0] > depth(circuit):
+            kinds["above depth"] += 1
+    assert kinds["unroutable"] >= 40 and all(kinds.values()), kinds
+
+
+def test_solve_optimal_stops_after_one_probe_when_a_gate_cannot_be_routed(probes):
+    # the loop that always climbs runs 13 UNSAT probes, up to the gate count
+    arch = center_column_architecture(4, widen=True)
+    circuit = random_circuit(4, 8, 0.3, seed=124576495)
+    with pytest.raises(CapExhausted) as info:
+        solve_optimal(arch, circuit, qmap=struct_map(arch, circuit))
+    assert (info.value.t_max, probes.calls) == (20, 1)
+
+
+def test_solve_optimal_stops_after_one_probe_on_too_many_qubits(probes):
+    arch = custom_architecture(2, 2, [(1, 1), (1, 2), (2, 1)])
+    circuit = random_circuit(3, 2, 0.3, seed=1)
+    with pytest.raises(CapExhausted) as info:
+        solve_optimal(arch, circuit)
+    assert (info.value.t_max, probes.calls) == (len(circuit.gates), 1)
+    assert len(circuit.gates) > 1
+
+
+def test_solve_optimal_keeps_routes_off_pinned_qubits_the_circuit_does_not_use():
+    # the spare qubit s sits on the only vertical neighbor of a's vertex
+    from scmr.routing import UnroutableGateError, greedy_route
+    arch = custom_architecture(2, 2, [])
+    circuit = circuit_from_gates([cnot("a", "b")])
+    qmap = qubit_map({"a": (1, 1), "b": (2, 2), "s": (1, 2)})
+    with pytest.raises(CapExhausted):
+        solve_optimal(arch, circuit, qmap=qmap)
+    with pytest.raises(UnroutableGateError):
+        greedy_route(arch, circuit, qmap)
