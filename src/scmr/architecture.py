@@ -13,8 +13,9 @@ distance >= 2 so each qubit keeps a private routing ring.
 `Architecture.cells`, a `CellIndex` built once per instance, is the grid's
 one adjacency source: a padded integer id per cell, so neighbors are fixed
 id offsets (horizontal ``± stride``, vertical ``± 1``) and a border of
-never-free padding ids replaces bounds checks. The routing BFS, the mapper's
-distance BFS and the SAT encoder's neighbor lists and edges all read it.
+never-free padding ids replaces bounds checks. The routing search (over its
+bitset of free cells), the mapper's distance BFS and the SAT encoder's
+neighbor lists and edges all read it.
 """
 from __future__ import annotations
 
@@ -75,6 +76,9 @@ class Architecture:
         return {"rows": self.rows, "cols": self.cols, "magic": self.magic}
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")   # cell flag byte -> base-2 digit
+
+
 @dataclass(frozen=True)
 class CellIndex:
     """Padded integer ids of a grid's cells.
@@ -87,11 +91,16 @@ class CellIndex:
     order are ``i - stride, i - 1, i + 1, i + stride``; the horizontal ones
     (same second coordinate) are ``i ± stride`` and the vertical ones
     ``i ± 1``.
+
+    `free` is a cell bitset: bit ``i`` of the integer is set at the in-bounds
+    non-magic cells and clear elsewhere, padding too. Shifting a bitset by
+    ``stride`` or 1 moves every cell to a neighbor at once, and the padding
+    bits, never set, stop a shift from wrapping across the border.
     """
     stride: int
     id_of: MappingProxyType              # in-bounds vertex -> id; off-grid raises ArchitectureError
     vertex_of: tuple[Vertex | None, ...]  # id -> vertex, None at padding
-    free: bytes                          # 1 at in-bounds non-magic cells, 0 elsewhere (padding too)
+    free: int                            # bit i set at in-bounds non-magic cells
 
     @classmethod
     def of(cls, arch: Architecture) -> CellIndex:
@@ -106,7 +115,9 @@ class CellIndex:
                 vertex_of[i] = v = (a, b)
                 id_of[v] = i
                 free[i] = v not in arch.magic
-        return cls(stride, MappingProxyType(id_of), tuple(vertex_of), bytes(free))
+        # one base-2 digit per cell, highest id first, parsed in C
+        bits = int(free[::-1].translate(_DIGITS), 2)
+        return cls(stride, MappingProxyType(id_of), tuple(vertex_of), bits)
 
 
 def grid_distance(u: Vertex, v: Vertex) -> int:

@@ -7,17 +7,19 @@ vertex; T paths run from the operand's vertex to any magic-state vertex.
 Mapped and magic vertices may appear only as path endpoints, and paths that
 share a time step must be vertex-disjoint, endpoints included.
 
-The greedy router searches over `Architecture.cells` ids. `greedy_route`
-builds one `bytearray` mask of free cells per route; `shortest_first` copies
-it per step and zeroes each picked path in the copy, and the BFS marks
-reached cells in a copy of its own. `shortest_first` keeps the pending
-requests in a heap keyed by path length and gate index and searches a
-request again only when it is popped with a path that meets an earlier
-pick; since consuming vertices only lengthens or removes paths, the picks
-are those of searching every pending request again after every pick. Every
-step of a route starts from the same mask, so `greedy_route` keeps one dict
-per route from (source, sinks) to the path of that first, unobstructed
-search, and runs it at most once per pair.
+The greedy router searches over `Architecture.cells` ids. The free cells
+are one Python `int` with a bit per id (`CellIndex.free`); `greedy_route`
+builds one such bitset per route, and `shortest_legal_path` searches it a
+whole breadth-first layer at a time with four shifts, then walks the kept
+layers to the path a FIFO search with sorted neighbor expansion would give.
+`shortest_first` keeps the pending requests in a heap keyed by path length
+and gate index and searches a request again only when it is popped with a
+path that meets an earlier pick; since consuming vertices only lengthens or
+removes paths, the picks are those of searching every pending request again
+after every pick. The picked paths are taken out of the step's bitset only
+before such a search. Every step of a route starts from the same bitset, so
+`greedy_route` keeps one dict per route from (source, sinks) to the path of
+that first, unobstructed search, and runs it at most once per pair.
 """
 from __future__ import annotations
 
@@ -63,64 +65,78 @@ class GateRoute:
 # Shortest legal path
 # ---------------------------------------------------------------------------
 
-def shortest_legal_path(arch: Architecture, free: bytearray, source: Vertex, sinks,
+def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
                         used=frozenset()) -> Path | None:
     """Minimum-length legal path from source to some sink, or None.
 
-    `free` is a mask over `arch.cells` ids: 1 where a vertex may be a path
-    interior, 0 at mapped, magic and padding cells and at the vertices
-    consumed earlier in the step. The source and the sinks are never
-    interiors. Sinks are endpoint candidates and must be entered through a
-    horizontal edge; sinks in `used` (a set of vertices) are skipped. Only
-    the first and last edges are orientation-constrained, so a plain BFS
-    over interior ids suffices. It runs on a copy of `free` in which reached
-    cells are zeroed, keeps integer parents and expands neighbors in sorted
-    order, so the returned path is deterministic; only that path is turned
-    back into vertices.
+    `free` is a bitset over `arch.cells` ids (see `CellIndex`): set where a
+    vertex may be a path interior, clear at mapped, magic and padding cells
+    and at the vertices consumed earlier in the step. The source and the
+    sinks are never interiors. Sinks are endpoint candidates and must be
+    entered through a horizontal edge; sinks in `used` (a set of vertices)
+    are skipped. Only the first and last edges are orientation-constrained,
+    so the search runs over interior cells alone. The goal cells are the
+    cells horizontally next to a usable sink.
+
+    The search is layer-synchronous: the first layer is the open vertical
+    neighbors of the source, and each next layer is the open, unreached
+    neighbors of the last, all found by four shifts of one integer. It stops
+    at the first layer that meets a goal cell. Walking back through the kept
+    layers leaves, in each, the cells on a shortest path to a reached goal;
+    walking forward from the source then takes at each hop the first such
+    cell in the order ``-stride, -1, +1, +stride`` (``-1, +1`` on the first
+    hop). That is the lexicographically least shortest path by direction,
+    which is the path of a FIFO breadth-first search that expands neighbors
+    in that order and keeps each cell's first parent: its tree path to a cell
+    is the least one, and the first goal it enqueues ends the least path at
+    the least distance. The path ends at the sink ``-stride`` from its last
+    cell when that sink is usable, otherwise at the one ``+stride`` from it.
     """
     cells = arch.cells
     id_of, stride = cells.id_of, cells.stride
-    open_ = bytearray(free)
-    goal_of: dict[int, Vertex] = {}   # cell -> sink it enters horizontally
-    for t in sorted(sinks, reverse=True):   # a cell between two sinks keeps the smaller
-        i = id_of[t]
-        open_[i] = 0
+    closed = ends = 0   # every sink; the sinks not in `used`
+    for t in sinks:
+        bit = 1 << id_of[t]
+        closed |= bit
         if t not in used:
-            goal_of[i - stride] = goal_of[i + stride] = t
-    if not goal_of:
+            ends |= bit
+    if not ends:
         return None
+    goal = ends << stride | ends >> stride
 
     s = id_of[source]
-    open_[s] = 0
-    parent: dict[int, int] = {}
-    queue: list[int] = []   # FIFO: the loop below reads it while it grows
-    for x in (s - 1, s + 1):
-        if open_[x]:
-            open_[x] = 0
-            parent[x] = s
-            if x in goal_of:
-                return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
-            queue.append(x)
-    # A goal is recognised when it is enqueued: the first goal enqueued is
-    # the first a dequeue-time check would meet, so the path is the same.
-    for w in queue:
-        for x in (w - stride, w - 1, w + 1, w + stride):
-            if open_[x]:
-                open_[x] = 0
-                parent[x] = w
-                if x in goal_of:
-                    return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
-                queue.append(x)
-    return None
+    open_ = free & ~(closed | 1 << s)
+    front = (1 << (s - 1) | 1 << (s + 1)) & open_
+    layers: list[int] = []
+    while front:
+        layers.append(front)
+        if front & goal:
+            break
+        open_ ^= front
+        front = (front << stride | front >> stride | front << 1 | front >> 1) & open_
+    else:
+        return None
 
-
-def _unwind(vertex_of, parent: dict[int, int], last: int, source: Vertex, sink: Vertex) -> Path:
-    hops = [sink]
-    while last in parent:
-        hops.append(vertex_of[last])
-        last = parent[last]
-    hops.append(source)
-    hops.reverse()
+    # Walk back: keep in each layer the cells on a shortest path to a goal
+    # the last layer reached; then walk forward through them.
+    on = layers[-1] = front & goal
+    for k in range(len(layers) - 2, -1, -1):
+        on = layers[k] = layers[k] & (on << stride | on >> stride | on << 1 | on >> 1)
+    vertex_of = cells.vertex_of
+    cur = s - 1 if layers[0] >> (s - 1) & 1 else s + 1
+    hops = [source, vertex_of[cur]]
+    for on in layers[1:]:
+        near = on >> (cur - stride)   # bit 0 is cur - stride
+        if near & 1:
+            cur -= stride
+        elif near >> (stride - 1) & 1:
+            cur -= 1
+        elif near >> (stride + 1) & 1:
+            cur += 1
+        else:   # a kept cell always has a kept neighbor in the next layer
+            cur += stride
+        hops.append(vertex_of[cur])
+    hops.append(vertex_of[cur - stride if ends >> (cur - stride) & 1 else cur + stride])
     return tuple(hops)
 
 
@@ -141,17 +157,17 @@ def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteReq
     return RouteRequest(gate, qmap[gate.operand], frozenset(arch.magic))
 
 
-def free_mask(arch: Architecture, blocked) -> bytearray:
-    """The `shortest_legal_path` mask of `arch` with the `blocked` vertices
+def free_mask(arch: Architecture, blocked) -> int:
+    """The `shortest_legal_path` bitset of `arch` with the `blocked` vertices
     taken out; off-grid vertices in `blocked` are ignored."""
     cells = arch.cells
-    free = bytearray(cells.free)
     cell_id = cells.id_of.get
+    gone = 0
     for v in blocked:
         i = cell_id(v)
         if i is not None:
-            free[i] = 0
-    return free
+            gone |= 1 << i
+    return cells.free & ~gone
 
 
 def unroutable_gate(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> Gate | None:
@@ -171,31 +187,32 @@ def unroutable_gate(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> Gat
     return None
 
 
-def shortest_first(arch: Architecture, requests, free: bytearray,
+def shortest_first(arch: Architecture, requests, free: int,
                    first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
     vertices, repeat until nothing is routable. Ties go to the lower gate
     index, then to the earlier request. Returns the routed subset with
     vertex-disjoint paths, in pick order.
 
-    `free` is a `shortest_legal_path` mask (see `free_mask`); it is copied,
-    and each picked path's cells are zeroed in the copy. Requests wait in a
-    heap keyed by (path length, gate index, position in `requests`). A
-    popped path that still avoids every consumed vertex is picked; one that
-    meets them is searched again under the current mask and pushed back, or
-    dropped when it has no path left. Consuming vertices only removes paths,
-    and the search returns the first shortest path in its fixed expansion
-    order, so a path that stays clear is the one a fresh search would return,
-    and a stale key is a lower bound on its request's current key. The pick
-    is therefore the minimum over the current paths, as if every pending
+    `free` is a `shortest_legal_path` bitset (see `free_mask`). Requests
+    wait in a heap keyed by (path length, gate index, position in
+    `requests`). A popped path that still avoids every consumed vertex is
+    picked; one that meets them is searched again under `free` without the
+    picked paths and pushed back, or dropped when it has no path left. The
+    picked paths are taken out of the bitset only before such a search, all
+    those picked since the last one at once, so a step whose picks need no
+    search never rebuilds it. Consuming vertices only removes paths, and the
+    search returns the first shortest path in its fixed expansion order, so
+    a path that stays clear is the one a fresh search would return, and a
+    stale key is a lower bound on its request's current key. The pick is
+    therefore the minimum over the current paths, as if every pending
     request were searched again after every pick, while a request is
     searched again at most once per pop.
 
     `first_paths`, when given, maps (source, sinks) to the path of a search
     under `free` alone; missing entries are searched and stored. It is valid
-    only across calls with the same mask.
+    only across calls with the same bitset.
     """
-    free = bytearray(free)
     if first_paths is None:
         first_paths = {}
     heap = []
@@ -210,14 +227,20 @@ def shortest_first(arch: Architecture, requests, free: bytearray,
     id_of = arch.cells.id_of
     used: set[Vertex] = set()
     routed: list[tuple[Gate, Path]] = []
+    folded = 0   # routed[:folded] are out of `free`
     while heap:
         _, index, position, path, r = heappop(heap)
         if used.isdisjoint(path):
             used.update(path)
-            for v in path:
-                free[id_of[v]] = 0
             routed.append((r.gate, path))
         else:
+            if folded < len(routed):
+                gone = 0
+                for _, picked in routed[folded:]:
+                    for v in picked:
+                        gone |= 1 << id_of[v]
+                free &= ~gone
+                folded = len(routed)
             path = shortest_legal_path(arch, free, r.source, r.sinks, used)
             if path is not None:
                 heappush(heap, (len(path), index, position, path, r))
@@ -229,7 +252,7 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     layer until the layer drains, never starting a layer before the previous
     one finishes.
 
-    Every step starts from the same mask, `free_mask(arch, mapped vertices)`
+    Every step starts from the same bitset, `free_mask(arch, mapped vertices)`
     (magic cells are never free), built once per route; so a request's
     first search in any step gives the same path, one dict per route keeps
     it, and each (source, sinks) pair is searched unobstructed at most once
@@ -407,10 +430,8 @@ def _check_path_shape(arch: Architecture, g: Gate, path: Path,
 # ---------------------------------------------------------------------------
 
 def route_to_json(route: GateRoute) -> str:
-    gates = [
-        {"index": i, "step": route.time[i], "path": [list(v) for v in route.space[i]]}
-        for i in sorted(route.time)
-    ]
+    # json.dumps writes a tuple as an array, so paths go in as they are
+    gates = [{"index": i, "step": route.time[i], "path": route.space[i]} for i in sorted(route.time)]
     return json.dumps({"steps": route.steps, "gates": gates})
 
 

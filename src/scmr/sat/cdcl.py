@@ -11,7 +11,8 @@ from the end), and the decision heap gets a variable's entry again only when
 it lacks the one with the current activity. Stale entries from earlier
 activities are skipped when popped.
 
-Clauses are loaded in one pass in the constructor. A two-literal clause over
+Clauses are loaded in one pass in the constructor, which runs with the
+cyclic garbage collector paused. A two-literal clause over
 two distinct in-range variables, both unassigned at the root (most clauses
 the encoder emits), is kept and watched directly; every other clause goes
 through `_add_clause`, which sorts, drops duplicates, tautologies and
@@ -23,6 +24,7 @@ verified against the full clause set before being returned.
 """
 from __future__ import annotations
 
+import gc
 import time
 from heapq import heapify, heappop, heappush
 
@@ -47,27 +49,38 @@ def _luby(i: int) -> int:
 
 class CdclSolver:
     def __init__(self, num_vars: int, clauses):
-        self.n = num_vars
-        # indexed by literal: vals[v] and vals[-v] (from the end) are 1 true,
-        # -1 false, 0 unassigned
-        self.vals = [0] * (2 * num_vars + 1)
-        self.level = [0] * (num_vars + 1)
-        self.reason: list = [None] * (num_vars + 1)
-        self.saved_phase = bytearray(num_vars + 1)
-        self.activity = [0.0] * (num_vars + 1)
-        self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
-        # queued[v]: the heap holds the entry with v's current activity
-        self.queued = bytearray(b"\x01" * (num_vars + 1))
-        self.clauses: list[list[int]] = []
-        # indexed like vals: watches[l] holds the clauses watching literal l
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.ok = True
-        self._seen = bytearray(num_vars + 1)
-        self._load(clauses)
+        # The tables and the kept clauses are hundreds of thousands of new
+        # tracked lists and tuples on a large formula, and the collections
+        # their growth sets off would walk them, and the caller's clauses,
+        # again and again. Building them makes no reference cycle, so the
+        # cyclic collector is paused instead, and left as it was found.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.n = num_vars
+            # indexed by literal: vals[v] and vals[-v] (from the end) are 1 true,
+            # -1 false, 0 unassigned
+            self.vals = [0] * (2 * num_vars + 1)
+            self.level = [0] * (num_vars + 1)
+            self.reason: list = [None] * (num_vars + 1)
+            self.saved_phase = bytearray(num_vars + 1)
+            self.activity = [0.0] * (num_vars + 1)
+            self.var_inc = 1.0
+            self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
+            # queued[v]: the heap holds the entry with v's current activity
+            self.queued = bytearray(b"\x01" * (num_vars + 1))
+            self.clauses: list[list[int]] = []
+            # indexed like vals: watches[l] holds the clauses watching literal l
+            self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+            self.trail: list[int] = []
+            self.trail_lim: list[int] = []
+            self.qhead = 0
+            self.ok = True
+            self._seen = bytearray(num_vars + 1)
+            self._load(clauses)
+        finally:
+            if enabled:
+                gc.enable()
 
     # -- clause management ---------------------------------------------------
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import time
 from collections import deque
 from functools import lru_cache
@@ -406,7 +407,9 @@ def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> G
 # Kept verbatim (renamed `eager_*`, with `free_mask` and
 # `shortest_legal_path` read through the `scmr.routing` module, so a counter
 # patched there sees this copy's searches too) as the reference the heap
-# router must match pick for pick, and as its search-count baseline.
+# router must match pick for pick, and as its search-count baseline. The one
+# later edit: since the free mask became an `int` bitset, the line that takes
+# a picked vertex out of it clears its bit instead of zeroing a byte.
 # ---------------------------------------------------------------------------
 
 def eager_shortest_first(arch: Architecture, requests, blocked: set,
@@ -450,7 +453,7 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
         req, picked = remaining.pop(best), paths.pop(best)
         used.update(picked)
         for v in picked:
-            free[id_of[v]] = 0
+            free &= ~(1 << id_of[v])
         routed.append((req.gate, picked))
         for i, path in enumerate(paths):
             if path is not None and not used.isdisjoint(path):
@@ -491,6 +494,93 @@ def eager_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> 
                 space[g.index] = path
             pending = [r for r in pending if r.gate.index not in done]
     return GateRoute(step, time, space)
+
+
+# ---------------------------------------------------------------------------
+# The greedy router's search as it was before the cell bitset: a FIFO BFS over
+# a `bytearray` mask (1 where a cell may be an interior), integer parents,
+# neighbors expanded in sorted order. Kept verbatim (renamed `fifo_*`) as the
+# reference the layer-synchronous search must match path for path;
+# `byte_mask` turns a bitset into the mask it takes.
+# ---------------------------------------------------------------------------
+
+def byte_mask(arch: Architecture, free: int) -> bytearray:
+    """The `bytearray` form of a cell bitset: one byte per `arch.cells` id."""
+    return bytearray(free >> i & 1 for i in range(len(arch.cells.vertex_of)))
+
+
+def fifo_shortest_legal_path(arch: Architecture, free: bytearray, source: Vertex, sinks,
+                             used=frozenset()) -> Path | None:
+    """Minimum-length legal path from source to some sink, or None.
+
+    `free` is a mask over `arch.cells` ids: 1 where a vertex may be a path
+    interior, 0 at mapped, magic and padding cells and at the vertices
+    consumed earlier in the step. The source and the sinks are never
+    interiors. Sinks are endpoint candidates and must be entered through a
+    horizontal edge; sinks in `used` (a set of vertices) are skipped. Only
+    the first and last edges are orientation-constrained, so a plain BFS
+    over interior ids suffices. It runs on a copy of `free` in which reached
+    cells are zeroed, keeps integer parents and expands neighbors in sorted
+    order, so the returned path is deterministic; only that path is turned
+    back into vertices.
+    """
+    cells = arch.cells
+    id_of, stride = cells.id_of, cells.stride
+    open_ = bytearray(free)
+    goal_of: dict[int, Vertex] = {}   # cell -> sink it enters horizontally
+    for t in sorted(sinks, reverse=True):   # a cell between two sinks keeps the smaller
+        i = id_of[t]
+        open_[i] = 0
+        if t not in used:
+            goal_of[i - stride] = goal_of[i + stride] = t
+    if not goal_of:
+        return None
+
+    s = id_of[source]
+    open_[s] = 0
+    parent: dict[int, int] = {}
+    queue: list[int] = []   # FIFO: the loop below reads it while it grows
+    for x in (s - 1, s + 1):
+        if open_[x]:
+            open_[x] = 0
+            parent[x] = s
+            if x in goal_of:
+                return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
+            queue.append(x)
+    # A goal is recognised when it is enqueued: the first goal enqueued is
+    # the first a dequeue-time check would meet, so the path is the same.
+    for w in queue:
+        for x in (w - stride, w - 1, w + 1, w + stride):
+            if open_[x]:
+                open_[x] = 0
+                parent[x] = w
+                if x in goal_of:
+                    return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
+                queue.append(x)
+    return None
+
+
+def _unwind(vertex_of, parent: dict[int, int], last: int, source: Vertex, sink: Vertex) -> Path:
+    hops = [sink]
+    while last in parent:
+        hops.append(vertex_of[last])
+        last = parent[last]
+    hops.append(source)
+    hops.reverse()
+    return tuple(hops)
+
+
+# ---------------------------------------------------------------------------
+# The route serializer as it was before paths went to `json.dumps` as tuples.
+# Kept verbatim (renamed) as the reference for byte-identical output.
+# ---------------------------------------------------------------------------
+
+def list_route_to_json(route: GateRoute) -> str:
+    gates = [
+        {"index": i, "step": route.time[i], "path": [list(v) for v in route.space[i]]}
+        for i in sorted(route.time)
+    ]
+    return json.dumps({"steps": route.steps, "gates": gates})
 
 
 # ---------------------------------------------------------------------------

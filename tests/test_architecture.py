@@ -170,10 +170,11 @@ def test_cell_index_matches_neighbors():
         assert [u for u in row if u is not None] == sorted(oracles.neighbors(arch, v))
         assert [u for u in (cells.vertex_of[i - s], cells.vertex_of[i + s]) if u] == oracles.horizontal_neighbors(arch, v)
         assert [u for u in (cells.vertex_of[i - 1], cells.vertex_of[i + 1]) if u] == oracles.vertical_neighbors(arch, v)
-        assert cells.free[i] == (v not in arch.magic)
+        assert cells.free >> i & 1 == (v not in arch.magic)
     padding = [i for i, v in enumerate(cells.vertex_of) if v is None]
     assert len(padding) == len(cells.vertex_of) - arch.num_vertices
-    assert not any(cells.free[i] for i in padding)
+    assert not any(cells.free >> i & 1 for i in padding)
+    assert cells.free >> len(cells.vertex_of) == 0   # no bit past the last id
     assert arch.cells is cells
     with pytest.raises(ArchitectureError):
         cells.id_of[(0, 1)]

@@ -32,6 +32,7 @@ from scmr.routing import (
     shortest_legal_path,
     validate,
 )
+from scmr.sat import solve_optimal
 
 from oracles import enumerate_legal_paths, layered_shortest_length
 
@@ -270,6 +271,26 @@ def test_route_json_roundtrip():
     r = greedy_route(arch, c, m)
     again = route_from_json(route_to_json(r))
     assert again == r and route_to_json(again) == route_to_json(r)
+
+
+def test_route_to_json_matches_list_serializer():
+    # paths go to json.dumps as tuples; the bytes are those of the list form
+    routes = [GateRoute(0, {}, {})]
+    for arch, c, m in itertools.islice(_differential_instances(), 0, None, 7):
+        try:
+            routes.append(greedy_route(arch, c, m))
+        except UnroutableGateError:
+            pass
+    for text in ("cnot a b; t a; cnot b c", "t a; t b; cnot a b"):
+        c = parse_circuit(text)
+        arch = bordered_architecture(c.num_qubits)
+        routes.append(solve_optimal(arch, c, struct_map(arch, c)).route)
+    assert len(routes) > 15 and sum(bool(r.space) for r in routes) == len(routes) - 1
+    for r in routes:
+        text = route_to_json(r)
+        assert text == oracles.list_route_to_json(r)
+        again = route_from_json(text)
+        assert again == r and route_to_json(again) == text
 
 
 def test_gate_route_is_read_only():
@@ -597,3 +618,69 @@ def test_validate_matches_reference():
         seen_details.update(mark for v in got for mark in marks if mark in v.detail)
     assert seen_rules == set(Rule)
     assert seen_details == set(marks)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the bitset search against the FIFO BFS kept in oracles
+# ---------------------------------------------------------------------------
+
+def _search_grids(rng):
+    """Standard layouts and custom grids: 1xN, Nx1, narrow and square ones,
+    with no magic, a magic column 1 or random magic cells."""
+    for n in (1, 2, 5, 9, 16, 24):
+        yield from (builder(n) for builder in _BUILDERS)
+    for rows, cols in [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2), (3, 3), (4, 6), (8, 5), (13, 13)]:
+        cells = [(a, b) for a in range(1, cols + 1) for b in range(1, rows + 1)]
+        yield custom_architecture(rows, cols, [])
+        yield custom_architecture(rows, cols, [(1, b) for b in range(1, rows + 1)])
+        yield custom_architecture(rows, cols, rng.sample(cells, rng.randint(1, max(1, len(cells) // 4))))
+
+
+def _search_calls():
+    """Seeded `shortest_legal_path` arguments over `_search_grids`: blocked
+    sets from empty to dense; one CNOT sink, the magic cells or a few sinks
+    anywhere (border and column 1 included), sometimes the source itself;
+    `used` holding none, some or all of the sinks, plus other cells."""
+    rng = random.Random(15)
+    for arch in _search_grids(rng):
+        vertices = list(arch.vertices())
+        border = [(a, b) for a, b in vertices if a in (1, arch.cols) or b in (1, arch.rows)]
+        for _ in range(200):
+            source = rng.choice(vertices)
+            kind = rng.randrange(4)
+            if kind == 0:
+                sinks = frozenset([rng.choice(vertices)])
+            elif kind == 1 and arch.magic:
+                sinks = arch.magic
+            elif kind == 2:
+                sinks = frozenset(rng.sample(border, min(len(border), rng.randint(1, 4))))
+            else:
+                sinks = frozenset(rng.sample(vertices, min(len(vertices), rng.randint(1, 4))))
+            if rng.random() < 0.05:
+                sinks |= {source}
+            blocked = set(rng.sample(vertices, int(len(vertices) * rng.choice((0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 0.8)))))
+            blocked.add(source)
+            share = rng.choice((0.0, 0.0, 0.0, 0.5, 1.0))
+            used = {t for t in sinks if rng.random() < share}
+            used.update(rng.sample(vertices, min(len(vertices), rng.randint(0, 3))))
+            yield arch, free_mask(arch, blocked | used), source, sinks, used
+
+
+def test_shortest_legal_path_matches_fifo_reference():
+    seen = dict.fromkeys(("calls", "found", "none", "magic found", "all used",
+                          "source is a sink", "source-sink found", "thin grid"), 0)
+    masks = {}
+    for arch, free, source, sinks, used in _search_calls():
+        got = shortest_legal_path(arch, free, source, sinks, used)
+        key = (arch, free)
+        if key not in masks:
+            masks[key] = oracles.byte_mask(arch, free)
+        assert got == oracles.fifo_shortest_legal_path(arch, masks[key], source, sinks, used)
+        for label, hit in (("calls", True), ("found", got is not None), ("none", got is None),
+                           ("magic found", got is not None and sinks == arch.magic),
+                           ("all used", sinks <= used), ("source is a sink", source in sinks),
+                           ("source-sink found", got is not None and source in sinks),
+                           ("thin grid", 1 in (arch.rows, arch.cols))):
+            seen[label] += hit
+    assert seen["calls"] >= 5000
+    assert min(seen.values()) >= 200, seen

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 from pathlib import Path
@@ -694,6 +695,30 @@ def test_cdcl_rejects_out_of_range_literals():
         solve_clauses(1, [[2]])
     with pytest.raises(ValueError, match="literal 0 out of range"):
         solve_clauses(2, [[1, 0]])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cdcl_loads_clauses_with_gc_paused_and_restores_its_state(enabled):
+    seen = []
+
+    def clauses(bad):
+        seen.append(gc.isenabled())   # read while the constructor loads
+        yield [1, 2]
+        yield [-1, 2]
+        if bad:
+            yield [3]
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert CdclSolver(2, clauses(False)).solve() is not None
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="literal 3 out of range"):
+            CdclSolver(2, clauses(True))
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # ---------------------------------------------------------------------------
