@@ -12,14 +12,18 @@ are one Python `int` with a bit per id (`CellIndex.free`); `greedy_route`
 builds one such bitset per route, and `shortest_legal_path` searches it a
 whole breadth-first layer at a time with four shifts, then walks the kept
 layers to the path a FIFO search with sorted neighbor expansion would give.
-`shortest_first` keeps the pending requests in a heap keyed by path length
-and gate index and searches a request again only when it is popped with a
-path that meets an earlier pick; since consuming vertices only lengthens or
-removes paths, the picks are those of searching every pending request again
-after every pick. The picked paths are taken out of the step's bitset only
-before such a search. Every step of a route starts from the same bitset, so
-`greedy_route` keeps one dict per route from (source, sinks) to the path of
-that first, unobstructed search, and runs it at most once per pair.
+A routing request is a plain tuple `(gate, source, sinks)`; `gate_requests`
+builds one per gate from the map's dict, and the greedy router, the
+`unroutable_gate` check and the SAT decoder all read that table (`validate`
+derives the endpoints itself). `shortest_first` keeps the pending requests
+in a heap keyed by path length and gate index and searches a request again
+only when it is popped with a path that meets an earlier pick; since
+consuming vertices only lengthens or removes paths, the picks are those of
+searching every pending request again after every pick. The picked paths
+are taken out of the step's bitset only before such a search. Every step of
+a route starts from the same bitset, so `greedy_route` keeps one dict per
+route from (source, sinks) to the path of that first, unobstructed search,
+and runs it at most once per pair.
 """
 from __future__ import annotations
 
@@ -144,17 +148,18 @@ def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
 # Routing requests and shortest-first
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RouteRequest:
-    gate: Gate
-    source: Vertex
-    sinks: frozenset[Vertex]
-
-
-def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteRequest:
-    if gate.kind is GateKind.CNOT:
-        return RouteRequest(gate, qmap[gate.control], frozenset([qmap[gate.target]]))
-    return RouteRequest(gate, qmap[gate.operand], frozenset(arch.magic))
+def gate_requests(arch: Architecture, circuit: Circuit,
+                  qmap: QubitMap) -> list[tuple[Gate, Vertex, frozenset[Vertex]]]:
+    """One `(gate, source, sinks)` per gate of `circuit`, in gate order: a
+    CNOT runs from its control's vertex to its target's, a T gate from its
+    operand's vertex to any vertex of `arch.magic` (that set itself). The
+    slice `r[1:]` is a request's search key."""
+    at = qmap.as_dict
+    magic = arch.magic
+    cnot = GateKind.CNOT
+    # qubits[0] is the control of a CNOT and the operand of a T gate
+    return [(g, at[g.qubits[0]], frozenset((at[g.qubits[1]],)) if g.kind is cnot else magic)
+            for g in circuit.gates]
 
 
 def free_mask(arch: Architecture, blocked) -> int:
@@ -177,52 +182,50 @@ def unroutable_gate(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> Gat
     `validate` does; each (source, sinks) pair is searched once."""
     free = free_mask(arch, qmap.vertices())
     routable: dict = {}
-    for g in circuit.gates:
-        r = request_for_gate(arch, qmap, g)
-        key = (r.source, r.sinks)
+    for r in gate_requests(arch, circuit, qmap):
+        key = r[1:]
         if key not in routable:
-            routable[key] = shortest_legal_path(arch, free, r.source, r.sinks) is not None
+            routable[key] = shortest_legal_path(arch, free, *key) is not None
         if not routable[key]:
-            return g
+            return r[0]
     return None
 
 
 def shortest_first(arch: Architecture, requests, free: int,
-                   first_paths: dict | None = None) -> list[tuple[Gate, Path]]:
+                   first_paths: dict) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
     vertices, repeat until nothing is routable. Ties go to the lower gate
     index, then to the earlier request. Returns the routed subset with
     vertex-disjoint paths, in pick order.
 
-    `free` is a `shortest_legal_path` bitset (see `free_mask`). Requests
-    wait in a heap keyed by (path length, gate index, position in
-    `requests`). A popped path that still avoids every consumed vertex is
-    picked; one that meets them is searched again under `free` without the
-    picked paths and pushed back, or dropped when it has no path left. The
-    picked paths are taken out of the bitset only before such a search, all
-    those picked since the last one at once, so a step whose picks need no
-    search never rebuilds it. Consuming vertices only removes paths, and the
-    search returns the first shortest path in its fixed expansion order, so
-    a path that stays clear is the one a fresh search would return, and a
-    stale key is a lower bound on its request's current key. The pick is
-    therefore the minimum over the current paths, as if every pending
-    request were searched again after every pick, while a request is
-    searched again at most once per pop.
+    `requests` are `gate_requests` tuples, and `free` is a
+    `shortest_legal_path` bitset (see `free_mask`). Requests wait in a heap
+    keyed by (path length, gate index, position in `requests`). A popped
+    path that still avoids every consumed vertex is picked; one that meets
+    them is searched again under `free` without the picked paths and pushed
+    back, or dropped when it has no path left. The picked paths are taken
+    out of the bitset only before such a search, all those picked since the
+    last one at once, so a step whose picks need no search never rebuilds
+    it. Consuming vertices only removes paths, and the search returns the
+    first shortest path in its fixed expansion order, so a path that stays
+    clear is the one a fresh search would return, and a stale key is a lower
+    bound on its request's current key. The pick is therefore the minimum
+    over the current paths, as if every pending request were searched again
+    after every pick, while a request is searched again at most once per
+    pop.
 
-    `first_paths`, when given, maps (source, sinks) to the path of a search
-    under `free` alone; missing entries are searched and stored. It is valid
-    only across calls with the same bitset.
+    `first_paths` maps (source, sinks) to the path of a search under `free`
+    alone; missing entries are searched and stored. It is valid only across
+    calls with the same bitset.
     """
-    if first_paths is None:
-        first_paths = {}
     heap = []
     for position, r in enumerate(requests):
-        key = (r.source, r.sinks)
+        key = r[1:]
         if key not in first_paths:
-            first_paths[key] = shortest_legal_path(arch, free, r.source, r.sinks)
+            first_paths[key] = shortest_legal_path(arch, free, *key)
         path = first_paths[key]
         if path is not None:
-            heap.append((len(path), r.gate.index, position, path, r))
+            heap.append((len(path), r[0].index, position, path, r))
     heapify(heap)
     id_of = arch.cells.id_of
     used: set[Vertex] = set()
@@ -232,7 +235,7 @@ def shortest_first(arch: Architecture, requests, free: int,
         _, index, position, path, r = heappop(heap)
         if used.isdisjoint(path):
             used.update(path)
-            routed.append((r.gate, path))
+            routed.append((r[0], path))
         else:
             if folded < len(routed):
                 gone = 0
@@ -241,7 +244,7 @@ def shortest_first(arch: Architecture, requests, free: int,
                         gone |= 1 << id_of[v]
                 free &= ~gone
                 folded = len(routed)
-            path = shortest_legal_path(arch, free, r.source, r.sinks, used)
+            path = shortest_legal_path(arch, free, r[1], r[2], used)
             if path is not None:
                 heappush(heap, (len(path), index, position, path, r))
     return routed
@@ -259,17 +262,18 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     per route.
     """
     free = free_mask(arch, qmap.vertices())
+    requests = gate_requests(arch, circuit, qmap)
     first_paths: dict = {}
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
     step = 0
     for layer in topological_layering(circuit).layers:
-        pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
+        pending = [requests[i] for i in layer]
         while pending:
             step += 1
             routed = shortest_first(arch, pending, free, first_paths)
             if not routed:
-                bad = pending[0].gate
+                bad = pending[0][0]
                 raise UnroutableGateError(
                     f"gate {bad.index} ({bad.kind.value} {' '.join(bad.qubits)}) has no legal path under this map"
                 )
@@ -277,7 +281,7 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
             for g, path in routed:
                 time[g.index] = step
                 space[g.index] = path
-            pending = [r for r in pending if r.gate.index not in done]
+            pending = [r for r in pending if r[0].index not in done]
     return GateRoute(step, time, space)
 
 

@@ -292,10 +292,7 @@ class CdclSolver:
                 queued[v] = 0
                 if not vals[v]:
                     return v if self.saved_phase[v] else -v
-        for v in range(1, self.n + 1):
-            if not vals[v]:
-                return v if self.saved_phase[v] else -v
-        return 0
+        return 0   # every unassigned variable has its current entry
 
     # -- main loop -----------------------------------------------------------
 
@@ -355,7 +352,3 @@ class CdclSolver:
         for clause in self.clauses:
             if 1 not in map(value, clause):
                 raise RuntimeError("internal error: model does not satisfy clause set")
-
-
-def solve_clauses(num_vars: int, clauses, timeout: float | None = None) -> list[int] | None:
-    return CdclSolver(num_vars, clauses).solve(timeout=timeout)

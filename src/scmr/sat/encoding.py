@@ -54,7 +54,7 @@ from typing import NamedTuple
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
 from ..mapping import QubitMap
-from ..routing import GateRoute, request_for_gate
+from ..routing import GateRoute, gate_requests
 from .cardinality import encode_amo, encode_eo
 
 
@@ -192,12 +192,13 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
     magic = arch.magic
     blocked = magic if pinned is None else magic | set(pinned.values())
+    if pinned is None:
+        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
+    else:
+        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
     shared: dict[tuple, _GateEdges] = {}
     gate_edges: list[_GateEdges] = []
-    for g in circuit.gates:
-        is_t = g.kind is GateKind.T
-        ends = magic if is_t else frozenset() if pinned is None else frozenset([pinned[g.target]])
-        key = (None if pinned is None else pinned[g.operand if is_t else g.control], ends)
+    for key in keys:
         if key not in shared:
             shared[key] = _gate_edges(neigh, edges, *key, blocked)
         gate_edges.append(shared[key])
@@ -252,20 +253,21 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                 if t2 <= t:
                     add([-evar[(i, t)], -evar[(j, t2)]])
 
-    # routed edges keep clear of stored data (no usable edge leaves a magic
-    # vertex, and under a pinned map none passes through a mapped one)
-    for v in free_vertices:
-        guards = [p for p in (unless(q, v) for q in circuit.qubits) if p is not None]
-        if not guards:
-            continue  # a pinned map leaves this vertex empty
-        for g in circuit.gates:
-            into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
-            for t in windows[g.index]:
-                for u in into:
-                    for w in out_of:
-                        pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
-                        for guard in guards:
-                            add(guard + pair)
+    # routed edges keep clear of stored data. No usable edge leaves a magic
+    # vertex. Under a pinned map, only the gate that ends at a mapped vertex
+    # has an edge into it and only the gate that starts there has one out,
+    # and no gate starts and ends at one vertex, so the family is empty.
+    if pinned is None:
+        for v in free_vertices:
+            guards = [[-mvar[(q, v)]] for q in circuit.qubits]
+            for g in circuit.gates:
+                into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
+                for t in windows[g.index]:
+                    for u in into:
+                        for w in out_of:
+                            pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
+                            for guard in guards:
+                                add(guard + pair)
 
     # vertex-disjointness: in/out degree at most one per vertex and step
     for t in range(1, t_s + 1):
@@ -318,7 +320,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
 def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tuple[QubitMap, GateRoute]:
     """Rebuild (map, route) from true variables; spurious path cycles at
     non-execution steps are ignored by construction. Each gate's path starts
-    and may end where the greedy router's request for it does."""
+    and may end where its `routing.gate_requests` entry says."""
     from ..mapping import qubit_map
 
     true_vars = {lit for lit in model if lit > 0}
@@ -348,21 +350,20 @@ def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tupl
             succ[(g, t, u)] = v
 
     space: dict[int, tuple[Vertex, ...]] = {}
-    for g in circuit.gates:
+    for g, source, sinks in gate_requests(arch, circuit, qmap):
         t = time[g.index]
-        request = request_for_gate(arch, qmap, g)
-        path = [request.source]
-        cur = request.source
+        path = [source]
+        cur = source
         for _ in range(arch.num_vertices):
             if (g.index, t, cur) not in succ:
                 break
             cur = succ[(g.index, t, cur)]
             path.append(cur)
-            if cur in request.sinks:
+            if cur in sinks:
                 break
         else:
             raise DecodeError(f"gate {g.index}: path does not terminate")
-        if cur not in request.sinks:
+        if cur not in sinks:
             raise DecodeError(f"gate {g.index}: path ends at {cur}")
         space[g.index] = tuple(path)
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import time
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from concurrent.futures import ProcessPoolExecutor
 from heapq import heapify, heappop, heappush
@@ -25,8 +26,7 @@ from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 import scmr.routing as _routing
-from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route,
-                          request_for_gate)
+from scmr.routing import GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
 from scmr.sat.encoding import CnfInstance, VarTable
@@ -196,6 +196,26 @@ def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
         if all(max(abs(a - u[0]), abs(b - u[1])) >= 2 for u in kept):
             kept.append(v)
     return tuple(kept)
+
+
+# ---------------------------------------------------------------------------
+# Routing requests as they were before `routing.gate_requests`: one frozen
+# dataclass per gate, built from `QubitMap.__getitem__`. Kept verbatim as the
+# request shape the reference routers below read, and as the reference the
+# plain-tuple table must match.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RouteRequest:
+    gate: Gate
+    source: Vertex
+    sinks: frozenset[Vertex]
+
+
+def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteRequest:
+    if gate.kind is GateKind.CNOT:
+        return RouteRequest(gate, qmap[gate.control], frozenset([qmap[gate.target]]))
+    return RouteRequest(gate, qmap[gate.operand], frozenset(arch.magic))
 
 
 # ---------------------------------------------------------------------------

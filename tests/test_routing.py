@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -16,20 +17,21 @@ from scmr.architecture import (
     right_column_architecture,
 )
 from scmr.bench import known_optimal, random_circuit
-from scmr.circuit import circuit_from_gates, cnot, parse_circuit, tgate
-from scmr.mapping import QubitMap, qubit_map, random_map, struct_map, unrestricted_locations
+from scmr.circuit import GateKind, circuit_from_gates, cnot, parse_circuit, serialize_circuit, tgate
+from scmr.mapping import MappingError, QubitMap, qubit_map, random_map, struct_map, unrestricted_locations
 from scmr.routing import (
     GateRoute,
     RoutingError,
     Rule,
     UnroutableGateError,
     free_mask,
+    gate_requests,
     greedy_route,
-    request_for_gate,
     route_from_json,
     route_to_json,
     shortest_first,
     shortest_legal_path,
+    unroutable_gate,
     validate,
 )
 from scmr.sat import solve_optimal
@@ -77,7 +79,7 @@ def test_shortest_path_matches_layered_oracle():
 
 def test_shortest_first_empty():
     arch = custom_architecture(3, 3, [])
-    assert shortest_first(arch, [], free_mask(arch, set())) == []
+    assert shortest_first(arch, [], free_mask(arch, set()), {}) == []
 
 
 def test_shortest_first_two_parallel_cnots():
@@ -85,8 +87,8 @@ def test_shortest_first_two_parallel_cnots():
     arch = custom_architecture(5, 5, [])
     c = circuit_from_gates([cnot("q0", "q1"), cnot("q2", "q3")])
     m = qubit_map({"q0": (1, 1), "q1": (2, 2), "q2": (4, 1), "q3": (5, 2)})
-    reqs = [request_for_gate(arch, m, g) for g in c.gates]
-    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()))
+    reqs = gate_requests(arch, c, m)
+    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()), {})
     assert len(routed) == 2
     used = [v for _, path in routed for v in path]
     assert len(used) == len(set(used))
@@ -96,8 +98,8 @@ def test_shortest_first_crossing_requests_route_one():
     arch = custom_architecture(3, 3, [])
     c = circuit_from_gates([cnot("q0", "q1"), cnot("q2", "q3")])
     m = qubit_map({"q0": (1, 1), "q1": (3, 3), "q2": (3, 1), "q3": (1, 3)})
-    reqs = [request_for_gate(arch, m, g) for g in c.gates]
-    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()))
+    reqs = gate_requests(arch, c, m)
+    routed = shortest_first(arch, reqs, free_mask(arch, m.vertices()), {})
     assert len(routed) == 1
 
 
@@ -106,15 +108,15 @@ def test_shortest_first_is_maximal():
     c = circuit_from_gates([cnot("a", "b"), cnot("c", "d"), cnot("e", "f")])
     m = qubit_map({"a": (1, 1), "b": (4, 4), "c": (4, 1), "d": (1, 4),
                    "e": (2, 2), "f": (3, 3)})
-    reqs = [request_for_gate(arch, m, g) for g in c.gates]
+    reqs = gate_requests(arch, c, m)
     blocked = set(m.vertices())
-    routed = shortest_first(arch, reqs, free_mask(arch, blocked))
+    routed = shortest_first(arch, reqs, free_mask(arch, blocked), {})
     used = {v for _, path in routed for v in path}
     done = {g.index for g, _ in routed}
-    for req in reqs:
-        if req.gate.index not in done:
-            assert shortest_legal_path(arch, free_mask(arch, blocked | used), req.source,
-                                       req.sinks - used) is None
+    for gate, source, sinks in reqs:
+        if gate.index not in done:
+            assert shortest_legal_path(arch, free_mask(arch, blocked | used), source,
+                                       sinks - used) is None
 
 
 def test_greedy_route_one_step_for_parallel_circuit():
@@ -332,10 +334,10 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
     for placement in itertools.permutations(list(arch.vertices()), 4):
         m = qubit_map(dict(zip(["a", "b", "c", "d"], placement)))
         blocked = set(m.vertices())
-        reqs = [request_for_gate(arch, m, g) for g in c.gates]
-        routed = shortest_first(arch, reqs, free_mask(arch, blocked))
+        reqs = gate_requests(arch, c, m)
+        routed = shortest_first(arch, reqs, free_mask(arch, blocked), {})
         alone = any(
-            enumerate_legal_paths(arch, blocked, r.source, r.sinks) for r in reqs
+            enumerate_legal_paths(arch, blocked, source, sinks) for _, source, sinks in reqs
         )
         assert bool(routed) == alone
 
@@ -445,7 +447,9 @@ def test_greedy_route_bfs_calls(monkeypatch):
 def _crowded_request_sets():
     """Seeded single-layer request sets on crowded maps: qubits over every
     non-magic vertex, CNOT and T requests (the T ones share the grid's magic
-    sinks) listed in shuffled order, so the input order is not gate order."""
+    sinks) listed in shuffled order, so the input order is not gate order.
+    Each request comes as a (`gate_requests` tuple, oracle `RouteRequest`)
+    pair, so both shapes share one order."""
     for seed in range(240):
         rng = random.Random(seed)
         n = 4 + seed % 11
@@ -460,7 +464,8 @@ def _crowded_request_sets():
                 specs.append(tgate(qubits.pop()))
         c = circuit_from_gates(specs)
         m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
-        requests = [request_for_gate(arch, m, g) for g in c.gates]
+        requests = list(zip(gate_requests(arch, c, m),
+                            [oracles.request_for_gate(arch, m, g) for g in c.gates]))
         rng.shuffle(requests)
         yield arch, m, requests
 
@@ -479,25 +484,25 @@ def test_shortest_first_matches_eager_reference(monkeypatch):
     for arch, m, requests in _crowded_request_sets():
         blocked = set(m.vertices())
         free = free_mask(arch, blocked)
-        shared_sinks += sum(len(r.sinks) > 1 for r in requests) >= 2
+        shared_sinks += sum(len(r.sinks) > 1 for _, r in requests) >= 2
         heap_memo, eager_memo = {}, {}
         pending = requests
         while True:   # the steps of one layer, as greedy_route runs them
             calls = 0
-            want = oracles.eager_shortest_first(arch, pending, blocked, eager_memo)
+            want = oracles.eager_shortest_first(arch, [r for _, r in pending], blocked, eager_memo)
             eager_calls, calls = calls, 0
-            got = shortest_first(arch, pending, free, heap_memo)
+            got = shortest_first(arch, [t for t, _ in pending], free, heap_memo)
             assert got == want
             assert calls <= eager_calls
             assert heap_memo == eager_memo
             rounds += 1
             picked = dict(got)
-            no_path += any(heap_memo[r.source, r.sinks] is None for r in pending)
+            no_path += any(heap_memo[r.source, r.sinks] is None for _, r in pending)
             taken += any(heap_memo[r.source, r.sinks] not in (None, picked.get(r.gate))
-                         for r in pending)
+                         for _, r in pending)
             if not got:
                 break
-            pending = [r for r in pending if r.gate not in picked]
+            pending = [(t, r) for t, r in pending if r.gate not in picked]
     assert shared_sinks > 0 and no_path > 0 and taken > 0 and rounds > 240
 
 
@@ -684,3 +689,82 @@ def test_shortest_legal_path_matches_fifo_reference():
             seen[label] += hit
     assert seen["calls"] >= 5000
     assert min(seen.values()) >= 200, seen
+
+
+# ---------------------------------------------------------------------------
+# The request table and the unroutable check against the oracles
+# ---------------------------------------------------------------------------
+
+def _pinned_instances(rng, size):
+    """`size` seeded (arch, circuit, qmap) instances under pinned maps: 2-9
+    qubits, depth 1-6, 0-70% T gates, on bordered, right-column and
+    center-column grids (where struct maps put CNOTs across the magic
+    column) and on a grid with no magic vertex (where every T gate is
+    unroutable), under struct, random and spare-qubit maps; the random maps
+    draw from every free vertex half of the time, so qubits wall each other
+    in."""
+    grids = [bordered_architecture(6), right_column_architecture(6),
+             center_column_architecture(6), center_column_architecture(4, widen=True),
+             custom_architecture(4, 5, [])]
+    corpus = []
+    while len(corpus) < size:
+        arch = rng.choice(grids)
+        free = unrestricted_locations(arch)
+        circuit = random_circuit(rng.randint(2, 9), rng.randint(1, 6), rng.choice((0.0, 0.3, 0.7)),
+                                 seed=rng.randrange(2 ** 30))
+        kind = rng.choice(("struct", "random", "spare"))
+        locations = free if not arch.magic or rng.random() < 0.5 else None
+        try:
+            if kind == "struct":
+                qmap = struct_map(arch, circuit, locations)
+            elif kind == "random":
+                qmap = random_map(arch, circuit, rng.randrange(2 ** 30), locations)
+            else:
+                names = list(circuit.qubits) + ["spare"]
+                qmap = qubit_map(dict(zip(names, rng.sample(free, len(names)))))
+        except MappingError:
+            continue   # too few regular locations for the qubits
+        corpus.append((arch, circuit, qmap))
+    return corpus
+
+
+def test_gate_requests_match_the_per_gate_reference():
+    corpus = _pinned_instances(random.Random(41), 300)
+    t_gates = 0
+    for arch, circuit, qmap in corpus:
+        table = gate_requests(arch, circuit, qmap)
+        assert len(table) == len(circuit.gates)
+        for i, g in enumerate(circuit.gates):
+            r = oracles.request_for_gate(arch, qmap, g)
+            assert table[i] == (r.gate, r.source, r.sinks)
+            if g.kind is GateKind.T:
+                assert table[i][2] is arch.magic
+                t_gates += 1
+    assert t_gates > 100
+    assert {arch.magic == frozenset() for arch, _, _ in corpus} == {True, False}
+
+
+def test_unroutable_gate_agrees_with_greedy_route():
+    # the exact engine's check and the greedy router's error fire on the same
+    # instances, and every gate either names has no legal path alone
+    corpus = _pinned_instances(random.Random(43), 400)
+    unroutable = walled_in = 0
+    for arch, circuit, qmap in corpus:
+        named = []
+        found = unroutable_gate(arch, circuit, qmap)
+        if found is not None:
+            named.append(found)
+        try:
+            greedy_route(arch, circuit, qmap)
+        except UnroutableGateError as e:
+            named.append(circuit.gates[int(re.match(r"gate (\d+) ", str(e)).group(1))])
+            assert found is not None, (serialize_circuit(circuit), qmap)
+        else:
+            assert found is None, (serialize_circuit(circuit), qmap)
+        blocked = set(qmap.vertices())
+        for g in named:
+            r = oracles.request_for_gate(arch, qmap, g)
+            assert layered_shortest_length(arch, blocked, r.source, r.sinks) is None
+        unroutable += found is not None
+        walled_in += found is not None and bool(arch.magic)
+    assert 100 < unroutable < 300 and walled_in > 50

@@ -15,7 +15,7 @@ from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import (GateKind, circuit_from_gates, cnot, depth, parse_circuit,
                           serialize_circuit, tgate)
 from scmr.mapping import qubit_map, random_map, struct_map
-from scmr.routing import GateRoute, request_for_gate, validate
+from scmr.routing import GateRoute, gate_requests, validate
 from scmr.sat import (
     CapExhausted,
     CdclSolver,
@@ -30,7 +30,6 @@ from scmr.sat import (
     exec_windows,
     parse_solver_output,
     solve,
-    solve_clauses,
     solve_optimal,
     write_instance,
 )
@@ -90,8 +89,8 @@ def test_amo_exactness(n):
 # ---------------------------------------------------------------------------
 
 def test_cdcl_unit_and_contradiction():
-    assert solve_clauses(1, [[1]]) == [1]
-    assert solve_clauses(1, [[1], [-1]]) is None
+    assert CdclSolver(1, [[1]]).solve() == [1]
+    assert CdclSolver(1, [[1], [-1]]).solve() is None
 
 
 def test_cdcl_pigeonhole_unsat():
@@ -102,7 +101,7 @@ def test_cdcl_pigeonhole_unsat():
         for p1 in range(4):
             for p2 in range(p1 + 1, 4):
                 clauses.append([-var(p1, h), -var(p2, h)])
-    assert solve_clauses(12, clauses) is None
+    assert CdclSolver(12, clauses).solve() is None
 
 
 def test_cdcl_random_3sat_agrees_with_dpll():
@@ -114,7 +113,7 @@ def test_cdcl_random_3sat_agrees_with_dpll():
         for _ in range(rng.randint(1, 4 * n)):
             vs = rng.sample(range(1, n + 1), min(3, n))
             clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-        got = solve_clauses(n, clauses)
+        got = CdclSolver(n, clauses).solve()
         want = dpll_satisfiable(clauses)
         assert (got is not None) == want
         if got is not None:
@@ -291,11 +290,10 @@ def test_path_variables_cover_every_legal_path_under_a_pinned_map(arch):
                      random_map(arch, circuit, seed, locations),
                      qubit_map(dict(zip(circuit.qubits, rng.sample(free, 4))))):
             cnf = encode(arch, circuit, qmap, t_s=t_s)
-            for g in circuit.gates:
-                request = request_for_gate(arch, qmap, g)
-                others = set(qmap.vertices()) - {request.source} - request.sinks
+            for g, source, sinks in gate_requests(arch, circuit, qmap):
+                others = set(qmap.vertices()) - {source} - sinks
                 needed = _path_edges(oracles.enumerate_legal_paths(
-                    arch, others, request.source, request.sinks))
+                    arch, others, source, sinks))
                 for t in windows[g.index]:
                     assert needed <= _edges_at(cnf, g.index, t), (qmap, g)
                 covered += len(needed)
@@ -682,7 +680,7 @@ def test_cdcl_heap_has_no_duplicates_and_misses_no_variable():
         n = rng.randint(10, 60)
         clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
                    for _ in range(int(n * 4.3))]
-        assert _HeapCheckedSolver(n, clauses).solve() == solve_clauses(n, clauses)
+        assert _HeapCheckedSolver(n, clauses).solve() == CdclSolver(n, clauses).solve()
     solver = _HeapCheckedSolver(*_pigeonhole(5))
     solver.var_inc = 1e99  # rescale after a few conflicts
     assert solver.solve() is None and solver.var_inc < 1e99
@@ -692,9 +690,9 @@ def test_cdcl_rejects_out_of_range_literals():
     # values are indexed by literal, so an id above num_vars must not alias
     # another variable's negation
     with pytest.raises(ValueError, match="literal 2 out of range"):
-        solve_clauses(1, [[2]])
+        CdclSolver(1, [[2]]).solve()
     with pytest.raises(ValueError, match="literal 0 out of range"):
-        solve_clauses(2, [[1, 0]])
+        CdclSolver(2, [[1, 0]]).solve()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -950,8 +948,8 @@ def _outcome(solver, probes, arch, circuit, qmap):
 
 def _solo_unroutable(arch, circuit, qmap):
     blocked = set(qmap.vertices())
-    return any(oracles.layered_shortest_length(arch, blocked, r.source, r.sinks) is None
-               for r in (request_for_gate(arch, qmap, g) for g in circuit.gates))
+    return any(oracles.layered_shortest_length(arch, blocked, source, sinks) is None
+               for _, source, sinks in gate_requests(arch, circuit, qmap))
 
 
 def test_solve_optimal_matches_probe_loop_that_always_climbs(probes):
