@@ -17,7 +17,9 @@ two distinct in-range variables, both unassigned at the root (most clauses
 the encoder emits), is kept and watched directly; every other clause goes
 through `_add_clause`, which sorts, drops duplicates, tautologies and
 root-false literals, and propagates units. Both paths keep the same clause,
-in the same watch-list position, as `_add_clause` alone would.
+in the same watch-list position, as `_add_clause` alone would. `add_clause`
+adds one more between searches, so models can be enumerated by blocking
+each one found.
 
 Literals use DIMACS convention: variable v > 0, literal +v or -v. Models are
 verified against the full clause set before being returned.
@@ -133,6 +135,13 @@ class CdclSolver:
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
         return True
+
+    def add_clause(self, lits) -> None:
+        """Add a clause between searches, such as one that blocks the model
+        just found; the next `solve` starts again from the root level."""
+        self._cancel_until(0)
+        if self.ok:
+            self.ok = self._add_clause(lits)
 
     # -- assignment ----------------------------------------------------------
 

@@ -29,7 +29,9 @@ def write_instance(cnf, base_path) -> tuple[str, str]:
     """Write `<base>.cnf` plus the `<base>.vars` sidecar variable table.
 
     Returns the two paths. `cnf` is a CnfInstance; the sidecar maps integer
-    ids to map/exec/path records so models can be read by hand.
+    ids to map/exec/path records so models can be read by hand. Under a
+    pinned map it lists one map record per qubit, its pinned vertex, since
+    the formula has no other map variable.
     """
     from pathlib import Path
 

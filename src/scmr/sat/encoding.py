@@ -1,17 +1,20 @@
 """CNF encoding of mapping-and-routing decision instances.
 
 Variables:
-  map(q, v)        qubit q sits at non-magic vertex v
+  map(q, v)        qubit q sits at non-magic vertex v; under a pinned map only
+                   v = pinned[q]
   exec(g, t)       gate g runs at step t
   path(u, v, g, t) directed grid edge (u, v) carries gate g's route at step t,
                    allocated only for the edges gate g can use (below)
 
 Constraint families: injective total mapping; exactly-one execution step per
 gate with dependent gates strictly ordered; routed edges never pass through
-mapped or magic vertices; per-vertex in/out degree at most one per step
-across all gates; inductive path-connectivity from each gate's start vertex
-(left through a vertical edge) to its end vertex (entered through a
-horizontal edge, the mapped target for CNOT, any magic vertex for T).
+mapped or magic vertices; per vertex and step, in-degree at most one across
+all gates, and out-degree at most one per start qubit where that qubit may
+sit and per gate elsewhere (below); inductive path-connectivity from each
+gate's start vertex (left through a vertical edge) to its end vertex
+(entered through a horizontal edge, the mapped target for CNOT, any magic
+vertex for T).
 
 Gate execution steps are restricted to the feasible window
 [dependency depth, t_s - height + 1]. A T gate enters at most one magic
@@ -21,10 +24,15 @@ Neighbor lists and directed edges come from `Architecture.cells`, once per
 formula, in orders that fix variable ids and so the DIMACS bytes: horizontal
 neighbors (a - 1, a + 1), then vertical ones (b - 1, b + 1); edges in
 `vertices()` order, (v, w) then (w, v) for each right and upper neighbor w.
+A gate's path variables on one edge take consecutive ids over its window.
 
-A pinned map is folded into the formula: the unit clauses that pin it stay,
-clauses it satisfies are left out and map literals it makes false are
-dropped; `write_instance` writes the folded formula.
+A pinned map is folded into the formula: each qubit gets the one map
+variable of its pinned vertex and the unit clause that sets it, so the
+exactly-one and at-most-one families over map literals and their auxiliary
+variables are left out; clauses the map satisfies are left out and map
+literals it makes false are dropped; `write_instance` writes the folded
+formula. Projected onto the map literals it keeps, the formula has the
+models it had with every map literal and its mapping family.
 
 Usable edges. A gate g gets path variables only on a directed edge (u, v)
 that some legal path of g can use: u is not magic and, under a pinned map,
@@ -44,6 +52,24 @@ paths to false, with the counter auxiliaries recomputed, still satisfies
 it, and uses usable edges only. Verdicts, and so the steps and proofs of
 the step loop, are those of the full formula; which optimal route a model
 holds may differ.
+
+Out-degree. The back-chain, degree and data-clear clauses hold at every
+step of a gate's window; the start, end and magic-entry clauses only at the
+step it runs. Let gates A != B both have a true out-edge at u at step t. By
+the back-chain clause, each has a true in-edge at u or starts at u (its
+start qubit sits there). Both with in-edges break the in-degree bound. If A
+starts at u and B passes through, u holds A's start qubit: under a free map
+the data-clear clause forbids B's pair of edges at u, and under a pinned
+map B has no usable edge out of a mapped vertex but its own start. If both
+start at u, the map is injective, so they share their start qubit. Such
+gates never run at one step, but their windows may share step t, where one
+of them holds a path `decode` ignores; the bound per start qubit covers
+them. So the bound across all gates is implied, and the formula without it
+has the same models on the named variables. The bound within one gate
+stays: it keeps the chain of true edges back from the end vertex acyclic
+and `decode`'s forward walk unique. Without it a "lollipop" passes every
+clause: the edges into the end vertex chain back into a cycle, not to the
+start vertex.
 """
 from __future__ import annotations
 
@@ -136,32 +162,78 @@ def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
     return [range(depths[i], t_s - heights[i] + 2) for i in range(len(circuit.gates))]
 
 
+class _Grid(NamedTuple):
+    """The grid's directed edges as indices into the `_adjacency` edge list,
+    and its vertices as indices into `arch.vertices()` (`at`): each edge's
+    tail, reverse and orientation, and per vertex the edges into and out of
+    it in neighbor order."""
+    at: dict[Vertex, int]
+    index: dict[tuple[Vertex, Vertex], int]
+    tail: list[int]
+    reverse: list[int]
+    horizontal: list[bool]
+    ins: list[list[int]]
+    outs: list[list[int]]
+
+
+def _grid(neigh, edges) -> _Grid:
+    at = {v: k for k, v in enumerate(neigh)}
+    index = {e: j for j, e in enumerate(edges)}
+    return _Grid(at, index, [at[u] for u, _ in edges], [index[(v, u)] for u, v in edges],
+                 [u[1] == v[1] for u, v in edges],
+                 [[index[(u, v)] for u in ns] for v, ns in neigh.items()],
+                 [[index[(v, w)] for w in ns] for v, ns in neigh.items()])
+
+
 class _GateEdges(NamedTuple):
-    """The directed edges one gate's path may use: in `edges` order, as a
-    set, and per vertex the usable neighbors into and out of it, in
-    neighbor order."""
-    order: list[tuple[Vertex, Vertex]]
-    usable: frozenset[tuple[Vertex, Vertex]]
-    into: dict[Vertex, list[Vertex]]
-    out_of: dict[Vertex, list[Vertex]]
+    """The edges one gate's path may use, shared by the gates with one start
+    and set of ends, as `_Grid` indices: `order` in increasing index,
+    `extra` those the interior lacks; per vertex, `ins` and `outs` the
+    usable edges into and out of it in neighbor order; per usable edge
+    (u, v), `back` the usable edges (w, u) with w != v."""
+    order: list[int]
+    extra: list[int]
+    ins: list[list[int]]
+    outs: list[list[int]]
+    back: list[list[int] | None]
 
 
-def _gate_edges(neigh, edges, start: Vertex | None, ends, blocked) -> _GateEdges:
+def _interior(grid: _Grid, edges, blocked) -> _GateEdges:
+    """The edges between two vertices outside `blocked`: every gate may use
+    them, and only them, but for its own start and end edges. `back` is None
+    exactly at the other edges."""
+    usable = [u not in blocked and v not in blocked for u, v in edges]
+    ins = [[j for j in js if usable[j]] for js in grid.ins]
+    outs = [[j for j in js if usable[j]] for js in grid.outs]
+    back = [[x for x in ins[k] if x != r] if ok else None
+            for ok, k, r in zip(usable, grid.tail, grid.reverse)]
+    return _GateEdges([j for j, ok in enumerate(usable) if ok], [], ins, outs, back)
+
+
+def _gate_edges(grid: _Grid, interior: _GateEdges, horizontal, vertical,
+                start: Vertex | None, ends, blocked) -> _GateEdges:
     """The edges some legal path from `start` (None: any vertex outside
     `blocked`) into `ends` can use: it leaves `start` through a vertical
     edge, enters an end through a horizontal one, and passes only through
     vertices outside `blocked`, which holds the ends, the magic vertices and,
-    under a pinned map, every mapped vertex."""
-    def usable(u, v):
-        horizontal = u[1] == v[1]
-        leaves = not horizontal if u == start else u not in blocked
-        return leaves and (horizontal if v in ends else v not in blocked)
-
-    order = [e for e in edges if usable(*e)]
-    kept = frozenset(order)
-    into = {v: [u for u in neigh[v] if (u, v) in kept] for v in neigh}
-    out_of = {v: [w for w in neigh[v] if (v, w) in kept] for v in neigh}
-    return _GateEdges(order, kept, into, out_of)
+    under a pinned map, every mapped vertex. These are the interior edges,
+    the vertical ones from `start` and the horizontal ones into an end."""
+    index = grid.index
+    extra = [] if start is None else [
+        index[(start, w)] for w in vertical[start] if w not in blocked]
+    extra += [index[(u, x)] for x in ends for u in horizontal[x] if u not in blocked]
+    if not extra:
+        return interior
+    usable = set(extra)
+    ins, outs, back = interior.ins[:], interior.outs[:], interior.back[:]
+    touched = {k for j in extra for k in (grid.tail[j], grid.tail[grid.reverse[j]])}
+    for k in touched:
+        ins[k] = [j for j in grid.ins[k] if j in usable or interior.back[j] is not None]
+        outs[k] = [j for j in grid.outs[k] if j in usable or interior.back[j] is not None]
+    for k in touched:
+        for j in outs[k]:
+            back[j] = [x for x in ins[k] if x != grid.reverse[j]]
+    return _GateEdges(sorted(interior.order + extra), extra, ins, outs, back)
 
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
@@ -187,20 +259,24 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             if pinned[q] not in free_set:
                 raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
 
+    gates = circuit.gates
     windows = exec_windows(circuit, t_s)
     horizontal, vertical, edges = _adjacency(arch)
     neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
+    grid = _grid(neigh, edges)
+    vertices = list(neigh)
     magic = arch.magic
     blocked = magic if pinned is None else magic | set(pinned.values())
     if pinned is None:
-        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
+        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in gates]
     else:
         keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
+    interior = _interior(grid, edges, blocked)
     shared: dict[tuple, _GateEdges] = {}
     gate_edges: list[_GateEdges] = []
     for key in keys:
         if key not in shared:
-            shared[key] = _gate_edges(neigh, edges, *key, blocked)
+            shared[key] = _gate_edges(grid, interior, horizontal, vertical, *key, blocked)
         gate_edges.append(shared[key])
     counter = 0
 
@@ -210,30 +286,41 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
         return counter
 
     for q in circuit.qubits:
-        for v in free_vertices:
+        for v in free_vertices if pinned is None else (pinned[q],):
             table.map_ids[(q, v)] = fresh()
-    for g in circuit.gates:
+    for g in gates:
         for t in windows[g.index]:
             table.exec_ids[(g.index, t)] = fresh()
-    for e in edges:
-        for g in circuit.gates:
-            if e in gate_edges[g.index].usable:
-                for t in windows[g.index]:
-                    table.path_ids[(*e, g.index, t)] = fresh()
+    # a gate's path variables on one edge take consecutive ids over its
+    # window: path(u, v, g, t) is first[g][j] + t, j the edge's index
+    everyone = range(len(gates))
+    users: dict[int, list[int]] = {}
+    for i, ge in enumerate(gate_edges):
+        for j in ge.extra:
+            users.setdefault(j, []).append(i)
+    first = [[0] * len(edges) for _ in gates]
+    pvar = table.path_ids
+    for j, (u, v) in enumerate(edges):
+        for i in everyone if interior.back[j] is not None else users.get(j, ()):
+            window = windows[i]
+            first[i][j] = counter + 1 - window.start
+            for t in window:
+                counter += 1
+                pvar[(u, v, i, t)] = counter
     table.num_named = counter
 
     mvar = table.map_ids
     evar = table.exec_ids
-    pvar = table.path_ids
     clauses: list[list[int]] = []
     add = clauses.append
 
-    # mapping: total injective function avoiding magic vertices
-    for q in circuit.qubits:
-        clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
-    for v in free_vertices:
-        clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
-    if pinned is not None:
+    # mapping: total injective function avoiding magic vertices, or the pins
+    if pinned is None:
+        for q in circuit.qubits:
+            clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
+        for v in free_vertices:
+            clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
+    else:
         for q in circuit.qubits:
             add([mvar[(q, pinned[q])]])
 
@@ -245,7 +332,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
         return [] if pinned[q] == v else None
 
     # schedule: one step per gate, dependent gates strictly ordered
-    for g in circuit.gates:
+    for g in gates:
         clauses.extend(encode_eo([evar[(g.index, t)] for t in windows[g.index]], fresh))
     for i, j in consecutive_qubit_pairs(circuit):
         for t in windows[i]:
@@ -258,59 +345,106 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # has an edge into it and only the gate that starts there has one out,
     # and no gate starts and ends at one vertex, so the family is empty.
     if pinned is None:
-        for v in free_vertices:
-            guards = [[-mvar[(q, v)]] for q in circuit.qubits]
-            for g in circuit.gates:
-                into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
-                for t in windows[g.index]:
-                    for u in into:
-                        for w in out_of:
-                            pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
-                            for guard in guards:
-                                add(guard + pair)
+        for k, v in enumerate(vertices):
+            if v in magic:
+                continue
+            guards = [-mvar[(q, v)] for q in circuit.qubits]
+            for i, ge in enumerate(gate_edges):
+                f = first[i]
+                pairs = [(f[a], f[b]) for a in ge.ins[k] for b in ge.outs[k]]
+                for t in windows[i]:
+                    for a, b in pairs:
+                        for guard in guards:
+                            add([guard, -a - t, -b - t])
 
-    # vertex-disjointness: in/out degree at most one per vertex and step
+    # vertex-disjointness. Out-degree is at most one per gate, vertex and
+    # step where the gate's start qubit cannot sit: the clauses are built
+    # once per gate on its ids at step 0 and shifted to each step of its
+    # window (a vertex has at most four out-edges, few enough for
+    # `encode_amo` to allocate no auxiliary variable). Then per step and
+    # vertex, out-degree is at most one per start qubit that may sit there,
+    # across its gates, and in-degree at most one across all gates.
+    at = grid.at
+    homes = [None if pinned is None else at[pinned[g.qubits[0]]] for g in gates]
+    if pinned is not None:
+        for i, ge in enumerate(gate_edges):
+            f = first[i]
+            amo = [c for k, js in enumerate(ge.outs) if k != homes[i]
+                   for c in encode_amo([f[j] for j in js], fresh)]
+            for t in windows[i]:
+                clauses += [[a - t, b - t] for a, b in amo]
     for t in range(1, t_s + 1):
-        active = [(g.index, gate_edges[g.index]) for g in circuit.gates if t in windows[g.index]]
-        for u in arch.vertices():
-            outgoing = [pvar[(u, w, i, t)] for i, ge in active for w in ge.out_of[u]]
-            incoming = [pvar[(w, u, i, t)] for i, ge in active for w in ge.into[u]]
-            clauses.extend(encode_amo(outgoing, fresh))
+        active = [(i, gates[i].qubits[0], first[i], gate_edges[i].outs, gate_edges[i].ins)
+                  for i in everyone if t in windows[i]]
+        shared_at = {homes[i] for i, *_ in active}
+        for k in range(len(vertices)):
+            if pinned is None or k in shared_at:
+                groups: dict[str, list[int]] = {}
+                for i, q, f, outs, _ in active:
+                    if outs[k] and homes[i] in (None, k):
+                        groups.setdefault(q, []).extend([f[j] + t for j in outs[k]])
+                for outgoing in groups.values():
+                    clauses.extend(encode_amo(outgoing, fresh))
+            incoming = [f[j] + t for _, _, f, _, ins in active for j in ins[k]]
             clauses.extend(encode_amo(incoming, fresh))
 
-    # path construction per gate kind
-    for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            start_q, end_q = g.control, g.target
-        else:
-            start_q, end_q = g.operand, None
-        ge = gate_edges[g.index]
+    # path construction per gate kind. The start and end clauses are
+    # guarded by `unless`, so under a pinned map only the gate's own mapped
+    # vertices, in `free_vertices` order, get one.
+    flat = grid.horizontal
+    for g, ge, f in zip(gates, gate_edges, first):
+        start_q, end_q = g.qubits[0], (g.qubits[1] if g.kind is GateKind.CNOT else None)
+        stops = []
+        for v in free_vertices if pinned is None else sorted(
+                (pinned[q] for q in g.qubits), key=at.__getitem__):
+            k = at[v]
+            # leave the start vertex through a vertical edge
+            guard = unless(start_q, v)
+            if guard is not None:
+                stops.append((guard, [f[j] for j in ge.outs[k] if not flat[j]]))
+            # enter the end vertex through a horizontal edge
+            guard = None if end_q is None else unless(end_q, v)
+            if guard is not None:
+                stops.append((guard, [f[j] for j in ge.ins[k] if flat[j]]))
+        # every used edge chains back toward the start vertex, or starts
+        # there: the pinned start vertex satisfies the head
+        home, tail = homes[g.index], grid.tail
+        links = [(f[j], [f[x] for x in ge.back[j]],
+                  [mvar[(start_q, vertices[tail[j]])]] if home is None else [])
+                 for j in ge.order if tail[j] != home]
+        # T gates end by entering some magic vertex horizontally
+        entries = [f[j] for v in sorted(magic) for j in ge.ins[at[v]]] if end_q is None else None
         for t in windows[g.index]:
             e = evar[(g.index, t)]
-            for v in free_vertices:
-                # leave the start vertex through a vertical edge
-                guard = unless(start_q, v)
-                if guard is not None:
-                    leave = [pvar[(v, u, g.index, t)] for u in ge.out_of[v] if u in vertical[v]]
-                    add(guard + [-e] + leave)
-                guard = None if end_q is None else unless(end_q, v)
-                if guard is not None:
-                    enter = [pvar[(u, v, g.index, t)] for u in ge.into[v] if u in horizontal[v]]
-                    add(guard + [-e] + enter)
-            # every used edge chains back toward the start vertex
-            for u, v in ge.order:
-                if pinned is not None and pinned[start_q] == u:
-                    continue  # the pinned start vertex satisfies the head
-                back = [pvar[(w, u, g.index, t)] for w in ge.into[u] if w != v]
-                head = [mvar[(start_q, u)]] if pinned is None else []
-                add([-pvar[(u, v, g.index, t)]] + back + head)
-            if end_q is None:
-                # T gates end by entering some magic vertex horizontally
-                entries = [pvar[(u, v, g.index, t)] for v in sorted(magic) for u in ge.into[v]]
-                add([-e] + entries)
-                clauses.extend(encode_amo(entries, fresh))
+            for guard, bases in stops:
+                add(guard + [-e] + [b + t for b in bases])
+            shift = t.__add__
+            clauses += [[-b - t, *map(shift, back), *head] for b, back, head in links]
+            if entries is not None:
+                lits = [b + t for b in entries]
+                add([-e] + lits)
+                clauses.extend(encode_amo(lits, fresh))
 
     return CnfInstance(counter, clauses, table, t_s)
+
+
+def route_literals(table: VarTable, circuit: Circuit, qmap: QubitMap,
+                   route: GateRoute) -> list[int] | None:
+    """The map, exec and path literals that `qmap` and `route` set true in
+    the formula `table` names, in qubit, then gate and path order; under a
+    pinned map only the pinned map literals exist. None when the formula has
+    no variable for one of them: a gate's step outside its window at the
+    formula's step count or, for a route `routing.validate` rejects, an edge
+    no legal path of the gate uses or a map other than the pinned one. A
+    valid route of at most `t_s` steps always has its literals, and they
+    extend to a model of the formula."""
+    lits = [table.map_ids.get((q, qmap[q])) for q in circuit.qubits]
+    for g in circuit.gates:
+        t = route.time[g.index]
+        path = route.space[g.index]
+        lits.append(table.exec_ids.get((g.index, t)))
+        lits += [table.path_ids.get((u, v, g.index, t)) for u, v in zip(path, path[1:])]
+    return None if None in lits else lits
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from concurrent.futures import ProcessPoolExecutor
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE, FULL_TR, TILE, _offset,
@@ -26,10 +27,11 @@ from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
 from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 import scmr.routing as _routing
-from scmr.routing import GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route
+from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation, gate_requests,
+                          greedy_route)
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
-from scmr.sat.encoding import CnfInstance, VarTable
+from scmr.sat.encoding import CnfInstance, VarTable, _adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -2011,3 +2013,371 @@ def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMa
     if timed_out:
         raise SolverTimeout(f"probes up to {t_max} steps timed out without a solution")
     raise _sat.CapExhausted(t_max)
+
+
+# ---------------------------------------------------------------------------
+# The encoder as it was before a pinned map's mapping family was folded out
+# of the formula and the out-degree bound went per gate: every map literal
+# allocated and constrained by a per-qubit exactly-one and a per-vertex
+# at-most-one under a pinned map too, and one out-degree at-most-one per
+# vertex and step over every active gate's out-edges. Kept verbatim (renamed
+# `usable_edge_encode`, its edge helper `_usable_edges`) as the reference
+# whose models, projected onto the named variables the encoder keeps, the
+# encoder must reproduce. `_adjacency` is the library's own, unchanged by
+# it, and `exec_windows` is this module's, whose pruned windows are the
+# library's.
+# ---------------------------------------------------------------------------
+
+class _UsableEdges(NamedTuple):
+    """The directed edges one gate's path may use: in `edges` order, as a
+    set, and per vertex the usable neighbors into and out of it, in
+    neighbor order."""
+    order: list[tuple[Vertex, Vertex]]
+    usable: frozenset[tuple[Vertex, Vertex]]
+    into: dict[Vertex, list[Vertex]]
+    out_of: dict[Vertex, list[Vertex]]
+
+
+def _usable_edges(neigh, edges, start: Vertex | None, ends, blocked) -> _UsableEdges:
+    """The edges some legal path from `start` (None: any vertex outside
+    `blocked`) into `ends` can use: it leaves `start` through a vertical
+    edge, enters an end through a horizontal one, and passes only through
+    vertices outside `blocked`, which holds the ends, the magic vertices and,
+    under a pinned map, every mapped vertex."""
+    def usable(u, v):
+        horizontal = u[1] == v[1]
+        leaves = not horizontal if u == start else u not in blocked
+        return leaves and (horizontal if v in ends else v not in blocked)
+
+    order = [e for e in edges if usable(*e)]
+    kept = frozenset(order)
+    into = {v: [u for u in neigh[v] if (u, v) in kept] for v in neigh}
+    out_of = {v: [w for w in neigh[v] if (v, w) in kept] for v in neigh}
+    return _UsableEdges(order, kept, into, out_of)
+
+
+def usable_edge_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
+                       t_s: int = 1) -> CnfInstance:
+    """Build the decision formula for `t_s` steps; pin and fold in the map if
+    one is given."""
+    if t_s < 1:
+        raise ValueError("need at least one time step")
+    table = VarTable()
+    free_vertices = [v for v in arch.vertices() if v not in arch.magic]
+    if circuit.num_qubits > len(free_vertices):
+        return CnfInstance(
+            1, [[]], table, t_s,
+            diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
+        )
+    pinned = None
+    if qmap is not None:
+        free_set = set(free_vertices)
+        pinned = qmap.as_dict
+        for q in circuit.qubits:
+            if q not in pinned:
+                raise ValueError(f"fixed map does not place qubit {q!r}")
+            if pinned[q] not in free_set:
+                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
+
+    windows = exec_windows(circuit, t_s)
+    horizontal, vertical, edges = _adjacency(arch)
+    neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
+    magic = arch.magic
+    blocked = magic if pinned is None else magic | set(pinned.values())
+    if pinned is None:
+        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
+    else:
+        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
+    shared: dict[tuple, _UsableEdges] = {}
+    gate_edges: list[_UsableEdges] = []
+    for key in keys:
+        if key not in shared:
+            shared[key] = _usable_edges(neigh, edges, *key, blocked)
+        gate_edges.append(shared[key])
+    counter = 0
+
+    def fresh() -> int:
+        nonlocal counter
+        counter += 1
+        return counter
+
+    for q in circuit.qubits:
+        for v in free_vertices:
+            table.map_ids[(q, v)] = fresh()
+    for g in circuit.gates:
+        for t in windows[g.index]:
+            table.exec_ids[(g.index, t)] = fresh()
+    for e in edges:
+        for g in circuit.gates:
+            if e in gate_edges[g.index].usable:
+                for t in windows[g.index]:
+                    table.path_ids[(*e, g.index, t)] = fresh()
+    table.num_named = counter
+
+    mvar = table.map_ids
+    evar = table.exec_ids
+    pvar = table.path_ids
+    clauses: list[list[int]] = []
+    add = clauses.append
+
+    # mapping: total injective function avoiding magic vertices
+    for q in circuit.qubits:
+        clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
+    for v in free_vertices:
+        clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
+    if pinned is not None:
+        for q in circuit.qubits:
+            add([mvar[(q, pinned[q])]])
+
+    def unless(q: str, v: Vertex) -> list[int] | None:
+        """The literal `-map(q, v)` as a clause prefix, folded under a pinned
+        map: [] when it is false, None when it satisfies the clause."""
+        if pinned is None:
+            return [-mvar[(q, v)]]
+        return [] if pinned[q] == v else None
+
+    # schedule: one step per gate, dependent gates strictly ordered
+    for g in circuit.gates:
+        clauses.extend(encode_eo([evar[(g.index, t)] for t in windows[g.index]], fresh))
+    for i, j in consecutive_qubit_pairs(circuit):
+        for t in windows[i]:
+            for t2 in windows[j]:
+                if t2 <= t:
+                    add([-evar[(i, t)], -evar[(j, t2)]])
+
+    # routed edges keep clear of stored data. No usable edge leaves a magic
+    # vertex. Under a pinned map, only the gate that ends at a mapped vertex
+    # has an edge into it and only the gate that starts there has one out,
+    # and no gate starts and ends at one vertex, so the family is empty.
+    if pinned is None:
+        for v in free_vertices:
+            guards = [[-mvar[(q, v)]] for q in circuit.qubits]
+            for g in circuit.gates:
+                into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
+                for t in windows[g.index]:
+                    for u in into:
+                        for w in out_of:
+                            pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
+                            for guard in guards:
+                                add(guard + pair)
+
+    # vertex-disjointness: in/out degree at most one per vertex and step
+    for t in range(1, t_s + 1):
+        active = [(g.index, gate_edges[g.index]) for g in circuit.gates if t in windows[g.index]]
+        for u in arch.vertices():
+            outgoing = [pvar[(u, w, i, t)] for i, ge in active for w in ge.out_of[u]]
+            incoming = [pvar[(w, u, i, t)] for i, ge in active for w in ge.into[u]]
+            clauses.extend(encode_amo(outgoing, fresh))
+            clauses.extend(encode_amo(incoming, fresh))
+
+    # path construction per gate kind
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            start_q, end_q = g.control, g.target
+        else:
+            start_q, end_q = g.operand, None
+        ge = gate_edges[g.index]
+        for t in windows[g.index]:
+            e = evar[(g.index, t)]
+            for v in free_vertices:
+                # leave the start vertex through a vertical edge
+                guard = unless(start_q, v)
+                if guard is not None:
+                    leave = [pvar[(v, u, g.index, t)] for u in ge.out_of[v] if u in vertical[v]]
+                    add(guard + [-e] + leave)
+                guard = None if end_q is None else unless(end_q, v)
+                if guard is not None:
+                    enter = [pvar[(u, v, g.index, t)] for u in ge.into[v] if u in horizontal[v]]
+                    add(guard + [-e] + enter)
+            # every used edge chains back toward the start vertex
+            for u, v in ge.order:
+                if pinned is not None and pinned[start_q] == u:
+                    continue  # the pinned start vertex satisfies the head
+                back = [pvar[(w, u, g.index, t)] for w in ge.into[u] if w != v]
+                head = [mvar[(start_q, u)]] if pinned is None else []
+                add([-pvar[(u, v, g.index, t)]] + back + head)
+            if end_q is None:
+                # T gates end by entering some magic vertex horizontally
+                entries = [pvar[(u, v, g.index, t)] for v in sorted(magic) for u in ge.into[v]]
+                add([-e] + entries)
+                clauses.extend(encode_amo(entries, fresh))
+
+    return CnfInstance(counter, clauses, table, t_s)
+
+
+# ---------------------------------------------------------------------------
+# The encoder's formula written plainly: `usable_edge_encode` above with the
+# two changes that shrink it and none of the shortcuts that build it faster.
+# A pinned map gets one map variable per qubit and its unit clause, and no
+# exactly-one or at-most-one family. The out-degree at-most-one goes first
+# per gate, step and vertex where the gate's start qubit cannot sit (none
+# under a free map, every vertex but the pinned one under a pinned map),
+# then per step and vertex across the gates of each start qubit that may
+# sit there, next to the in-degree one. Kept as the reference the encoder
+# must match in variable count, clauses, their order and the variable
+# table.
+# ---------------------------------------------------------------------------
+
+def plain_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
+                 t_s: int = 1) -> CnfInstance:
+    """Build the decision formula for `t_s` steps; pin and fold in the map if
+    one is given."""
+    if t_s < 1:
+        raise ValueError("need at least one time step")
+    table = VarTable()
+    free_vertices = [v for v in arch.vertices() if v not in arch.magic]
+    if circuit.num_qubits > len(free_vertices):
+        return CnfInstance(
+            1, [[]], table, t_s,
+            diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
+        )
+    pinned = None
+    if qmap is not None:
+        free_set = set(free_vertices)
+        pinned = qmap.as_dict
+        for q in circuit.qubits:
+            if q not in pinned:
+                raise ValueError(f"fixed map does not place qubit {q!r}")
+            if pinned[q] not in free_set:
+                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
+
+    windows = exec_windows(circuit, t_s)
+    horizontal, vertical, edges = _adjacency(arch)
+    neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
+    magic = arch.magic
+    blocked = magic if pinned is None else magic | set(pinned.values())
+    if pinned is None:
+        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
+    else:
+        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
+    shared: dict[tuple, _UsableEdges] = {}
+    gate_edges: list[_UsableEdges] = []
+    for key in keys:
+        if key not in shared:
+            shared[key] = _usable_edges(neigh, edges, *key, blocked)
+        gate_edges.append(shared[key])
+    counter = 0
+
+    def fresh() -> int:
+        nonlocal counter
+        counter += 1
+        return counter
+
+    for q in circuit.qubits:
+        for v in free_vertices if pinned is None else (pinned[q],):
+            table.map_ids[(q, v)] = fresh()
+    for g in circuit.gates:
+        for t in windows[g.index]:
+            table.exec_ids[(g.index, t)] = fresh()
+    for e in edges:
+        for g in circuit.gates:
+            if e in gate_edges[g.index].usable:
+                for t in windows[g.index]:
+                    table.path_ids[(*e, g.index, t)] = fresh()
+    table.num_named = counter
+
+    mvar = table.map_ids
+    evar = table.exec_ids
+    pvar = table.path_ids
+    clauses: list[list[int]] = []
+    add = clauses.append
+
+    # mapping: total injective function avoiding magic vertices, or the pins
+    if pinned is None:
+        for q in circuit.qubits:
+            clauses.extend(encode_eo([mvar[(q, v)] for v in free_vertices], fresh))
+        for v in free_vertices:
+            clauses.extend(encode_amo([mvar[(q, v)] for q in circuit.qubits], fresh))
+    else:
+        for q in circuit.qubits:
+            add([mvar[(q, pinned[q])]])
+
+    def unless(q: str, v: Vertex) -> list[int] | None:
+        """The literal `-map(q, v)` as a clause prefix, folded under a pinned
+        map: [] when it is false, None when it satisfies the clause."""
+        if pinned is None:
+            return [-mvar[(q, v)]]
+        return [] if pinned[q] == v else None
+
+    # schedule: one step per gate, dependent gates strictly ordered
+    for g in circuit.gates:
+        clauses.extend(encode_eo([evar[(g.index, t)] for t in windows[g.index]], fresh))
+    for i, j in consecutive_qubit_pairs(circuit):
+        for t in windows[i]:
+            for t2 in windows[j]:
+                if t2 <= t:
+                    add([-evar[(i, t)], -evar[(j, t2)]])
+
+    # routed edges keep clear of stored data. No usable edge leaves a magic
+    # vertex. Under a pinned map, only the gate that ends at a mapped vertex
+    # has an edge into it and only the gate that starts there has one out,
+    # and no gate starts and ends at one vertex, so the family is empty.
+    if pinned is None:
+        for v in free_vertices:
+            guards = [[-mvar[(q, v)]] for q in circuit.qubits]
+            for g in circuit.gates:
+                into, out_of = gate_edges[g.index].into[v], gate_edges[g.index].out_of[v]
+                for t in windows[g.index]:
+                    for u in into:
+                        for w in out_of:
+                            pair = [-pvar[(u, v, g.index, t)], -pvar[(v, w, g.index, t)]]
+                            for guard in guards:
+                                add(guard + pair)
+
+    # vertex-disjointness: out-degree at most one per gate, vertex and step
+    # where the gate's start qubit cannot sit; then per step and vertex,
+    # out-degree at most one per start qubit that may sit there, across its
+    # gates, and in-degree at most one across all gates
+    for g in circuit.gates:
+        start = None if pinned is None else pinned[g.qubits[0]]
+        for t in windows[g.index]:
+            for u in arch.vertices():
+                if pinned is not None and u != start:
+                    outgoing = [pvar[(u, w, g.index, t)] for w in gate_edges[g.index].out_of[u]]
+                    clauses.extend(encode_amo(outgoing, fresh))
+    for t in range(1, t_s + 1):
+        active = [(g.index, g.qubits[0], gate_edges[g.index])
+                  for g in circuit.gates if t in windows[g.index]]
+        for u in arch.vertices():
+            groups = {}
+            for i, q, ge in active:
+                if (pinned is None or pinned[q] == u) and ge.out_of[u]:
+                    groups.setdefault(q, []).extend(pvar[(u, w, i, t)] for w in ge.out_of[u])
+            incoming = [pvar[(w, u, i, t)] for i, _, ge in active for w in ge.into[u]]
+            for outgoing in groups.values():
+                clauses.extend(encode_amo(outgoing, fresh))
+            clauses.extend(encode_amo(incoming, fresh))
+
+    # path construction per gate kind
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            start_q, end_q = g.control, g.target
+        else:
+            start_q, end_q = g.operand, None
+        ge = gate_edges[g.index]
+        for t in windows[g.index]:
+            e = evar[(g.index, t)]
+            for v in free_vertices:
+                # leave the start vertex through a vertical edge
+                guard = unless(start_q, v)
+                if guard is not None:
+                    leave = [pvar[(v, u, g.index, t)] for u in ge.out_of[v] if u in vertical[v]]
+                    add(guard + [-e] + leave)
+                guard = None if end_q is None else unless(end_q, v)
+                if guard is not None:
+                    enter = [pvar[(u, v, g.index, t)] for u in ge.into[v] if u in horizontal[v]]
+                    add(guard + [-e] + enter)
+            # every used edge chains back toward the start vertex
+            for u, v in ge.order:
+                if pinned is not None and pinned[start_q] == u:
+                    continue  # the pinned start vertex satisfies the head
+                back = [pvar[(w, u, g.index, t)] for w in ge.into[u] if w != v]
+                head = [mvar[(start_q, u)]] if pinned is None else []
+                add([-pvar[(u, v, g.index, t)]] + back + head)
+            if end_q is None:
+                # T gates end by entering some magic vertex horizontally
+                entries = [pvar[(u, v, g.index, t)] for v in sorted(magic) for u in ge.into[v]]
+                add([-e] + entries)
+                clauses.extend(encode_amo(entries, fresh))
+
+    return CnfInstance(counter, clauses, table, t_s)

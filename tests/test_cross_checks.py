@@ -10,12 +10,14 @@ import pytest
 from scmr.architecture import bordered_architecture, custom_architecture
 from scmr.bench import ndp_to_scr, random_circuit
 from scmr.circuit import circuit_from_gates, cnot, depth, tgate
-from scmr.mapping import qubit_map, random_map, unrestricted_locations
-from scmr.routing import GateRoute, greedy_route, validate
+from scmr.mapping import qubit_map, random_map, struct_map, unrestricted_locations
+from scmr.routing import GateRoute, UnroutableGateError, greedy_route, validate
 from scmr.sat import (
     CapExhausted,
+    CdclSolver,
     CnfInstance,
     encode,
+    route_literals,
     solve,
     solve_optimal,
     write_instance,
@@ -25,18 +27,8 @@ from oracles import brute_force_optimum, ndp_feasible
 
 
 def _solution_units(cnf, circuit, qmap, route):
-    units = []
-    for q in circuit.qubits:
-        units.append([cnf.table.map_ids[(q, qmap[q])]])
-    for g in circuit.gates:
-        t = route.time[g.index]
-        if (g.index, t) not in cnf.table.exec_ids:
-            return None  # step outside the window: not expressible
-        units.append([cnf.table.exec_ids[(g.index, t)]])
-        path = route.space[g.index]
-        for u, v in zip(path, path[1:]):
-            units.append([cnf.table.path_ids[(u, v, g.index, t)]])
-    return units
+    lits = route_literals(cnf.table, circuit, qmap, route)
+    return None if lits is None else [[lit] for lit in lits]
 
 
 def test_invalid_solutions_are_unsatisfiable():
@@ -67,6 +59,53 @@ def test_valid_greedy_solutions_are_satisfiable():
         units = _solution_units(cnf, circuit, qmap, route)
         assert units is not None  # valid schedules always fit the pruned windows
         assert solve(CnfInstance(cnf.num_vars, cnf.clauses + units, cnf.table, cnf.t_s)) is not None
+
+
+def _extends_to_model(cnf, lits) -> bool:
+    """Whether `cnf` has a model that sets `lits` true and every other named
+    variable false. The clauses those values satisfy are dropped, the
+    literals they make false are cut from the rest, and the solver runs on
+    what is left, its variables numbered afresh."""
+    n, size = cnf.table.num_named, 2 * cnf.num_vars + 1
+    value = [2] * size  # indexed by literal, negative ones from the end
+    value[1:n + 1] = [0] * n
+    value[size - n:] = [1] * n
+    for lit in lits:
+        value[lit], value[-lit] = 1, 0
+    rest = [[lit for lit in c if value[lit] == 2] for c in cnf.clauses
+            if 1 not in map(value.__getitem__, c)]
+    ids = {}
+    for c in rest:
+        for lit in c:
+            ids.setdefault(abs(lit), len(ids) + 1)
+    renamed = [[ids[lit] if lit > 0 else -ids[-lit] for lit in c] for c in rest]
+    return CdclSolver(len(ids), renamed).solve() is not None
+
+
+def test_valid_greedy_routes_extend_to_models():
+    # the usable-edge rule, the pinned-map fold and the out-degree bound per
+    # start qubit keep every validator-approved route a model: its literals
+    # exist at its own step count and one step more, and with every other
+    # named variable false they extend to a model. Checked on the router's
+    # differential and crowded-map instances and on the exact benchmark's
+    # probe shapes (the free one under the struct map)
+    from test_routing import _crowded_instances, _differential_instances
+    from test_sat import _perfbench_shaped_instances
+    shaped = [(arch, c, m if m is not None else struct_map(arch, c))
+              for _, arch, c, m, _ in _perfbench_shaped_instances()]
+    checked = 0
+    for arch, circuit, qmap in [*_differential_instances(), *_crowded_instances(), *shaped]:
+        try:
+            route = greedy_route(arch, circuit, qmap)
+        except UnroutableGateError:
+            continue
+        assert validate(arch, circuit, qmap, route) == []
+        for t in (route.steps, route.steps + 1):
+            cnf = encode(arch, circuit, qmap, t_s=t)
+            lits = route_literals(cnf.table, circuit, qmap, route)
+            assert lits is not None and _extends_to_model(cnf, lits), (circuit.gates, qmap, t)
+        checked += 1
+    assert checked > 150
 
 
 def _random_instance(rng):

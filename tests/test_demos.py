@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # a map, a route, a formula or a printed figure changed
 STDOUT_SHA256 = {
     "01_compile_a_circuit": "78e76ea2777a62a625b023735d2e639be177a64d035e20acfaacf58e0a3c546c",
-    "02_exact_vs_heuristic": "63eba0541dcd199fdcc2eebdd7354fd3f932cf1e7c6ccf9cf9d1deeb31bebd80",
+    "02_exact_vs_heuristic": "693d3673791f22ec241a4200e513a3782a0d03b0394acd7511f327eed1ddaf02",
     "03_mapper_quality_sweep": "f2854dc0a58ae0e07b8b6230d378f1804c7db97613fab1c9618c547b90a1b19a",
     "04_reduction_instances": "8ca912f8ae54871a997799be019b83b0b42c0123a1d421a9b56cc58eae978aa9",
     "05_sat_encoding_tour": "75c7bc90518ee75c9937e9e29469a88a93f103ee8a682378527df6af8291094f",

@@ -386,14 +386,18 @@ def test_greedy_route_matches_reference_router():
     assert count == 132
 
 
-def test_greedy_route_matches_reference_router_on_crowded_maps():
-    # maps over every non-magic vertex: qubits wall each other in, so some
-    # instances are unroutable and must fail with the same message
-    unroutable = 0
+def _crowded_instances():
+    """Maps over every non-magic vertex: qubits wall each other in."""
     for seed in range(90):
         c = random_circuit(3 + seed % 6, 2 + seed % 4, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
         arch = _BUILDERS[seed % 3](c.num_qubits)
-        m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+        yield arch, c, random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+
+
+def test_greedy_route_matches_reference_router_on_crowded_maps():
+    # some instances are unroutable and must fail with the same message
+    unroutable = 0
+    for arch, c, m in _crowded_instances():
         unroutable += _matches_reference(arch, c, m).startswith("unroutable")
     assert 0 < unroutable < 90
 

@@ -121,6 +121,27 @@ def test_cdcl_random_3sat_agrees_with_dpll():
             assert all(any(l in truth for l in c) for c in clauses)
 
 
+def test_cdcl_add_clause_enumerates_every_model():
+    # blocking each model with `add_clause` after it is found lists every
+    # model once: as many as brute force counts, each satisfying the formula
+    import random
+    rng = random.Random(4)
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        clauses = []
+        for _ in range(rng.randint(0, 2 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+        solver = CdclSolver(n, clauses)
+        models = []
+        while (model := solver.solve()) is not None:
+            truth = set(model)
+            assert all(any(l in truth for l in c) for c in clauses)
+            models.append(frozenset(model))
+            solver.add_clause([-l for l in model])
+        assert len(set(models)) == len(models) == count_projected_models(n, clauses)
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 # ---------------------------------------------------------------------------
@@ -458,10 +479,12 @@ def test_encode_rejects_incomplete_map():
 def test_encoding_bytes_pinned():
     # the DIMACS text of four fixed instances (a bordered fixed map, a free
     # map, and two T-heavy ones with one step of slack and magic columns at
-    # the edge and down the middle), hashed after path variables were
-    # limited to the edges each gate can use. The digests guard the bytes
-    # external solvers read; that the formula keeps the reference encoding's
-    # verdicts is checked by test_folded_encoding_matches_reference_solver
+    # the edge and down the middle), hashed after a pinned map's mapping
+    # family was folded out and the out-degree bound went per start qubit.
+    # The digests guard the bytes external solvers read; that the formula
+    # keeps the reference encodings' verdicts and models is checked by
+    # test_folded_encoding_matches_reference_solver and
+    # test_encoding_keeps_the_reference_models_on_its_named_variables
     bordered = bordered_architecture(4)
     fixed = random_circuit(4, 3, 0.2, seed=3)
     free = random_circuit(4, 2, 0.25, seed=5)
@@ -475,10 +498,10 @@ def test_encoding_bytes_pinned():
         cnf = encode(arch, circuit, qmap, t_s=t_s)
         digests.append(hashlib.sha256(dimacs_text(cnf.num_vars, cnf.clauses).encode()).hexdigest())
     assert digests == [
-        "34b2afdf2d110e03bcc0ff3da79e068f547540d8ebd8e6b37360924586c3892e",
-        "822e68f8c8ea350f36eaa200e17945610f6be13eb5fc1340c333b8b75b2c5957",
-        "ec7d19f28aee0b3420f99780c4cfa5372e0157adab80b46750041d1dd435c037",
-        "edb8c58865eced6f9df85382238331e042531f695d7d68beda715cbe659411bf",
+        "0f4431bfb814e11460c93a9f28b639edb6768d8ecb76a1dd53b0318fd874df55",
+        "221eaf5cacc255a91ab1d54e820658b74d346853b6debb057c945b79d6f55ad4",
+        "722445d22de9a8c415d154f24efd17fa56ecfedfb3dac814c3304b4904ca93fc",
+        "427df82e981f12b61d2eb7f528148c65b0c96dc2dc39f8007d3b0b7b90b085e1",
     ]
 
 
@@ -533,7 +556,8 @@ def _differential_maps(arch, circuit, seed):
 def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
     # the encoder allocates path variables only on edges a legal path of the
     # gate can use, so its formula is the reference one with every other
-    # path literal false: the same map and exec ids, fewer path variables,
+    # path literal false: the same map and exec variables (under a pinned
+    # map only the pinned map ones), fewer path variables,
     # the same verdicts, and models that decode to valid routes
     arch = make_arch(4)
     circuit = random_circuit(4, 2, t_fraction, seed=seed)
@@ -541,8 +565,15 @@ def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
         for t in (depth(circuit), depth(circuit) + 1):
             ref = reference_encode(arch, circuit, qmap, t_s=t)
             cnf = encode(arch, circuit, qmap, t_s=t)
-            assert cnf.table.map_ids == ref.table.map_ids, label
-            assert cnf.table.exec_ids == ref.table.exec_ids, label
+            if qmap is None:
+                assert cnf.table.map_ids == ref.table.map_ids, label
+            else:
+                pins = {(q, qmap[q]) for q in circuit.qubits}
+                assert cnf.table.map_ids.keys() == pins <= ref.table.map_ids.keys(), label
+            # the map ids come first, so under a pinned map every exec id
+            # moves down by the number of map ids left out
+            shift = len(ref.table.map_ids) - len(cnf.table.map_ids)
+            assert {k: i + shift for k, i in cnf.table.exec_ids.items()} == ref.table.exec_ids, label
             assert cnf.table.path_ids.keys() <= ref.table.path_ids.keys(), label
             if qmap is not None:
                 assert len(cnf.clauses) < len(ref.clauses) / 2, label
@@ -557,6 +588,103 @@ def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
                     assert got.as_dict == placed, label
                 assert validate(arch, circuit, got, route) == [], label
                 break
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the encoder before a pinned map's mapping
+# family was folded out and the out-degree bound went per start qubit
+# ---------------------------------------------------------------------------
+
+def _names(table):
+    """Each named variable's id -> its (family, key) name."""
+    names = {i: ("map", k) for k, i in table.map_ids.items()}
+    names.update((i, ("exec", k)) for k, i in table.exec_ids.items())
+    names.update((i, ("path", k)) for k, i in table.path_ids.items())
+    return names
+
+
+def _named_models(cnf, keep):
+    """Every model of `cnf` projected onto the names in `keep`, each as the
+    set of names it makes true: the solver runs again after each model with
+    a clause that blocks the model's projection."""
+    ids = {i: name for i, name in _names(cnf.table).items() if name in keep}
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    models = set()
+    while (model := solver.solve()) is not None:
+        models.add(frozenset(ids[lit] for lit in model if lit in ids))
+        solver.add_clause([-lit for lit in model if abs(lit) in ids])
+    return models
+
+
+def _tiny_instances(rng, size):
+    """Grids of up to 3x4 with 0-2 magic vertices and 1-3 gates on 1-3
+    qubits, under a pinned map, and under a free map on up to 6 cells with
+    up to 2 qubits; first the shapes where two gates with one start qubit
+    share a step of their windows at t = depth + 1."""
+    corner = custom_architecture(3, 3, [(3, 3)])
+    pairs = [(corner, parse_circuit("t a; t a"), {"a": (2, 2)}),
+             (corner, parse_circuit("cnot a b; cnot a c"), {"a": (2, 2), "b": (1, 1), "c": (1, 3)}),
+             (custom_architecture(2, 2, [(2, 2)]), parse_circuit("t a; t a"), None),
+             (custom_architecture(2, 3, []), parse_circuit("cnot a b; cnot a b"), None)]
+    corpus = [(arch, c, m and qubit_map(m)) for arch, c, m in pairs]
+    while len(corpus) < size:
+        rows, cols = rng.randint(1, 3), rng.randint(2, 4)
+        cells = [(a, b) for a in range(1, cols + 1) for b in range(1, rows + 1)]
+        arch = custom_architecture(rows, cols, rng.sample(cells, rng.randint(0, min(2, len(cells) - 1))))
+        free = [v for v in arch.vertices() if v not in arch.magic]
+        qubits = ["a", "b", "c"][:rng.randint(1, min(3, len(free)))]
+        gates = [cnot(*rng.sample(qubits, 2)) if len(qubits) > 1 and rng.random() < 0.6
+                 else tgate(rng.choice(qubits)) for _ in range(rng.randint(1, 3))]
+        circuit = circuit_from_gates(gates)
+        if rng.random() < 0.25:
+            if len(cells) > 6 or circuit.num_qubits > 2:
+                continue
+            corpus.append((arch, circuit, None))
+        else:
+            placed = rng.sample(free, circuit.num_qubits)
+            corpus.append((arch, circuit, qubit_map(dict(zip(circuit.qubits, placed)))))
+    return corpus
+
+
+def test_encoding_keeps_the_reference_models_on_its_named_variables():
+    # under a pinned map the encoder allocates only the pinned map literals
+    # and replaces the out-degree bound across all gates at a vertex by one
+    # per start qubit where that qubit may sit and one per gate elsewhere;
+    # every other bound is implied, so projected onto the named variables
+    # it keeps, the formula has exactly the reference formula's models
+    import random
+    totals = {"pinned": 0, "free": 0}
+    for arch, circuit, qmap in _tiny_instances(random.Random(17), 60):
+        for t in (depth(circuit), depth(circuit) + 1):
+            cnf = encode(arch, circuit, qmap, t_s=t)
+            ref = oracles.usable_edge_encode(arch, circuit, qmap, t_s=t)
+            keep = set(_names(cnf.table).values())
+            assert keep <= set(_names(ref.table).values())
+            got = _named_models(cnf, keep)
+            assert got == _named_models(ref, keep), (arch, circuit.gates, qmap, t)
+            totals["free" if qmap is None else "pinned"] += len(got)
+    assert min(totals.values()) > 0
+
+
+def test_encoding_matches_the_plain_encoder_byte_for_byte():
+    # the encoder's shortcuts (start and end clauses only at a pinned map's
+    # own vertices, path ids computed from each gate's first id per edge,
+    # edge tables shared per start and ends, a gate's out-degree clauses
+    # built once for its window) leave its formula as the plain one
+    import random
+    corpus = _tiny_instances(random.Random(5), 120)
+    for make_arch in (bordered_architecture, right_column_architecture, center_column_architecture):
+        for seed in range(5):
+            arch, circuit = make_arch(4), random_circuit(4, 3 + seed, 0.15 * seed, seed=seed)
+            corpus += [(arch, circuit, struct_map(arch, circuit)),
+                       (arch, circuit, random_map(arch, circuit, seed))]
+            if seed < 2:
+                corpus.append((arch, random_circuit(3, 2, 0.3, seed=seed), None))
+    for arch, circuit, qmap in corpus:
+        for t in (depth(circuit), depth(circuit) + 1, depth(circuit) + 2):
+            cnf = encode(arch, circuit, qmap, t_s=t)
+            ref = oracles.plain_encode(arch, circuit, qmap, t_s=t)
+            assert (cnf.num_vars, cnf.clauses, cnf.table) == (ref.num_vars, ref.clauses, ref.table)
 
 
 def _probe_corpus(rng, size):
@@ -749,20 +877,21 @@ def _assert_matches_dict_watch_solver(num_vars, clauses_of):
     return model, len(new.clauses) - kept
 
 
-def _perfbench_shaped_probes():
-    """(label, cnf) for the kinds of formula the `exact` benchmark workload
-    solves: fixed struct maps at depth 6 and 10, a T-heavy right-column map,
-    a free map and a center-column map with a CNOT across the magic column."""
+def _perfbench_shaped_instances():
+    """(label, arch, circuit, qmap, t) for the kinds of probe the `exact`
+    benchmark workload solves: fixed struct maps at depth 6 and 10, a T-heavy
+    right-column map, a free map and a center-column map with a CNOT across
+    the magic column."""
     bordered = bordered_architecture(4)
     for d in (6, 10):
         circuit = random_circuit(4, d, 0.2, seed=d)
-        yield f"fixed d{d}", encode(bordered, circuit, struct_map(bordered, circuit), t_s=d)
+        yield f"fixed d{d}", bordered, circuit, struct_map(bordered, circuit), d
     right = right_column_architecture(4)
     t_heavy = random_circuit(4, 3, 0.7, seed=1)
     for t in (3, 4, 5):
-        yield f"T-heavy t={t}", encode(right, t_heavy, struct_map(right, t_heavy), t_s=t)
+        yield f"T-heavy t={t}", right, t_heavy, struct_map(right, t_heavy), t
     free = random_circuit(4, 2, 0.2, seed=2)
-    yield "free map", encode(bordered, free, None, t_s=2)
+    yield "free map", bordered, free, None, 2
     center = center_column_architecture(4, widen=True)
     column = min(v[0] for v in center.magic)
     for seed in itertools.count():
@@ -771,8 +900,14 @@ def _perfbench_shaped_probes():
         if any(g.kind is GateKind.CNOT
                and (qmap[g.control][0] < column) != (qmap[g.target][0] < column)
                for g in cross.gates):
-            yield "cross-column", encode(center, cross, qmap, t_s=2)
+            yield "cross-column", center, cross, qmap, 2
             break
+
+
+def _perfbench_shaped_probes():
+    """(label, cnf) for each of `_perfbench_shaped_instances`."""
+    for label, arch, circuit, qmap, t in _perfbench_shaped_instances():
+        yield label, encode(arch, circuit, qmap, t_s=t)
 
 
 def test_cdcl_matches_dict_watch_solver_on_perfbench_shaped_formulas():
