@@ -28,16 +28,17 @@ def dimacs_text(num_vars: int, clauses) -> str:
 def write_instance(cnf, base_path) -> tuple[str, str]:
     """Write `<base>.cnf` plus the `<base>.vars` sidecar variable table.
 
-    Returns the two paths. `cnf` is a CnfInstance; the sidecar maps integer
-    ids to map/exec/path records so models can be read by hand. Under a
-    pinned map it lists one map record per qubit, its pinned vertex, since
-    the formula has no other map variable.
+    Returns the two paths. The suffixes are appended to the whole base name,
+    so `probe.t1` gives `probe.t1.cnf` and `probe.cnf` gives `probe.cnf.cnf`.
+    `cnf` is a CnfInstance; the sidecar maps integer ids to map/exec/path
+    records so models can be read by hand. Under a pinned map it lists one
+    map record per qubit, its pinned vertex, since the formula has no other
+    map variable.
     """
     from pathlib import Path
 
-    base = Path(base_path)
-    cnf_path = base.with_suffix(".cnf")
-    vars_path = base.with_suffix(".vars")
+    cnf_path = Path(f"{base_path}.cnf")
+    vars_path = Path(f"{base_path}.vars")
     with cnf_path.open("w") as f:
         write_dimacs(cnf.num_vars, cnf.clauses, f)
     vars_path.write_text(cnf.table.table_text())

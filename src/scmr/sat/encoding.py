@@ -35,23 +35,25 @@ formula. Projected onto the map literals it keeps, the formula has the
 models it had with every map literal and its mapping family.
 
 Usable edges. A gate g gets path variables only on a directed edge (u, v)
-that some legal path of g can use: u is not magic and, under a pinned map,
-is g's start vertex with (u, v) vertical or an unmapped vertex; v is not g's
-start, is magic only for a T gate entered through a horizontal edge and,
-under a pinned map, is an unmapped non-magic vertex or g's end vertex
-entered horizontally. A vertex the map places any qubit on counts as
-mapped, whether the circuit uses that qubit or not, so routes keep clear of
-every vertex `routing.validate` protects. Every family reads a missing path
-literal as false: clauses it would satisfy are left out, and it is dropped
-from the others. The formula is the full one with every other path literal
-set to false and, when the map places only the circuit's qubits, the two
-are equisatisfiable: in a model of the full formula, each gate's path at
-its step is legal (the degree bounds make the chain of true edges back from
-the end vertex unique and acyclic), so setting every path literal off those
-paths to false, with the counter auxiliaries recomputed, still satisfies
-it, and uses usable edges only. Verdicts, and so the steps and proofs of
-the step loop, are those of the full formula; which optimal route a model
-holds may differ.
+that some legal path of g can use. The blocked vertices are the magic ones
+and, under a pinned map, every vertex the map places a qubit on, whether
+the circuit uses that qubit or not, so routes keep clear of every vertex
+`routing.validate` protects. A T gate's ends are the magic vertices; under
+a pinned map, a CNOT's one end is its target's vertex and every gate's
+start is its first qubit's vertex (under a free map no vertex is a start,
+or a CNOT's end, in this rule). Then (u, v) is usable iff both hold:
+  it leaves correctly: vertical if u is g's start, else u is not blocked;
+  it enters correctly: horizontal if v is an end of g, else v is not blocked.
+Every family reads a missing path literal as false: clauses it would
+satisfy are left out, and it is dropped from the others. The formula is
+the full one with every other path literal set to false and, when the map
+places only the circuit's qubits, the two are equisatisfiable: in a model
+of the full formula, each gate's path at its step is legal (the degree
+bounds make the chain of true edges back from the end vertex unique and
+acyclic), so setting every path literal off those paths to false, with the
+counter auxiliaries recomputed, still satisfies it, and uses usable edges
+only. Verdicts, and so the steps and proofs of the step loop, are those of
+the full formula; which optimal route a model holds may differ.
 
 Out-degree. The back-chain, degree and data-clear clauses hold at every
 step of a gate's window; the start, end and magic-entry clauses only at the
@@ -74,7 +76,7 @@ start vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 from ..architecture import Architecture, Vertex
@@ -95,18 +97,6 @@ class VarTable:
     exec_ids: dict[tuple[int, int], int] = field(default_factory=dict)
     path_ids: dict[tuple[Vertex, Vertex, int, int], int] = field(default_factory=dict)
     num_named: int = 0
-
-    def describe(self, var: int) -> str:
-        for (q, v), i in self.map_ids.items():
-            if i == var:
-                return f"map {q} {v[0]} {v[1]}"
-        for (g, t), i in self.exec_ids.items():
-            if i == var:
-                return f"exec {g} {t}"
-        for (u, v, g, t), i in self.path_ids.items():
-            if i == var:
-                return f"path {u[0]} {u[1]} {v[0]} {v[1]} {g} {t}"
-        return "aux"
 
     def table_text(self) -> str:
         lines = []
@@ -165,11 +155,11 @@ def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
 class _Grid(NamedTuple):
     """The grid's directed edges as indices into the `_adjacency` edge list,
     and its vertices as indices into `arch.vertices()` (`at`): each edge's
-    tail, reverse and orientation, and per vertex the edges into and out of
-    it in neighbor order."""
+    tail, head, reverse and orientation, and per vertex the edges into and
+    out of it in neighbor order."""
     at: dict[Vertex, int]
-    index: dict[tuple[Vertex, Vertex], int]
     tail: list[int]
+    head: list[int]
     reverse: list[int]
     horizontal: list[bool]
     ins: list[list[int]]
@@ -179,61 +169,30 @@ class _Grid(NamedTuple):
 def _grid(neigh, edges) -> _Grid:
     at = {v: k for k, v in enumerate(neigh)}
     index = {e: j for j, e in enumerate(edges)}
-    return _Grid(at, index, [at[u] for u, _ in edges], [index[(v, u)] for u, v in edges],
-                 [u[1] == v[1] for u, v in edges],
+    return _Grid(at, [at[u] for u, _ in edges], [at[v] for _, v in edges],
+                 [index[(v, u)] for u, v in edges], [u[1] == v[1] for u, v in edges],
                  [[index[(u, v)] for u in ns] for v, ns in neigh.items()],
                  [[index[(v, w)] for w in ns] for v, ns in neigh.items()])
 
 
 class _GateEdges(NamedTuple):
     """The edges one gate's path may use, shared by the gates with one start
-    and set of ends, as `_Grid` indices: `order` in increasing index,
-    `extra` those the interior lacks; per vertex, `ins` and `outs` the
-    usable edges into and out of it in neighbor order; per usable edge
-    (u, v), `back` the usable edges (w, u) with w != v."""
-    order: list[int]
-    extra: list[int]
+    and set of ends: `usable` per `_Grid` edge and, per vertex, `ins` and
+    `outs` the usable edges into and out of it in neighbor order."""
+    usable: list[bool]
     ins: list[list[int]]
     outs: list[list[int]]
-    back: list[list[int] | None]
 
 
-def _interior(grid: _Grid, edges, blocked) -> _GateEdges:
-    """The edges between two vertices outside `blocked`: every gate may use
-    them, and only them, but for its own start and end edges. `back` is None
-    exactly at the other edges."""
-    usable = [u not in blocked and v not in blocked for u, v in edges]
-    ins = [[j for j in js if usable[j]] for js in grid.ins]
-    outs = [[j for j in js if usable[j]] for js in grid.outs]
-    back = [[x for x in ins[k] if x != r] if ok else None
-            for ok, k, r in zip(usable, grid.tail, grid.reverse)]
-    return _GateEdges([j for j, ok in enumerate(usable) if ok], [], ins, outs, back)
-
-
-def _gate_edges(grid: _Grid, interior: _GateEdges, horizontal, vertical,
-                start: Vertex | None, ends, blocked) -> _GateEdges:
-    """The edges some legal path from `start` (None: any vertex outside
-    `blocked`) into `ends` can use: it leaves `start` through a vertical
-    edge, enters an end through a horizontal one, and passes only through
-    vertices outside `blocked`, which holds the ends, the magic vertices and,
-    under a pinned map, every mapped vertex. These are the interior edges,
-    the vertical ones from `start` and the horizontal ones into an end."""
-    index = grid.index
-    extra = [] if start is None else [
-        index[(start, w)] for w in vertical[start] if w not in blocked]
-    extra += [index[(u, x)] for x in ends for u in horizontal[x] if u not in blocked]
-    if not extra:
-        return interior
-    usable = set(extra)
-    ins, outs, back = interior.ins[:], interior.outs[:], interior.back[:]
-    touched = {k for j in extra for k in (grid.tail[j], grid.tail[grid.reverse[j]])}
-    for k in touched:
-        ins[k] = [j for j in grid.ins[k] if j in usable or interior.back[j] is not None]
-        outs[k] = [j for j in grid.outs[k] if j in usable or interior.back[j] is not None]
-    for k in touched:
-        for j in outs[k]:
-            back[j] = [x for x in ins[k] if x != grid.reverse[j]]
-    return _GateEdges(sorted(interior.order + extra), extra, ins, outs, back)
+def _gate_edges(grid: _Grid, start: int | None, ends, blocked) -> _GateEdges:
+    """The usable edges (module docstring) of a gate from vertex index
+    `start` (None under a free map) into the vertex indices `ends`, with
+    `blocked` the blocked vertex indices."""
+    usable = [(not flat if u == start else u not in blocked)
+              and (flat if v in ends else v not in blocked)
+              for u, v, flat in zip(grid.tail, grid.head, grid.horizontal)]
+    return _GateEdges(usable, [[j for j in js if usable[j]] for js in grid.ins],
+                      [[j for j in js if usable[j]] for js in grid.outs])
 
 
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
@@ -266,18 +225,19 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     grid = _grid(neigh, edges)
     vertices = list(neigh)
     magic = arch.magic
-    blocked = magic if pinned is None else magic | set(pinned.values())
+    at = grid.at
+    blocked = {at[v] for v in (magic if pinned is None else magic | set(pinned.values()))}
     if pinned is None:
         keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in gates]
     else:
         keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
-    interior = _interior(grid, edges, blocked)
     shared: dict[tuple, _GateEdges] = {}
     gate_edges: list[_GateEdges] = []
-    for key in keys:
-        if key not in shared:
-            shared[key] = _gate_edges(grid, interior, horizontal, vertical, *key, blocked)
-        gate_edges.append(shared[key])
+    for start, ends in keys:
+        if (start, ends) not in shared:
+            shared[start, ends] = _gate_edges(
+                grid, None if start is None else at[start], {at[v] for v in ends}, blocked)
+        gate_edges.append(shared[start, ends])
     counter = 0
 
     def fresh() -> int:
@@ -294,14 +254,11 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # a gate's path variables on one edge take consecutive ids over its
     # window: path(u, v, g, t) is first[g][j] + t, j the edge's index
     everyone = range(len(gates))
-    users: dict[int, list[int]] = {}
-    for i, ge in enumerate(gate_edges):
-        for j in ge.extra:
-            users.setdefault(j, []).append(i)
     first = [[0] * len(edges) for _ in gates]
     pvar = table.path_ids
-    for j, (u, v) in enumerate(edges):
-        for i in everyone if interior.back[j] is not None else users.get(j, ()):
+    users = zip(*(ge.usable for ge in gate_edges))  # per edge, a flag per gate
+    for j, ((u, v), usable) in enumerate(zip(edges, users)):
+        for i in compress(everyone, usable):
             window = windows[i]
             first[i][j] = counter + 1 - window.start
             for t in window:
@@ -364,7 +321,6 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # `encode_amo` to allocate no auxiliary variable). Then per step and
     # vertex, out-degree is at most one per start qubit that may sit there,
     # across its gates, and in-degree at most one across all gates.
-    at = grid.at
     homes = [None if pinned is None else at[pinned[g.qubits[0]]] for g in gates]
     if pinned is not None:
         for i, ge in enumerate(gate_edges):
@@ -391,7 +347,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # path construction per gate kind. The start and end clauses are
     # guarded by `unless`, so under a pinned map only the gate's own mapped
     # vertices, in `free_vertices` order, get one.
-    flat = grid.horizontal
+    flat, tail, reverse = grid.horizontal, grid.tail, grid.reverse
     for g, ge, f in zip(gates, gate_edges, first):
         start_q, end_q = g.qubits[0], (g.qubits[1] if g.kind is GateKind.CNOT else None)
         stops = []
@@ -408,10 +364,10 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
                 stops.append((guard, [f[j] for j in ge.ins[k] if flat[j]]))
         # every used edge chains back toward the start vertex, or starts
         # there: the pinned start vertex satisfies the head
-        home, tail = homes[g.index], grid.tail
-        links = [(f[j], [f[x] for x in ge.back[j]],
+        home, ins = homes[g.index], ge.ins
+        links = [(f[j], [f[x] for x in ins[tail[j]] if x != reverse[j]],
                   [mvar[(start_q, vertices[tail[j]])]] if home is None else [])
-                 for j in ge.order if tail[j] != home]
+                 for j in compress(range(len(edges)), ge.usable) if tail[j] != home]
         # T gates end by entering some magic vertex horizontally
         entries = [f[j] for v in sorted(magic) for j in ge.ins[at[v]]] if end_q is None else None
         for t in windows[g.index]:
