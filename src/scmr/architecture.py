@@ -15,7 +15,8 @@ one adjacency source: a padded integer id per cell, so neighbors are fixed
 id offsets (horizontal ``± stride``, vertical ``± 1``) and a border of
 never-free padding ids replaces bounds checks. The routing search (over its
 bitset of free cells), the mapper's distance BFS and the SAT encoder's
-neighbor lists and edges all read it.
+neighbor lists and edges all read it, and all name a vertex by its cell id:
+the encoder's formula vertex indices are cell ids too.
 """
 from __future__ import annotations
 

@@ -180,25 +180,28 @@ def _write(path: Path, content: str):
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
+    # suffixes go on the whole base, so `-o rnd.v1` writes `rnd.v1.qc`
+    def out(suffix: str) -> Path:
+        return Path(f"{args.out}{suffix}")
+
     if args.generator == "known-optimal":
         circuit = known_optimal(args.depth, args.pairs, args.rho, seed=args.seed)
-        _write(out.with_suffix(".qc"), serialize_circuit(circuit))
+        _write(out(".qc"), serialize_circuit(circuit))
     elif args.generator == "random":
         circuit = random_circuit(args.qubits, args.depth, args.t_fraction, seed=args.seed)
-        _write(out.with_suffix(".qc"), serialize_circuit(circuit))
+        _write(out(".qc"), serialize_circuit(circuit))
     elif args.generator == "psp":
         jobs, edges = _read(args.jobs, psp_spec_from_json)
         arch, circuit, t_s = psp_to_scmr(jobs, edges, args.k, args.t_p)
-        _write(out.with_suffix(".qc"), serialize_circuit(circuit))
-        _write(out.with_suffix(".arch.json"), architecture_to_json(arch) + "\n")
+        _write(out(".qc"), serialize_circuit(circuit))
+        _write(out(".arch.json"), architecture_to_json(arch) + "\n")
         print(f"t_s={t_s}")
     elif args.generator == "ndp":
         pairs = _read(args.pairs_file, ndp_pairs_from_json)
         arch, circuit, qmap = ndp_to_scr((args.cols, args.rows), pairs)
-        _write(out.with_suffix(".qc"), serialize_circuit(circuit))
-        _write(out.with_suffix(".arch.json"), architecture_to_json(arch) + "\n")
-        _write(out.with_suffix(".map.json"), map_to_json(qmap) + "\n")
+        _write(out(".qc"), serialize_circuit(circuit))
+        _write(out(".arch.json"), architecture_to_json(arch) + "\n")
+        _write(out(".map.json"), map_to_json(qmap) + "\n")
     return EXIT_OK
 
 

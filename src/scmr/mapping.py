@@ -151,9 +151,17 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
 
 
 def _trial(args):
+    """One seeded map and its route, or the exception by which the router
+    says the map has none."""
+    from .routing import UnroutableGateError
+    from .sat.solve import CapExhausted
+
     arch, circuit, seed, router, mapper = args
     qmap = mapper(arch, circuit, seed)
-    return qmap, router(arch, circuit, qmap)
+    try:
+        return qmap, router(arch, circuit, qmap)
+    except (UnroutableGateError, CapExhausted) as e:
+        return e
 
 
 def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
@@ -162,7 +170,9 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
 
     Trial seeds come from one master stream, so the first trial of any n
     equals the single trial of n=1 with the same seed. Ties break toward the
-    earliest trial. `mapper` is any (arch, circuit, seed) -> QubitMap and
+    earliest trial. A trial whose router raises `UnroutableGateError` or
+    `CapExhausted` is skipped; when every trial does, the first trial's
+    exception is raised. `mapper` is any (arch, circuit, seed) -> QubitMap and
     `router` any (arch, circuit, map) -> result with `.steps`, such as a
     GateRoute or an OptimalResult. With `jobs > 1` the trials run in up to
     `jobs` spawned worker processes, so `router` and `mapper` must pickle,
@@ -182,7 +192,10 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
             results = list(pool.map(_trial, trials))
     else:
         results = [_trial(t) for t in trials]
-    return min(results, key=lambda r: r[1].steps)
+    routed = [r for r in results if not isinstance(r, Exception)]
+    if not routed:
+        raise results[0]
+    return min(routed, key=lambda r: r[1].steps)
 
 
 # ---------------------------------------------------------------------------

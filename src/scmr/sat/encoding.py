@@ -20,11 +20,13 @@ Gate execution steps are restricted to the feasible window
 [dependency depth, t_s - height + 1]. A T gate enters at most one magic
 vertex per step, and at least one at the step it executes.
 
-Neighbor lists and directed edges come from `Architecture.cells`, once per
-formula, in orders that fix variable ids and so the DIMACS bytes: horizontal
-neighbors (a - 1, a + 1), then vertical ones (b - 1, b + 1); edges in
-`vertices()` order, (v, w) then (w, v) for each right and upper neighbor w.
-A gate's path variables on one edge take consecutive ids over its window.
+The formula's vertex indices are `Architecture.cells` ids; neighbor lists
+and directed edges are read from that index once per formula, in orders that
+fix variable ids and so the DIMACS bytes: horizontal neighbors (a - 1,
+a + 1), then vertical ones (b - 1, b + 1); edges in `vertices()` order,
+(v, w) then (w, v) for each right and upper neighbor w. Per-vertex families,
+a pinned gate's own vertices too, run in `vertices()` order. A gate's path
+variables on one edge take consecutive ids over its window.
 
 A pinned map is folded into the formula: each qubit gets the one map
 variable of its pinned vertex and the unit clause that sets it, so the
@@ -130,22 +132,6 @@ class CnfInstance:
             raise ValueError(f"literal {lit} out of range 1..{n}")
 
 
-def _adjacency(arch: Architecture):
-    """(horizontal, vertical, directed edges) of the grid, in the orders the
-    module docstring fixes."""
-    cells = arch.cells
-    at, s = cells.vertex_of, cells.stride
-    horizontal: dict[Vertex, list[Vertex]] = {}
-    vertical: dict[Vertex, list[Vertex]] = {}
-    edges: list[tuple[Vertex, Vertex]] = []
-    for v in arch.vertices():
-        i = cells.id_of[v]
-        horizontal[v] = [w for w in (at[i - s], at[i + s]) if w is not None]
-        vertical[v] = [w for w in (at[i - 1], at[i + 1]) if w is not None]
-        edges += [e for w in (at[i + s], at[i + 1]) if w is not None for e in ((v, w), (w, v))]
-    return horizontal, vertical, edges
-
-
 def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
     depths = gate_depths(circuit)
     heights = gate_heights(circuit)
@@ -153,31 +139,34 @@ def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
 
 
 class _Grid(NamedTuple):
-    """The grid's directed edges as indices into the `_adjacency` edge list,
-    and its vertices as indices into `arch.vertices()` (`at`): each edge's
-    tail, head, reverse and orientation, and per vertex the edges into and
-    out of it in neighbor order."""
-    at: dict[Vertex, int]
+    """The grid's directed edges and, per `CellIndex` id, the edges into and
+    out of it in neighbor order (none at padding ids): each edge's tail and
+    head ids and orientation. Edges come in (v, w), (w, v) pairs, so the
+    reverse of edge j is j ^ 1."""
     tail: list[int]
     head: list[int]
-    reverse: list[int]
     horizontal: list[bool]
     ins: list[list[int]]
     outs: list[list[int]]
 
 
-def _grid(neigh, edges) -> _Grid:
-    at = {v: k for k, v in enumerate(neigh)}
+def _grid(arch: Architecture) -> _Grid:
+    cells = arch.cells
+    s = cells.stride
+    edges: list[tuple[int, int]] = []
+    for v in arch.vertices():
+        i = cells.id_of[v]
+        edges += [e for w in (i + s, i + 1) if cells.vertex_of[w] is not None for e in ((i, w), (w, i))]
     index = {e: j for j, e in enumerate(edges)}
-    return _Grid(at, [at[u] for u, _ in edges], [at[v] for _, v in edges],
-                 [index[(v, u)] for u, v in edges], [u[1] == v[1] for u, v in edges],
-                 [[index[(u, v)] for u in ns] for v, ns in neigh.items()],
-                 [[index[(v, w)] for w in ns] for v, ns in neigh.items()])
+    around = [(i - s, i + s, i - 1, i + 1) for i in range(len(cells.vertex_of))]
+    return _Grid([u for u, _ in edges], [w for _, w in edges], [abs(u - w) == s for u, w in edges],
+                 [[index[w, i] for w in ns if (w, i) in index] for i, ns in enumerate(around)],
+                 [[index[i, w] for w in ns if (i, w) in index] for i, ns in enumerate(around)])
 
 
 class _GateEdges(NamedTuple):
     """The edges one gate's path may use, shared by the gates with one start
-    and set of ends: `usable` per `_Grid` edge and, per vertex, `ins` and
+    and set of ends: `usable` per `_Grid` edge and, per cell id, `ins` and
     `outs` the usable edges into and out of it in neighbor order."""
     usable: list[bool]
     ins: list[list[int]]
@@ -185,9 +174,9 @@ class _GateEdges(NamedTuple):
 
 
 def _gate_edges(grid: _Grid, start: int | None, ends, blocked) -> _GateEdges:
-    """The usable edges (module docstring) of a gate from vertex index
-    `start` (None under a free map) into the vertex indices `ends`, with
-    `blocked` the blocked vertex indices."""
+    """The usable edges (module docstring) of a gate from cell id `start`
+    (None under a free map) into the cell ids `ends`, with `blocked` the
+    blocked cell ids."""
     usable = [(not flat if u == start else u not in blocked)
               and (flat if v in ends else v not in blocked)
               for u, v, flat in zip(grid.tail, grid.head, grid.horizontal)]
@@ -220,12 +209,10 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
 
     gates = circuit.gates
     windows = exec_windows(circuit, t_s)
-    horizontal, vertical, edges = _adjacency(arch)
-    neigh = {v: horizontal[v] + vertical[v] for v in horizontal}
-    grid = _grid(neigh, edges)
-    vertices = list(neigh)
+    grid = _grid(arch)
+    at, vertex_of = arch.cells.id_of, arch.cells.vertex_of
+    rows = [at[v] for v in arch.vertices()]
     magic = arch.magic
-    at = grid.at
     blocked = {at[v] for v in (magic if pinned is None else magic | set(pinned.values()))}
     if pinned is None:
         keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in gates]
@@ -254,10 +241,11 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # a gate's path variables on one edge take consecutive ids over its
     # window: path(u, v, g, t) is first[g][j] + t, j the edge's index
     everyone = range(len(gates))
-    first = [[0] * len(edges) for _ in gates]
+    first = [[0] * len(grid.tail) for _ in gates]
     pvar = table.path_ids
     users = zip(*(ge.usable for ge in gate_edges))  # per edge, a flag per gate
-    for j, ((u, v), usable) in enumerate(zip(edges, users)):
+    for j, (u, v, usable) in enumerate(zip(grid.tail, grid.head, users)):
+        u, v = vertex_of[u], vertex_of[v]
         for i in compress(everyone, usable):
             window = windows[i]
             first[i][j] = counter + 1 - window.start
@@ -302,9 +290,8 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # has an edge into it and only the gate that starts there has one out,
     # and no gate starts and ends at one vertex, so the family is empty.
     if pinned is None:
-        for k, v in enumerate(vertices):
-            if v in magic:
-                continue
+        for v in free_vertices:
+            k = at[v]
             guards = [-mvar[(q, v)] for q in circuit.qubits]
             for i, ge in enumerate(gate_edges):
                 f = first[i]
@@ -325,15 +312,15 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     if pinned is not None:
         for i, ge in enumerate(gate_edges):
             f = first[i]
-            amo = [c for k, js in enumerate(ge.outs) if k != homes[i]
-                   for c in encode_amo([f[j] for j in js], fresh)]
+            amo = [c for k in rows if k != homes[i]
+                   for c in encode_amo([f[j] for j in ge.outs[k]], fresh)]
             for t in windows[i]:
                 clauses += [[a - t, b - t] for a, b in amo]
     for t in range(1, t_s + 1):
         active = [(i, gates[i].qubits[0], first[i], gate_edges[i].outs, gate_edges[i].ins)
                   for i in everyone if t in windows[i]]
         shared_at = {homes[i] for i, *_ in active}
-        for k in range(len(vertices)):
+        for k in rows:
             if pinned is None or k in shared_at:
                 groups: dict[str, list[int]] = {}
                 for i, q, f, outs, _ in active:
@@ -347,12 +334,12 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # path construction per gate kind. The start and end clauses are
     # guarded by `unless`, so under a pinned map only the gate's own mapped
     # vertices, in `free_vertices` order, get one.
-    flat, tail, reverse = grid.horizontal, grid.tail, grid.reverse
+    flat, tail = grid.horizontal, grid.tail
     for g, ge, f in zip(gates, gate_edges, first):
         start_q, end_q = g.qubits[0], (g.qubits[1] if g.kind is GateKind.CNOT else None)
         stops = []
         for v in free_vertices if pinned is None else sorted(
-                (pinned[q] for q in g.qubits), key=at.__getitem__):
+                (pinned[q] for q in g.qubits), key=lambda v: (v[1], v[0])):
             k = at[v]
             # leave the start vertex through a vertical edge
             guard = unless(start_q, v)
@@ -365,9 +352,9 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
         # every used edge chains back toward the start vertex, or starts
         # there: the pinned start vertex satisfies the head
         home, ins = homes[g.index], ge.ins
-        links = [(f[j], [f[x] for x in ins[tail[j]] if x != reverse[j]],
-                  [mvar[(start_q, vertices[tail[j]])]] if home is None else [])
-                 for j in compress(range(len(edges)), ge.usable) if tail[j] != home]
+        links = [(f[j], [f[x] for x in ins[tail[j]] if x != j ^ 1],
+                  [mvar[(start_q, vertex_of[tail[j]])]] if home is None else [])
+                 for j in compress(range(len(tail)), ge.usable) if tail[j] != home]
         # T gates end by entering some magic vertex horizontally
         entries = [f[j] for v in sorted(magic) for j in ge.ins[at[v]]] if end_q is None else None
         for t in windows[g.index]:

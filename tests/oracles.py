@@ -31,7 +31,7 @@ from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation,
                           greedy_route)
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
-from scmr.sat.encoding import CnfInstance, VarTable, _adjacency
+from scmr.sat.encoding import CnfInstance, VarTable
 
 
 # ---------------------------------------------------------------------------
@@ -2023,10 +2023,27 @@ def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMa
 # vertex and step over every active gate's out-edges. Kept verbatim (renamed
 # `usable_edge_encode`, its edge helper `_usable_edges`) as the reference
 # whose models, projected onto the named variables the encoder keeps, the
-# encoder must reproduce. `_adjacency` is the library's own, unchanged by
-# it, and `exec_windows` is this module's, whose pruned windows are the
-# library's.
+# encoder must reproduce. `_adjacency` is the encoder's former reader of
+# `Architecture.cells`, kept verbatim; its orders are those the encoder's
+# module docstring fixes. `exec_windows` is this module's, whose pruned
+# windows are the library's.
 # ---------------------------------------------------------------------------
+
+def _adjacency(arch: Architecture):
+    """(horizontal, vertical, directed edges) of the grid, in the orders the
+    module docstring fixes."""
+    cells = arch.cells
+    at, s = cells.vertex_of, cells.stride
+    horizontal: dict[Vertex, list[Vertex]] = {}
+    vertical: dict[Vertex, list[Vertex]] = {}
+    edges: list[tuple[Vertex, Vertex]] = []
+    for v in arch.vertices():
+        i = cells.id_of[v]
+        horizontal[v] = [w for w in (at[i - s], at[i + s]) if w is not None]
+        vertical[v] = [w for w in (at[i - 1], at[i + 1]) if w is not None]
+        edges += [e for w in (at[i + s], at[i + 1]) if w is not None for e in ((v, w), (w, v))]
+    return horizontal, vertical, edges
+
 
 class _UsableEdges(NamedTuple):
     """The directed edges one gate's path may use: in `edges` order, as a

@@ -229,32 +229,35 @@ def test_gen_known_optimal(tmp_path, capsys):
 
 
 def test_gen_random_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["gen", "random", "-q", "50", "-d", "100", "--seed", "7", "-o", str(a)]) == EXIT_OK
-    assert run(["gen", "random", "-q", "50", "-d", "100", "--seed", "7", "-o", str(b)]) == EXIT_OK
-    assert (tmp_path / "a.qc").read_bytes() == (tmp_path / "b.qc").read_bytes()
+    # `-o` is a base name: a dotted base keeps its suffix
+    for a, b in (("a", "b"), ("rnd.v1", "rnd.v2")):
+        for base in (a, b):
+            assert run(["gen", "random", "-q", "50", "-d", "100", "--seed", "7",
+                        "-o", str(tmp_path / base)]) == EXIT_OK
+        assert (tmp_path / f"{a}.qc").read_bytes() == (tmp_path / f"{b}.qc").read_bytes()
 
 
 def test_gen_psp(tmp_path, capsys):
     jobs = tmp_path / "jobs.json"
     jobs.write_text(json.dumps({"jobs": ["A", "B", "C", "D"],
                                 "edges": [["A", "B"], ["A", "C"], ["A", "D"]]}))
-    out = tmp_path / "psp"
-    assert run(["gen", "psp", "--jobs", str(jobs), "-k", "2", "-t", "2",
-                "-o", str(out)]) == EXIT_OK
-    printed = capsys.readouterr().out
-    assert "t_s=20" in printed
-    assert (tmp_path / "psp.qc").exists() and (tmp_path / "psp.arch.json").exists()
+    for base in ("psp", "psp.v1"):
+        assert run(["gen", "psp", "--jobs", str(jobs), "-k", "2", "-t", "2",
+                    "-o", str(tmp_path / base)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "t_s=20" in printed
+        assert (tmp_path / f"{base}.qc").exists() and (tmp_path / f"{base}.arch.json").exists()
 
 
 def test_gen_ndp(tmp_path):
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps([[[1, 1], [2, 2]]]))
-    out = tmp_path / "ndp"
-    assert run(["gen", "ndp", "--cols", "2", "--rows", "2",
-                "--pairs-file", str(pairs), "-o", str(out)]) == EXIT_OK
-    arch = json.loads((tmp_path / "ndp.arch.json").read_text())
-    assert arch["rows"] == 10 and arch["cols"] == 10
+    for base in ("ndp", "ndp.v1"):
+        assert run(["gen", "ndp", "--cols", "2", "--rows", "2",
+                    "--pairs-file", str(pairs), "-o", str(tmp_path / base)]) == EXIT_OK
+        arch = json.loads((tmp_path / f"{base}.arch.json").read_text())
+        assert arch["rows"] == 10 and arch["cols"] == 10
+        assert (tmp_path / f"{base}.qc").exists() and (tmp_path / f"{base}.map.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -390,6 +393,19 @@ def test_parallel_best_of_n_not_marked_proven(tmp_path, fig1, capsys):
     assert code == EXIT_OK
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["proven_optimal"] is False
+
+
+def test_rand_mapper_skips_maps_without_a_route(tmp_path, capsys):
+    # of seed 2's three maps only the second routes: the other two put the
+    # CNOT across the magic column
+    circ = tmp_path / "c.qc"
+    circ.write_text("cnot a b; t c; t d\n")
+    code, out = _compile(tmp_path, circ, "--arch", "center-column", "--mapper", "rand:3", "--seed", "2")
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["steps"] == 1
+    assert run(["validate", str(circ), str(out / "c.arch.json"), str(out / "c.map.json"),
+                str(out / "c.route.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_compile_struct_optimal_writes_the_pinned_map(tmp_path, capsys):

@@ -4,6 +4,7 @@ instances, exact vs greedy dominance, and the disjoint-path reduction on
 larger pair grids.
 """
 import random
+from pathlib import Path
 
 import pytest
 
@@ -180,9 +181,9 @@ def test_write_instance_sidecar(tmp_path):
     circuit = circuit_from_gates([tgate("a")])
     cnf = encode(arch, circuit, t_s=1)
     cnf_path, vars_path = write_instance(cnf, tmp_path / "probe")
-    text = open(cnf_path).read()
+    text = Path(cnf_path).read_text()
     assert text.startswith(f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n")
-    sidecar = open(vars_path).read()
+    sidecar = Path(vars_path).read_text()
     assert " map a " in sidecar and " exec 0 1" in sidecar and " path " in sidecar
     # every named variable appears exactly once
     ids = [int(line.split()[0]) for line in sidecar.splitlines()]

@@ -1,4 +1,5 @@
 import functools
+import random
 import time
 from collections import Counter
 
@@ -251,6 +252,29 @@ def test_best_of_n_matches_reference_cli_loop():
         for jobs in (1, 2):
             qmap, res = best_of_n(arch, c, 3, seed, solve_optimal, jobs=jobs)
             assert picks(qmap, res.route, res.proven_minimal) == picks(*want)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_best_of_n_skips_trials_without_a_route(jobs):
+    # seed 2 draws three maps: the first and third put the CNOT across the
+    # magic column, so greedy raises UnroutableGateError and the exact engine
+    # CapExhausted; the second routes in one step. All three of seed 0 fail.
+    from scmr.routing import UnroutableGateError
+    from scmr.sat import CapExhausted
+
+    arch = center_column_architecture(4)
+    c = parse_circuit("cnot a b; t c; t d")
+    master = random.Random(2)
+    _, second, _ = (master.randrange(2 ** 62) for _ in range(3))
+    for router, error in ((greedy_route, UnroutableGateError), (solve_optimal, CapExhausted)):
+        for n in (1, 3):
+            with pytest.raises(error):
+                best_of_n(arch, c, n, 0, router, jobs=jobs)
+        with pytest.raises(error):
+            best_of_n(arch, c, 1, 2, router, jobs=jobs)
+        qmap, result = best_of_n(arch, c, 3, 2, router, jobs=jobs)
+        assert result.steps == 1
+        assert qmap == random_map(arch, c, second)
 
 
 def test_map_from_json_rejects_malformed_maps():

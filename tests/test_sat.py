@@ -33,7 +33,7 @@ from scmr.sat import (
     solve_optimal,
     write_instance,
 )
-from scmr.sat.encoding import _adjacency
+from scmr.sat.encoding import _grid
 
 import oracles
 from oracles import CdclSolver as ReferenceSolver
@@ -281,11 +281,18 @@ def test_prune_and_no_prune_agree():
     custom_architecture(1, 1, []), custom_architecture(1, 5, [(3, 1)]), custom_architecture(4, 1, []),
 ], ids=["bordered", "right-column", "center-column", "1x1", "one-row", "one-column"])
 def test_encoder_adjacency_matches_oracle(arch):
-    horizontal, vertical, edges = _adjacency(arch)
+    grid, cells = _grid(arch), arch.cells
+    vertex_of = cells.vertex_of
     for v in arch.vertices():
-        assert horizontal[v] == oracles.horizontal_neighbors(arch, v)
-        assert vertical[v] == oracles.vertical_neighbors(arch, v)
-    assert edges == list(oracles._directed_edges(arch))
+        i = cells.id_of[v]
+        assert [vertex_of[grid.head[j]] for j in grid.outs[i]] == oracles.neighbors(arch, v)
+        assert [vertex_of[grid.tail[j]] for j in grid.ins[i]] == oracles.neighbors(arch, v)
+    assert [(vertex_of[u], vertex_of[w]) for u, w in zip(grid.tail, grid.head)] == \
+        list(oracles._directed_edges(arch))
+    assert all(grid.tail[j ^ 1] == grid.head[j] for j in range(len(grid.tail)))
+    assert all(grid.horizontal[j] == (vertex_of[u][1] == vertex_of[w][1])
+               for j, (u, w) in enumerate(zip(grid.tail, grid.head)))
+    assert not any(grid.ins[i] or grid.outs[i] for i, v in enumerate(vertex_of) if v is None)
 
 
 def _edges_at(cnf, gate, t):
@@ -674,14 +681,20 @@ def test_encoding_matches_the_plain_encoder_byte_for_byte():
     # out-degree clauses built once for its window) leave its formula as the
     # plain one. The first inputs are where the predicate's start and end
     # branches meet: a pinned qubit the circuit never uses, CNOT qubits on
-    # neighbouring vertices, T operands next to the magic vertex, and a free
-    # map around an interior magic vertex
+    # neighbouring vertices, T operands next to the magic vertex, a free
+    # map around an interior magic vertex, and one-row and one-column grids,
+    # whose cell ids have no vertical or no horizontal neighbor
     import random
     corner = custom_architecture(3, 3, [(3, 3)])
+    one_row, one_column = custom_architecture(1, 5, [(3, 1)]), custom_architecture(4, 1, [])
     corpus = [(corner, parse_circuit("cnot a b; t b"), qubit_map({"a": (1, 1), "b": (1, 3), "c": (2, 2)})),
               (corner, parse_circuit("cnot a b; cnot a c"), qubit_map({"a": (2, 2), "b": (1, 2), "c": (2, 1)})),
               (corner, parse_circuit("t a; t b"), qubit_map({"a": (2, 3), "b": (3, 2)})),
-              (custom_architecture(3, 4, [(2, 2)]), parse_circuit("cnot a b; t a"), None)]
+              (custom_architecture(3, 4, [(2, 2)]), parse_circuit("cnot a b; t a"), None),
+              (one_row, parse_circuit("cnot a b; t a"), qubit_map({"a": (1, 1), "b": (4, 1)})),
+              (one_row, parse_circuit("cnot a b; t b"), None),
+              (one_column, parse_circuit("cnot a b; cnot b a"), qubit_map({"a": (1, 1), "b": (1, 3)})),
+              (one_column, parse_circuit("cnot a b"), None)]
     corpus += _tiny_instances(random.Random(5), 120)
     for make_arch in (bordered_architecture, right_column_architecture, center_column_architecture):
         for seed in range(5):
