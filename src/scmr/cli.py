@@ -209,6 +209,7 @@ class CliUsage(Exception):
     pass
 
 
+@functools.cache   # once per process: parsing leaves the parser unchanged
 def build_parser() -> _Parser:
     p = _Parser(prog="scmr", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

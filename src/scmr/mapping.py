@@ -189,13 +189,22 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
 
         with ProcessPoolExecutor(max_workers=min(jobs, n),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_trial, trials))
-    else:
-        results = [_trial(t) for t in trials]
-    routed = [r for r in results if not isinstance(r, Exception)]
-    if not routed:
-        raise results[0]
-    return min(routed, key=lambda r: r[1].steps)
+            return _fewest_steps(pool.map(_trial, trials))
+    return _fewest_steps(map(_trial, trials))
+
+
+def _fewest_steps(results):
+    """The earliest pair with the fewest steps, holding only the best so far;
+    raises the first exception when no trial routed."""
+    best = failure = None
+    for r in results:
+        if isinstance(r, Exception):
+            failure = failure or r
+        elif best is None or r[1].steps < best[1].steps:
+            best = r
+    if best is None:
+        raise failure
+    return best
 
 
 # ---------------------------------------------------------------------------

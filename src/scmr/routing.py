@@ -13,17 +13,16 @@ builds one such bitset per route, and `shortest_legal_path` searches it a
 whole breadth-first layer at a time with four shifts, then walks the kept
 layers to the path a FIFO search with sorted neighbor expansion would give.
 A routing request is a plain tuple `(gate, source, sinks)`; `gate_requests`
-builds one per gate from the map's dict, and the greedy router, the
-`unroutable_gate` check and the SAT decoder all read that table (`validate`
-derives the endpoints itself). `shortest_first` keeps the pending requests
-in a heap keyed by path length and gate index and searches a request again
-only when it is popped with a path that meets an earlier pick; since
-consuming vertices only lengthens or removes paths, the picks are those of
-searching every pending request again after every pick. The picked paths
-are taken out of the step's bitset only before such a search. Every step of
-a route starts from the same bitset, so `greedy_route` keeps one dict per
-route from (source, sinks) to the path of that first, unobstructed search,
-and runs it at most once per pair.
+builds one per gate from the map's dict, and the greedy router and the SAT
+decoder both read that table (`validate` derives the endpoints itself).
+`shortest_first` keeps the pending requests in a heap keyed by path length
+and gate index and searches a request again only when it is popped with a
+path that meets an earlier pick; since consuming vertices only lengthens or
+removes paths, the picks are those of searching every pending request again
+after every pick. The picked paths are taken out of the step's bitset only
+before such a search. Every step of a route starts from the same bitset, so
+`greedy_route` keeps one dict per route from (source, sinks) to the path of
+that first, unobstructed search, and runs it at most once per pair.
 """
 from __future__ import annotations
 
@@ -175,22 +174,6 @@ def free_mask(arch: Architecture, blocked) -> int:
     return cells.free & ~gone
 
 
-def unroutable_gate(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> Gate | None:
-    """The first gate of `circuit` with no legal path under `qmap` even with
-    the whole grid to itself, or None when every gate has one. Every mapped
-    vertex, the circuit's or not, is kept out of path interiors, as
-    `validate` does; each (source, sinks) pair is searched once."""
-    free = free_mask(arch, qmap.vertices())
-    routable: dict = {}
-    for r in gate_requests(arch, circuit, qmap):
-        key = r[1:]
-        if key not in routable:
-            routable[key] = shortest_legal_path(arch, free, *key) is not None
-        if not routable[key]:
-            return r[0]
-    return None
-
-
 def shortest_first(arch: Architecture, requests, free: int,
                    first_paths: dict) -> list[tuple[Gate, Path]]:
     """Route the request with the currently shortest legal path, consume its
@@ -260,6 +243,12 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     first search in any step gives the same path, one dict per route keeps
     it, and each (source, sinks) pair is searched unobstructed at most once
     per route.
+
+    Raises UnroutableGateError exactly when some gate has no legal path even
+    with the grid to itself: a step picks its first path before it consumes
+    a vertex, so it routes nothing, and raises naming a pending gate, only
+    when no pending gate has such a path; a gate without one is never
+    routed, so its layer ends in such a step.
     """
     free = free_mask(arch, qmap.vertices())
     requests = gate_requests(arch, circuit, qmap)

@@ -234,9 +234,8 @@ class CdclSolver:
         cur_level = len(self.trail_lim)
         touched = []
         while True:
+            # no q is lit: a reason holds -lit and no variable twice; -lit is seen
             for q in reason:
-                if q == lit:
-                    continue
                 v = abs(q)
                 if not seen[v] and self.level[v] > 0:
                     seen[v] = 1

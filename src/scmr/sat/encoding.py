@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
-from ..mapping import QubitMap
+from ..mapping import QubitMap, qubit_map
 from ..routing import GateRoute, gate_requests
 from .cardinality import encode_amo, encode_eo
 
@@ -398,8 +398,6 @@ def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tupl
     """Rebuild (map, route) from true variables; spurious path cycles at
     non-execution steps are ignored by construction. Each gate's path starts
     and may end where its `routing.gate_requests` entry says."""
-    from ..mapping import qubit_map
-
     true_vars = {lit for lit in model if lit > 0}
     assignment: dict[str, Vertex] = {}
     for (q, v), i in table.map_ids.items():

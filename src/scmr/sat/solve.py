@@ -6,11 +6,11 @@ unsatisfiable; a timeout raises SolverTimeout. `solve_optimal` probes
 t = depth, depth + 1, ... and encodes each probe afresh, so a probe keeps
 nothing from the one before it. When the first probe finds no model, the
 loop asks once whether any probe could: none can when the formula carries a
-`diagnostic`, or when a pinned map leaves some gate without a legal path
-even with the grid to itself (`routing.unroutable_gate`, the greedy
-router's BFS); the loop then stops with CapExhausted instead of climbing to
-the cap. External DIMACS solvers are reached through files instead:
-`write_instance`, then the solver, then `parse_solver_output` and `decode`.
+`diagnostic`, or when `greedy_route` finds that a pinned map leaves some
+gate without a legal path even with the grid to itself; the loop then stops
+with CapExhausted instead of climbing to the cap. External DIMACS solvers
+are reached through files instead: `write_instance`, then the solver, then
+`parse_solver_output` and `decode`.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..architecture import Architecture
 from ..circuit import Circuit, depth as circuit_depth
 from ..mapping import QubitMap, qubit_map
-from ..routing import GateRoute, unroutable_gate
+from ..routing import GateRoute, UnroutableGateError, greedy_route
 from .cdcl import CdclSolver, SolverTimeout
 from .encoding import CnfInstance, decode, encode
 
@@ -67,18 +67,16 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
 
     After a first probe without a model, UNSAT or timed out, the loop raises
     CapExhausted at once when no t can have one: the formula carries a
-    `diagnostic`, or a pinned map leaves some gate without a legal path even
-    with the grid to itself. That is sound: a probe's path for such a gate
-    would be a legal path, so every t is UNSAT. Under the default cap it is
-    also complete: when every gate has a legal path, running the gates one
-    per step in index order is a valid schedule at t = #gates (index order
-    is topological, so each gate's step lies in its execution window, and a
-    gate alone in its step needs only its own path). So a pinned-map climb
-    ends in CapExhausted exactly when some gate has no legal path, and the
-    loop now proves it with one probe. Steps, proofs and exception types are
-    those of the climb without the check, except that a timed-out first
-    probe on an instance the check rules out ends in CapExhausted, a proof,
-    instead of SolverTimeout.
+    `diagnostic`, or, under a pinned map, `greedy_route` raises
+    UnroutableGateError, which it does exactly when some gate has no legal
+    path even with the grid to itself. That is sound: a probe's path for
+    such a gate would be a legal path, so every t is UNSAT. Under the
+    default cap it is also complete: when every gate has a legal path,
+    running the gates one per step in index order is a valid schedule at
+    t = #gates (index order is topological, so each gate's step lies in its
+    execution window, and a gate alone in its step needs only its own path).
+    So a pinned map with such a gate ends in CapExhausted after one probe,
+    even one that timed out, and any other pinned map gets a solution.
     """
     d = circuit_depth(circuit)
     if len(circuit.gates) == 0:
@@ -103,9 +101,13 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
         if model is not None:
             got_map, route = decode(model, cnf.table, circuit, arch)
             return OptimalResult(got_map, route, route.steps, not timed_out)
-        if t == d and (cnf.diagnostic or qmap is not None
-                       and unroutable_gate(arch, circuit, qmap) is not None):
+        if t == d and cnf.diagnostic:
             raise CapExhausted(t_max)
+        if t == d and qmap is not None:
+            try:
+                greedy_route(arch, circuit, qmap)
+            except UnroutableGateError:
+                raise CapExhausted(t_max) from None
     if timed_out:
         raise SolverTimeout(f"probes up to {t_max} steps timed out without a solution")
     raise CapExhausted(t_max)

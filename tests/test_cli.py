@@ -204,6 +204,49 @@ def test_validate_roundtrip_and_tamper(tmp_path, fig1, capsys):
     assert "routing" in report or "disjoint" in report
 
 
+def test_compile_invalid_route_exits_4_and_still_writes_its_files(tmp_path, fig1, capsys,
+                                                                   monkeypatch):
+    # a router whose route fails validation: the compile reports every
+    # violation, marks the record and the metrics row unvalidated, and
+    # still writes the solution so that `scmr validate` can show it again
+    import scmr.cli
+    from scmr.routing import GateRoute
+
+    real = scmr.cli.greedy_route
+
+    def corrupted(arch, circuit, qmap):
+        route = real(arch, circuit, qmap)
+        return GateRoute(route.steps, route.time, {**route.space, 0: route.space[0][::-1]})
+
+    monkeypatch.setattr(scmr.cli, "greedy_route", corrupted)
+    metrics = tmp_path / "metrics.csv"
+    code, out = _compile(tmp_path, fig1, "--metrics", str(metrics))
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert json.loads(captured.out.strip().splitlines()[-1])["validated"] is False
+    violations = captured.err.splitlines()
+    assert violations and all(v.startswith("cnot-routing (gates 0): ") for v in violations)
+    header, row = metrics.read_text().strip().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["validated"] == "False"
+    files = [out / f"fig1.{kind}.json" for kind in ("arch", "map", "route")]
+    assert all(f.exists() for f in files)
+    assert run(["validate", str(fig1), *map(str, files)]) == EXIT_INVALID
+    assert capsys.readouterr().out.splitlines() == violations
+
+
+@pytest.mark.parametrize("spec, builder", [("right-column", "right_column_architecture"),
+                                           ("center-column", "center_column_architecture")])
+def test_compile_named_magic_column_grids(tmp_path, fig1, capsys, spec, builder):
+    import scmr.architecture as architecture
+
+    code, out = _compile(tmp_path, fig1, "--arch", spec)
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["validated"] is True
+    build = getattr(architecture, builder)
+    want = build(3, widen=True) if spec == "center-column" else build(3)
+    assert (out / "fig1.arch.json").read_text() == architecture.architecture_to_json(want) + "\n"
+
+
 def test_validate_dependent_same_step(tmp_path, capsys):
     circ = tmp_path / "chain.qc"
     circ.write_text("cnot a b;\ncnot b c;\n")

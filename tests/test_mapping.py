@@ -227,6 +227,30 @@ def test_best_of_n_finds_a_one_step_map():
     assert best.steps == 1
 
 
+def test_best_of_n_keeps_only_the_best_route_so_far():
+    # a trial's route is dropped once a later trial is no better, so memory
+    # stays flat in n instead of holding every trial's route until the end
+    import weakref
+
+    class Route:
+        def __init__(self, steps):
+            self.steps = steps
+
+    live = weakref.WeakSet()
+    alive_at_call = []
+
+    def router(arch, circuit, qmap):
+        alive_at_call.append(len(live))
+        route = Route(len(live) % 3 + 1)
+        live.add(route)
+        return route
+
+    arch = bordered_architecture(4)
+    _, best = best_of_n(arch, parse_circuit("cnot a b"), 20, seed=0, router=router)
+    assert len(alive_at_call) == 20 and max(alive_at_call) <= 2
+    assert best.steps == 1
+
+
 def test_best_of_n_requires_positive_n():
     arch = bordered_architecture(1)
     with pytest.raises(MappingError):

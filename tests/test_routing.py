@@ -31,7 +31,6 @@ from scmr.routing import (
     route_to_json,
     shortest_first,
     shortest_legal_path,
-    unroutable_gate,
     validate,
 )
 from scmr.sat import solve_optimal
@@ -748,27 +747,25 @@ def test_gate_requests_match_the_per_gate_reference():
     assert {arch.magic == frozenset() for arch, _, _ in corpus} == {True, False}
 
 
-def test_unroutable_gate_agrees_with_greedy_route():
-    # the exact engine's check and the greedy router's error fire on the same
-    # instances, and every gate either names has no legal path alone
+def test_greedy_route_raises_exactly_when_a_gate_has_no_solo_path():
+    # the exact engine's early stop rests on this: greedy_route raises
+    # UnroutableGateError exactly when some gate has no legal path even with
+    # the grid to itself, and the gate it names is one of those
     corpus = _pinned_instances(random.Random(43), 400)
     unroutable = walled_in = 0
     for arch, circuit, qmap in corpus:
-        named = []
-        found = unroutable_gate(arch, circuit, qmap)
-        if found is not None:
-            named.append(found)
+        blocked = set(qmap.vertices())
+        pathless = set()
+        for g in circuit.gates:
+            r = oracles.request_for_gate(arch, qmap, g)
+            if layered_shortest_length(arch, blocked, r.source, r.sinks) is None:
+                pathless.add(g.index)
         try:
             greedy_route(arch, circuit, qmap)
         except UnroutableGateError as e:
-            named.append(circuit.gates[int(re.match(r"gate (\d+) ", str(e)).group(1))])
-            assert found is not None, (serialize_circuit(circuit), qmap)
+            assert int(re.match(r"gate (\d+) ", str(e)).group(1)) in pathless
         else:
-            assert found is None, (serialize_circuit(circuit), qmap)
-        blocked = set(qmap.vertices())
-        for g in named:
-            r = oracles.request_for_gate(arch, qmap, g)
-            assert layered_shortest_length(arch, blocked, r.source, r.sinks) is None
-        unroutable += found is not None
-        walled_in += found is not None and bool(arch.magic)
+            assert not pathless, (serialize_circuit(circuit), qmap)
+        unroutable += bool(pathless)
+        walled_in += bool(pathless) and bool(arch.magic)
     assert 100 < unroutable < 300 and walled_in > 50

@@ -754,12 +754,13 @@ def _optimum(arch, circuit, qmap):
 def test_solve_optimal_matches_reference_encoding_probe_loop(monkeypatch):
     # the step loop over the usable-edge formula against the same loop over
     # the reference formula, which gives every gate every edge; the check
-    # for gates without a legal path is off, so that both encoders walk the
-    # whole loop, the UNSAT probes of unroutable instances included
+    # for gates without a legal path is off (a greedy router that never
+    # raises), so that both encoders walk the whole loop, the UNSAT probes of
+    # unroutable instances included
     import importlib
     import random
     solve_module = importlib.import_module("scmr.sat.solve")
-    monkeypatch.setattr(solve_module, "unroutable_gate", lambda arch, circuit, qmap: None)
+    monkeypatch.setattr(solve_module, "greedy_route", lambda arch, circuit, qmap: None)
     probes = []
 
     def counted(encoder):
