@@ -34,7 +34,6 @@ from .bench import (
 from .circuit import Circuit, CircuitError, depth, parse_circuit, serialize_circuit
 from .mapping import MappingError, best_of_n, map_from_json, map_to_json, random_map, struct_map
 from .routing import (
-    RoutingError,
     UnroutableGateError,
     greedy_route,
     route_from_json,
@@ -65,8 +64,9 @@ def _read(path: str, loader):
     """Parse one input file; any fault in it ends the command with exit 1."""
     try:
         return loader(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, CircuitError,
-            ArchitectureError, MappingError, RoutingError, BenchError) as e:
+    # ValueError covers the loaders' errors, JSON and UTF-8 decoding and
+    # Python's integer-string limit; RecursionError covers over-deep nesting
+    except (OSError, ValueError, RecursionError) as e:
         raise CliUsage(f"{path}: {e}") from e
 
 

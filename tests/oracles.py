@@ -1,8 +1,21 @@
-"""Independent brute-force oracles used by the test suite.
+"""Reference implementations and brute-force oracles for the test suite.
 
-Everything here is deliberately naive: exhaustive enumeration, plain DFS/BFS
-and a toy DPLL. None of it shares code paths with the implementations it
-checks.
+There is one reference per algorithm: exhaustive enumeration, plain DFS/BFS
+and a toy DPLL, and otherwise the plainest earlier version of the code it
+checks, kept verbatim. Most of it shares no code path with the library.
+These do, and say why in their section headers:
+
+- `eager_*` reads `scmr.routing.shortest_legal_path` and `free_mask`, so a
+  counter patched there counts its searches next to the heap router's;
+- `probe_loop_solve_optimal` reads `encode`, `solve` and `decode` through
+  `scmr.sat.solve`, so both step loops run the same probes;
+- the encoders import `encode_amo` and `encode_eo` (checked on their own
+  against projected model counts), and `VarTable` and `CnfInstance`; the
+  usable-edge and plain encoders also key a pinned map's edges by
+  `gate_requests`;
+- the struct-map reference imports `_distance_to_set` and `_STRIDE2`, which
+  its rewrite left unchanged, and `_best_random` routes with the library's
+  `greedy_route`, since it checks the trial loop, not the router.
 """
 from __future__ import annotations
 
@@ -12,7 +25,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from concurrent.futures import ProcessPoolExecutor
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
@@ -86,8 +99,8 @@ def count_projected_models(num_original: int, clauses) -> int:
 # ---------------------------------------------------------------------------
 # Grid adjacency by coordinate arithmetic, with the order and the off-grid
 # error of the tuple methods `Architecture` had before its cell index became
-# the grid's one adjacency source. The oracles below read these, so none of
-# them shares adjacency code with the implementations they check.
+# the grid's one adjacency source. The oracles below that walk the grid
+# read these, so none of them shares adjacency code with the library.
 # ---------------------------------------------------------------------------
 
 def _check(arch: Architecture, v: Vertex):
@@ -203,8 +216,8 @@ def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
 # ---------------------------------------------------------------------------
 # Routing requests as they were before `routing.gate_requests`: one frozen
 # dataclass per gate, built from `QubitMap.__getitem__`. Kept verbatim as the
-# request shape the reference routers below read, and as the reference the
-# plain-tuple table must match.
+# request shape the root router and the eager one below read, and as the
+# reference the plain-tuple table must match.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -223,10 +236,14 @@ def request_for_gate(arch: Architecture, qmap: QubitMap, gate: Gate) -> RouteReq
 # ---------------------------------------------------------------------------
 # Greedy routing as it was before the adjacency table and lazy re-search:
 # one BFS per pending request per pick, neighbors rebuilt on every expansion.
-# Kept verbatim as the reference the optimized router must match byte for
-# byte; shortest_first here calls the shortest_legal_path above it. The one
-# edit: `arch.neighbors(v)` and its horizontal/vertical forms read
-# `neighbors(arch, v)` and so on, the helpers above, in the same order.
+# Kept verbatim as the root router reference: the bitset search must match
+# `shortest_legal_path` path for path, the router must match
+# `layered_greedy_route` byte for byte, and the searches it makes, counted
+# through this module's `shortest_legal_path`, are the naive search-count
+# baseline. The one edit: `arch.neighbors(v)` and its horizontal/vertical
+# forms read `neighbors(arch, v)` and so on, the helpers above, in the same
+# order. `layered_greedy_route`, the layer loop of both reference routers,
+# is the router's own loop, moved out of it.
 # ---------------------------------------------------------------------------
 
 def shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks) -> Path | None:
@@ -292,114 +309,12 @@ def shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gat
     return routed
 
 
-# ---------------------------------------------------------------------------
-# Greedy routing as it was before integer cell ids, masks and the per-route
-# first-path dict: a sorted neighbor table per architecture, set lookups in
-# the search, and a pending request searched again only when the last pick
-# took a vertex of its path. Kept verbatim (renamed, with the neighbor
-# table built here instead of on the architecture, and from
-# `neighbors(grid, v)` instead of `grid.neighbors(v)`) as the reference the
-# mask router must match byte for byte, and as the search-count baseline of
-# the lazy re-search.
-# ---------------------------------------------------------------------------
-
-class _NeighborTable(dict):
-    def __missing__(self, v):
-        raise ArchitectureError(f"vertex {v} outside {self.grid} grid")
-
-
-@lru_cache(maxsize=16)
-def _neighbor_table(rows: int, cols: int) -> _NeighborTable:
-    """Vertex -> its grid neighbors, sorted; an off-grid lookup raises
-    ArchitectureError, as the table the router used to keep did."""
-    grid = Architecture(rows, cols, frozenset())
-    table = _NeighborTable((v, tuple(sorted(neighbors(grid, v)))) for v in grid.vertices())
-    table.grid = f"{cols}x{rows}"
-    return table
-
-
-def lazy_shortest_legal_path(arch: Architecture, blocked: set, source: Vertex, sinks,
-                             used=frozenset()) -> Path | None:
-    """Minimum-length legal path from source to some sink, or None.
-
-    `blocked` and `used` are sets of vertices unusable as path interiors:
-    typically the mapped and magic vertices, and the vertices consumed
-    earlier in the step. Sinks are endpoint candidates and must be entered
-    through a horizontal edge; sinks in `used` are skipped. Only the first
-    and last edges are orientation-constrained, so a plain BFS over interior
-    vertices suffices; neighbor expansion is in sorted order to make the
-    returned path deterministic.
-    """
-    adjacency = _neighbor_table(arch.rows, arch.cols)
-    sinks = frozenset(sinks)
-    goal_of: dict[Vertex, Vertex] = {}
-    for t in sorted(sinks):
-        if t not in used:
-            for w in adjacency[t]:
-                if w[1] == t[1] and w not in goal_of:
-                    goal_of[w] = t
-    if not goal_of:
-        return None
-
-    magic = arch.magic
-    parent: dict[Vertex, Vertex | None] = {}
-    queue = deque()
-    for u in adjacency[source]:
-        if (u[0] == source[0] and u not in blocked and u not in used
-                and u not in magic and u not in sinks):
-            parent[u] = None
-            queue.append(u)
-    while queue:
-        w = queue.popleft()
-        if w in goal_of:
-            hops = [w]
-            while parent[hops[-1]] is not None:
-                hops.append(parent[hops[-1]])
-            return (source, *reversed(hops), goal_of[w])
-        for x in adjacency[w]:
-            if (x not in parent and x != source and x not in blocked and x not in used
-                    and x not in magic and x not in sinks):
-                parent[x] = w
-                queue.append(x)
-    return None
-
-
-def lazy_shortest_first(arch: Architecture, requests, blocked: set) -> list[tuple[Gate, Path]]:
-    """Route the request with the currently shortest legal path, consume its
-    vertices, repeat until nothing is routable. Ties go to the lower gate
-    index. Returns the routed subset with vertex-disjoint paths.
-
-    Each request's path is searched again only when the last pick consumed
-    one of its vertices. Consuming vertices only removes paths, and the
-    search returns the first shortest path in its fixed expansion order, so
-    a path that stays clear is still the one the search would return, and a
-    request without a path never gets one.
-    """
-    remaining = sorted(requests, key=lambda r: r.gate.index)
-    paths = [lazy_shortest_legal_path(arch, blocked, r.source, r.sinks) for r in remaining]
-    used: set[Vertex] = set()
-    routed: list[tuple[Gate, Path]] = []
-    while True:
-        best = None
-        for i, path in enumerate(paths):
-            if path is not None and (best is None or len(path) < len(paths[best])):
-                best = i
-        if best is None:
-            break
-        req, picked = remaining.pop(best), paths.pop(best)
-        used.update(picked)
-        routed.append((req.gate, picked))
-        for i, path in enumerate(paths):
-            if path is not None and not used.isdisjoint(path):
-                r = remaining[i]
-                paths[i] = lazy_shortest_legal_path(arch, blocked, r.source, r.sinks, used)
-    return routed
-
-
-def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRoute:
-    """Layer-by-layer routing: repeat shortest-first inside each topological
+def layered_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap,
+                         shortest_first=shortest_first) -> GateRoute:
+    """Layer-by-layer routing: repeat `shortest_first` inside each topological
     layer until the layer drains, never starting a layer before the previous
-    one finishes."""
+    one finishes. Every pass starts from the mapped and magic vertices
+    blocked."""
     mapped = set(qmap.vertices())
     base_blocked = mapped | set(arch.magic)
     time: dict[int, int] = {}
@@ -409,7 +324,7 @@ def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> G
         pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
         while pending:
             step += 1
-            routed = lazy_shortest_first(arch, pending, base_blocked)
+            routed = shortest_first(arch, pending, base_blocked)
             if not routed:
                 bad = pending[0].gate
                 raise UnroutableGateError(
@@ -429,9 +344,10 @@ def lazy_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> G
 # Kept verbatim (renamed `eager_*`, with `free_mask` and
 # `shortest_legal_path` read through the `scmr.routing` module, so a counter
 # patched there sees this copy's searches too) as the reference the heap
-# router must match pick for pick, and as its search-count baseline. The one
-# later edit: since the free mask became an `int` bitset, the line that takes
-# a picked vertex out of it clears its bit instead of zeroing a byte.
+# router must match pick for pick, and as its search-count baseline. Two
+# later edits: since the free mask became an `int` bitset, the line that takes
+# a picked vertex out of it clears its bit instead of zeroing a byte, and the
+# layer loop is `layered_greedy_route`'s.
 # ---------------------------------------------------------------------------
 
 def eager_shortest_first(arch: Architecture, requests, blocked: set,
@@ -485,111 +401,15 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
 
 
 def eager_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRoute:
-    """Layer-by-layer routing: repeat shortest-first inside each topological
-    layer until the layer drains, never starting a layer before the previous
-    one finishes.
+    """`layered_greedy_route` over `eager_shortest_first`.
 
     Every step starts from the same blocking (mapped and magic vertices), so
     a request's first search in any step gives the same path; one dict per
     route keeps it, and each (source, sinks) pair is searched unobstructed
     at most once per route.
     """
-    mapped = set(qmap.vertices())
-    base_blocked = mapped | set(arch.magic)
-    first_paths: dict = {}
-    time: dict[int, int] = {}
-    space: dict[int, Path] = {}
-    step = 0
-    for layer in topological_layering(circuit).layers:
-        pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
-        while pending:
-            step += 1
-            routed = eager_shortest_first(arch, pending, base_blocked, first_paths)
-            if not routed:
-                bad = pending[0].gate
-                raise UnroutableGateError(
-                    f"gate {bad.index} ({bad.kind.value} {' '.join(bad.qubits)}) has no legal path under this map"
-                )
-            done = {g.index for g, _ in routed}
-            for g, path in routed:
-                time[g.index] = step
-                space[g.index] = path
-            pending = [r for r in pending if r.gate.index not in done]
-    return GateRoute(step, time, space)
-
-
-# ---------------------------------------------------------------------------
-# The greedy router's search as it was before the cell bitset: a FIFO BFS over
-# a `bytearray` mask (1 where a cell may be an interior), integer parents,
-# neighbors expanded in sorted order. Kept verbatim (renamed `fifo_*`) as the
-# reference the layer-synchronous search must match path for path;
-# `byte_mask` turns a bitset into the mask it takes.
-# ---------------------------------------------------------------------------
-
-def byte_mask(arch: Architecture, free: int) -> bytearray:
-    """The `bytearray` form of a cell bitset: one byte per `arch.cells` id."""
-    return bytearray(free >> i & 1 for i in range(len(arch.cells.vertex_of)))
-
-
-def fifo_shortest_legal_path(arch: Architecture, free: bytearray, source: Vertex, sinks,
-                             used=frozenset()) -> Path | None:
-    """Minimum-length legal path from source to some sink, or None.
-
-    `free` is a mask over `arch.cells` ids: 1 where a vertex may be a path
-    interior, 0 at mapped, magic and padding cells and at the vertices
-    consumed earlier in the step. The source and the sinks are never
-    interiors. Sinks are endpoint candidates and must be entered through a
-    horizontal edge; sinks in `used` (a set of vertices) are skipped. Only
-    the first and last edges are orientation-constrained, so a plain BFS
-    over interior ids suffices. It runs on a copy of `free` in which reached
-    cells are zeroed, keeps integer parents and expands neighbors in sorted
-    order, so the returned path is deterministic; only that path is turned
-    back into vertices.
-    """
-    cells = arch.cells
-    id_of, stride = cells.id_of, cells.stride
-    open_ = bytearray(free)
-    goal_of: dict[int, Vertex] = {}   # cell -> sink it enters horizontally
-    for t in sorted(sinks, reverse=True):   # a cell between two sinks keeps the smaller
-        i = id_of[t]
-        open_[i] = 0
-        if t not in used:
-            goal_of[i - stride] = goal_of[i + stride] = t
-    if not goal_of:
-        return None
-
-    s = id_of[source]
-    open_[s] = 0
-    parent: dict[int, int] = {}
-    queue: list[int] = []   # FIFO: the loop below reads it while it grows
-    for x in (s - 1, s + 1):
-        if open_[x]:
-            open_[x] = 0
-            parent[x] = s
-            if x in goal_of:
-                return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
-            queue.append(x)
-    # A goal is recognised when it is enqueued: the first goal enqueued is
-    # the first a dequeue-time check would meet, so the path is the same.
-    for w in queue:
-        for x in (w - stride, w - 1, w + 1, w + stride):
-            if open_[x]:
-                open_[x] = 0
-                parent[x] = w
-                if x in goal_of:
-                    return _unwind(cells.vertex_of, parent, x, source, goal_of[x])
-                queue.append(x)
-    return None
-
-
-def _unwind(vertex_of, parent: dict[int, int], last: int, source: Vertex, sink: Vertex) -> Path:
-    hops = [sink]
-    while last in parent:
-        hops.append(vertex_of[last])
-        last = parent[last]
-    hops.append(source)
-    hops.reverse()
-    return tuple(hops)
+    return layered_greedy_route(arch, circuit, qmap,
+                                partial(eager_shortest_first, first_paths={}))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,13 +932,11 @@ def hasse_edges(closure) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# The exact engine as it was before the pinned map was folded into the
-# encoding and the CDCL inner loops were tightened: every map literal
-# emitted, values looked up through `_value`, the VSIDS heap fed a fresh
-# entry on every unassign, and every gate given a path variable on every
-# directed edge. Kept verbatim as the reference: the tightened solver must
-# match it state for state, and the usable-edge formula its verdicts and the
-# step loop's steps and proofs. There are three edits: the
+# The encoder as it was before the pinned map was folded into the encoding:
+# every map literal emitted and every gate given a path variable on every
+# directed edge. The first of three encoder references, each for a different
+# property: the encoder's formula must keep this one's verdicts, and the
+# step loop over it its steps and proofs. There are three edits: the
 # neighbor calls read the helpers at the top of this module
 # (`arch.neighbors(v)` as `neighbors(arch, v)` and so on, same order),
 # `_directed_edges` and `exec_windows` are this module's own, and the
@@ -1250,252 +1068,14 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     return CnfInstance(counter, clauses, table, t_s)
 
 
-class CdclSolver:
-    def __init__(self, num_vars: int, clauses):
-        self.n = num_vars
-        self.assign = bytearray(num_vars + 1)    # 0 unknown, 1 true, 2 false
-        self.level = [0] * (num_vars + 1)
-        self.reason: list = [None] * (num_vars + 1)
-        self.saved_phase = bytearray(num_vars + 1)
-        self.activity = [0.0] * (num_vars + 1)
-        self.var_inc = 1.0
-        self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, num_vars + 1)]
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[list[int]]] = {}
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.ok = True
-        self._seen = bytearray(num_vars + 1)
-        for c in clauses:
-            if not self._add_clause(c):
-                self.ok = False
-                break
-
-    # -- clause management ---------------------------------------------------
-
-    def _add_clause(self, lits) -> bool:
-        lits = sorted(set(lits), key=abs)
-        if any(-l in lits for l in lits):
-            return True  # tautology
-        out = []
-        for l in lits:
-            val = self._value(l)
-            if val == 1:
-                return True  # satisfied at root
-            if val == 0:
-                out.append(l)
-        if not out:
-            return False
-        if len(out) == 1:
-            return self._enqueue(out[0], None) and self._propagate() is None
-        self.clauses.append(out)
-        self.watches.setdefault(out[0], []).append(out)
-        self.watches.setdefault(out[1], []).append(out)
-        return True
-
-    # -- assignment ----------------------------------------------------------
-
-    def _value(self, lit: int) -> int:
-        """1 true, -1 false, 0 unassigned."""
-        a = self.assign[lit if lit > 0 else -lit]
-        if a == 0:
-            return 0
-        true_ = (a == 1) == (lit > 0)
-        return 1 if true_ else -1
-
-    def _enqueue(self, lit: int, reason) -> bool:
-        v = lit if lit > 0 else -lit
-        a = self.assign[v]
-        if a:
-            return (a == 1) == (lit > 0)
-        self.assign[v] = 1 if lit > 0 else 2
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
-        self.trail.append(lit)
-        return True
-
-    def _propagate(self):
-        """Unit propagation; returns a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            false_lit = -self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches.get(false_lit)
-            if not watchers:
-                continue
-            keep = []
-            i = 0
-            n_w = len(watchers)
-            while i < n_w:
-                clause = watchers[i]
-                i += 1
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if self._value(first) == 1:
-                    keep.append(clause)
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                keep.append(clause)
-                if not self._enqueue(first, clause):
-                    keep.extend(watchers[i:])
-                    self.watches[false_lit] = keep
-                    return clause
-            self.watches[false_lit] = keep
-        return None
-
-    # -- learning ------------------------------------------------------------
-
-    def _bump(self, v: int):
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        heappush(self.heap, (-act, v))
-        if act > 1e100:
-            for u in range(1, self.n + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self.heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if not self.assign[u]]
-            heapify(self.heap)
-
-    def _analyze(self, conflict):
-        learnt = [0]  # slot for the asserting literal
-        seen = self._seen
-        counter = 0
-        lit = 0
-        reason = conflict
-        idx = len(self.trail) - 1
-        cur_level = len(self.trail_lim)
-        touched = []
-        while True:
-            for q in reason:
-                if q == lit:
-                    continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = 1
-                    touched.append(v)
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
-                idx -= 1
-            lit = -self.trail[idx]
-            v = abs(lit)
-            counter -= 1
-            idx -= 1
-            if counter == 0:
-                break
-            reason = self.reason[v]
-        learnt[0] = lit
-        for v in touched:
-            seen[v] = 0
-        # slot 1 gets the deepest remaining literal so watches stay coherent
-        back = 0
-        if len(learnt) > 1:
-            deepest = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
-            learnt[1], learnt[deepest] = learnt[deepest], learnt[1]
-            back = self.level[abs(learnt[1])]
-        return learnt, back
-
-    def _cancel_until(self, level: int):
-        while len(self.trail_lim) > level:
-            bound = self.trail_lim.pop()
-            for lit in reversed(self.trail[bound:]):
-                v = abs(lit)
-                self.saved_phase[v] = 1 if lit > 0 else 0
-                self.assign[v] = 0
-                self.reason[v] = None
-                heappush(self.heap, (-self.activity[v], v))
-            del self.trail[bound:]
-        self.qhead = len(self.trail)
-
-    def _decide(self) -> int:
-        while self.heap:
-            act, v = heappop(self.heap)
-            if not self.assign[v] and -act == self.activity[v]:
-                return v if self.saved_phase[v] else -v
-        for v in range(1, self.n + 1):
-            if not self.assign[v]:
-                return v if self.saved_phase[v] else -v
-        return 0
-
-    # -- main loop -----------------------------------------------------------
-
-    def solve(self, timeout: float | None = None) -> list[int] | None:
-        """Return a model as a list of signed literals, or None if UNSAT."""
-        if not self.ok:
-            return None
-        if self._propagate() is not None:
-            return None
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout(f"no verdict within {timeout:.3f}s")
-        conflicts = 0
-        decisions = 0
-        restart_idx = 1
-        budget = 100 * _luby(restart_idx)
-        since_restart = 0
-        while True:
-            conflict = self._propagate()
-            if deadline is not None and (conflicts + decisions) % 64 == 0 \
-                    and time.monotonic() > deadline:
-                raise SolverTimeout(f"no verdict within {timeout:.3f}s")
-            if conflict is not None:
-                conflicts += 1
-                since_restart += 1
-                if len(self.trail_lim) == 0:
-                    return None
-                learnt, back = self._analyze(conflict)
-                self._cancel_until(back)
-                if len(learnt) == 1:
-                    if not (self._enqueue(learnt[0], None) and self._propagate() is None):
-                        return None
-                else:
-                    self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(learnt)
-                    self.watches.setdefault(learnt[1], []).append(learnt)
-                    self._enqueue(learnt[0], learnt)
-                self.var_inc /= 0.95
-                continue
-            if since_restart >= budget and self.trail_lim:
-                since_restart = 0
-                restart_idx += 1
-                budget = 100 * _luby(restart_idx)
-                self._cancel_until(0)
-                continue
-            lit = self._decide()
-            if lit == 0:
-                model = [v if self.assign[v] == 1 else -v for v in range(1, self.n + 1)]
-                self._verify(model)
-                return model
-            decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None)
-
-    def _verify(self, model: list[int]):
-        truth = {l for l in model}
-        for clause in self.clauses:
-            if not any(l in truth for l in clause):
-                raise RuntimeError("internal error: model does not satisfy clause set")
-
-
 # ---------------------------------------------------------------------------
 # The CDCL solver as it was before one-pass clause intake and literal-indexed
 # watch lists: every clause sorted and deduplicated by `_add_clause`, watch
 # lists in a dict keyed by literal, the model checked through a set. Kept
-# verbatim (renamed from `CdclSolver`) as the reference the new solver must
-# match state for state: clauses, trail, watch lists, learned clauses,
-# activities, models and error texts.
+# verbatim (renamed from `CdclSolver`) as the one solver reference, which the
+# library solver must match state for state: clauses, trail, watch lists,
+# learned clauses, activities, models and error texts. Its `_add_clause`
+# range-checks literals as the library solver's does.
 # ---------------------------------------------------------------------------
 
 class DictWatchCdclSolver:
@@ -2021,9 +1601,9 @@ def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMa
 # allocated and constrained by a per-qubit exactly-one and a per-vertex
 # at-most-one under a pinned map too, and one out-degree at-most-one per
 # vertex and step over every active gate's out-edges. Kept verbatim (renamed
-# `usable_edge_encode`, its edge helper `_usable_edges`) as the reference
-# whose models, projected onto the named variables the encoder keeps, the
-# encoder must reproduce. `_adjacency` is the encoder's former reader of
+# `usable_edge_encode`, its edge helper `_usable_edges`) as the second
+# encoder reference: the encoder must reproduce its models, projected onto
+# the named variables the encoder keeps. `_adjacency` is the encoder's former reader of
 # `Architecture.cells`, kept verbatim; its orders are those the encoder's
 # module docstring fixes. `exec_windows` is this module's, whose pruned
 # windows are the library's.
@@ -2230,9 +1810,9 @@ def usable_edge_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | No
 # per gate, step and vertex where the gate's start qubit cannot sit (none
 # under a free map, every vertex but the pinned one under a pinned map),
 # then per step and vertex across the gates of each start qubit that may
-# sit there, next to the in-degree one. Kept as the reference the encoder
-# must match in variable count, clauses, their order and the variable
-# table.
+# sit there, next to the in-degree one. Kept as the third encoder
+# reference: the encoder must match its formula bytes, that is its variable
+# count, clauses, their order and the variable table.
 # ---------------------------------------------------------------------------
 
 def plain_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,

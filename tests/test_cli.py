@@ -519,6 +519,28 @@ def test_malformed_inputs_exit_1_naming_the_file(tmp_path, fig1, capsys):
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("text", [
+    "[" + "1" * 5000 + "]",             # past Python's 4,300-digit integer-string limit
+    "[" * 200_000 + "]" * 200_000,      # past the recursion limit
+], ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("argv", [
+    "validate {fig1} {bad} {out}/fig1.map.json {out}/fig1.route.json",
+    "validate {fig1} {out}/fig1.arch.json {bad} {out}/fig1.route.json",
+    "validate {fig1} {out}/fig1.arch.json {out}/fig1.map.json {bad}",
+    "compile {fig1} --arch {bad} --out {tmp}/arch-out",
+    "gen psp --jobs {bad} -k 1 -t 2 -o {tmp}/psp",
+], ids=["validate-arch", "validate-map", "validate-route", "compile-arch", "gen-psp-jobs"])
+def test_json_past_the_parser_limits_exits_1_naming_the_file(tmp_path, fig1, capsys, argv, text):
+    code, out = _compile(tmp_path, fig1)
+    assert code == EXIT_OK
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"fig1": fig1, "bad": bad, "out": out, "tmp": tmp_path}
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv.split()]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_unreadable_input_path_exits_1(tmp_path, capsys):
     assert run(["compile", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")

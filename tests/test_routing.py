@@ -342,7 +342,7 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
 
 
 # ---------------------------------------------------------------------------
-# Differential: the router against the pre-mask router kept in oracles
+# Differential: the router against the layered reference router in oracles
 # ---------------------------------------------------------------------------
 
 def _outcome(router, arch, circuit, qmap) -> str:
@@ -354,7 +354,7 @@ def _outcome(router, arch, circuit, qmap) -> str:
 
 def _matches_reference(arch, circuit, qmap) -> str:
     got = _outcome(greedy_route, arch, circuit, qmap)
-    assert got == _outcome(oracles.lazy_greedy_route, arch, circuit, qmap)
+    assert got == _outcome(oracles.layered_greedy_route, arch, circuit, qmap)
     return got
 
 
@@ -431,14 +431,10 @@ def test_greedy_route_bfs_calls(monkeypatch):
                              lambda: greedy_route(arch, c, m))
         eager = _count_calls(monkeypatch, scmr.routing, "shortest_legal_path",
                              lambda: oracles.eager_greedy_route(arch, c, m))
-        with monkeypatch.context() as mp:
-            # one search per pending request per pick
-            mp.setattr(oracles, "lazy_shortest_first", oracles.shortest_first)
-            naive = _count_calls(monkeypatch, oracles, "shortest_legal_path",
-                                 lambda: oracles.lazy_greedy_route(arch, c, m))
-        lazy = _count_calls(monkeypatch, oracles, "lazy_shortest_legal_path",
-                            lambda: oracles.lazy_greedy_route(arch, c, m))
-        assert 1 <= calls <= eager <= lazy <= naive
+        # one search per pending request per pick
+        naive = _count_calls(monkeypatch, oracles, "shortest_legal_path",
+                             lambda: oracles.layered_greedy_route(arch, c, m))
+        assert 1 <= calls <= eager <= naive
         counts.append((calls, naive))
     assert counts == [(20, 1260), (188, 1326)]
 
@@ -629,7 +625,7 @@ def test_validate_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# Differential: the bitset search against the FIFO BFS kept in oracles
+# Differential: the bitset search against the reference BFS in oracles
 # ---------------------------------------------------------------------------
 
 def _search_grids(rng):
@@ -674,16 +670,14 @@ def _search_calls():
             yield arch, free_mask(arch, blocked | used), source, sinks, used
 
 
-def test_shortest_legal_path_matches_fifo_reference():
+def test_shortest_legal_path_matches_reference_search():
     seen = dict.fromkeys(("calls", "found", "none", "magic found", "all used",
                           "source is a sink", "source-sink found", "thin grid"), 0)
-    masks = {}
     for arch, free, source, sinks, used in _search_calls():
         got = shortest_legal_path(arch, free, source, sinks, used)
-        key = (arch, free)
-        if key not in masks:
-            masks[key] = oracles.byte_mask(arch, free)
-        assert got == oracles.fifo_shortest_legal_path(arch, masks[key], source, sinks, used)
+        id_of = arch.cells.id_of
+        blocked = {v for v in arch.vertices() if not free >> id_of[v] & 1} | used
+        assert got == oracles.shortest_legal_path(arch, blocked, source, sinks - used)
         for label, hit in (("calls", True), ("found", got is not None), ("none", got is None),
                            ("magic found", got is not None and sinks == arch.magic),
                            ("all used", sinks <= used), ("source is a sink", source in sinks),

@@ -36,7 +36,6 @@ from scmr.sat import (
 from scmr.sat.encoding import _grid
 
 import oracles
-from oracles import CdclSolver as ReferenceSolver
 from oracles import DictWatchCdclSolver
 from oracles import brute_force_optimum, count_projected_models, dpll_satisfiable
 from oracles import encode as reference_encode
@@ -514,8 +513,8 @@ def test_encoding_bytes_pinned():
 
 
 # ---------------------------------------------------------------------------
-# Differential checks against the exact engine before the pinned map was
-# folded into the encoding and the CDCL inner loops were tightened
+# Differential checks against the encoder before the pinned map was folded
+# into the encoding, each formula solved by both CDCL solvers
 # ---------------------------------------------------------------------------
 
 def _watch_lists(solver):
@@ -526,19 +525,6 @@ def _watch_lists(solver):
         return {lit: w for lit, w in watches.items() if w}
     assert len(watches) == 2 * solver.n + 1 and not watches[0]
     return {lit: watches[lit] for lit in range(-solver.n, solver.n + 1) if watches[lit]}
-
-
-def _assert_same_solver_run(num_vars, clauses):
-    """Both solvers hold the same state after construction, then return the
-    same model and end with the same clauses, learned ones included."""
-    new = CdclSolver(num_vars, clauses)
-    ref = ReferenceSolver(num_vars, clauses)
-    assert (new.clauses, new.trail, new.ok) == (ref.clauses, ref.trail, ref.ok)
-    assert _watch_lists(new) == _watch_lists(ref)
-    model = new.solve()
-    assert model == ref.solve()
-    assert new.clauses == ref.clauses
-    return model
 
 
 def _differential_maps(arch, circuit, seed):
@@ -585,7 +571,7 @@ def test_folded_encoding_matches_reference_solver(make_arch, seed, t_fraction):
             assert cnf.table.path_ids.keys() <= ref.table.path_ids.keys(), label
             if qmap is not None:
                 assert len(cnf.clauses) < len(ref.clauses) / 2, label
-            model = _assert_same_solver_run(cnf.num_vars, cnf.clauses)
+            model, _ = _assert_matches_dict_watch_solver(cnf.num_vars, lambda: cnf.clauses)
             assert (model is None) == (solve(ref) is None), label
             if model is not None:
                 got, route = decode(model, cnf.table, circuit, arch)
@@ -789,7 +775,7 @@ def test_cdcl_matches_reference_on_random_cnf():
         clauses = [[v if rng.random() < 0.5 else -v
                     for v in rng.sample(range(1, n + 1), min(width, n))]
                    for _ in range(int(n * rng.uniform(1.0, 5.0)))]
-        model = _assert_same_solver_run(n, clauses)
+        model, _ = _assert_matches_dict_watch_solver(n, lambda: clauses)
         satisfiable += model is not None
     assert 0 < satisfiable < 60
 
@@ -807,7 +793,7 @@ def test_cdcl_matches_reference_through_activity_rescale():
     # pigeonhole 7 -> 6 needs a few hundred conflicts; a large starting
     # increment on both solvers drives the activities past the rescale point
     num_vars, clauses = _pigeonhole(6)
-    new, ref = CdclSolver(num_vars, clauses), ReferenceSolver(num_vars, clauses)
+    new, ref = CdclSolver(num_vars, clauses), DictWatchCdclSolver(num_vars, clauses)
     new.var_inc = ref.var_inc = 1e95
     assert new.solve() is None and ref.solve() is None
     assert new.var_inc < 1e95  # the rescale ran
