@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 # Vertex used in interaction graphs for the magic-state side of T gates.
 # None can never collide with a parsed qubit id.
@@ -90,17 +91,29 @@ class Circuit:
 
 
 def circuit_from_gates(specs) -> Circuit:
-    """Build a circuit from (kind, qubits) pairs, assigning source indices."""
+    """Build a circuit from (kind, qubits) pairs, assigning source indices.
+
+    A CNOT on two distinct qubits or a T on one is checked here and built
+    without `Gate.__init__`, setting the fields in declaration order as
+    that would; any other spec goes through `Gate`, which raises its error.
+    """
+    new, put = object.__new__, object.__setattr__
+    cnot_kind, t_kind = GateKind.CNOT, GateKind.T
     gates = []
-    qubits: list[str] = []
-    seen: set[str] = set()
+    operands = []
     for i, (kind, qs) in enumerate(specs):
-        gates.append(Gate(kind, tuple(qs), i))
-        for q in qs:
-            if q not in seen:
-                seen.add(q)
-                qubits.append(q)
-    return Circuit(tuple(gates), tuple(qubits))
+        qs = tuple(qs)
+        if (len(qs) == 2 and qs[0] != qs[1]) if kind is cnot_kind else (kind is t_kind and len(qs) == 1):
+            g = new(Gate)
+            put(g, "kind", kind)
+            put(g, "qubits", qs)
+            put(g, "index", i)
+        else:
+            g = Gate(kind, qs, i)
+        gates.append(g)
+        operands.append(qs)
+    # dict keys keep first-appearance order
+    return Circuit(tuple(gates), tuple(dict.fromkeys(chain.from_iterable(operands))))
 
 
 def cnot(control: str, target: str) -> tuple[GateKind, tuple[str, str]]:
@@ -112,17 +125,32 @@ def tgate(operand: str) -> tuple[GateKind, tuple[str]]:
 
 
 def parse_circuit(text: str, strict: bool = True) -> Circuit:
-    """Parse circuit text; in lenient mode unknown one-qubit gates are dropped."""
+    """Parse circuit text; in lenient mode unknown one-qubit gates are dropped.
+
+    A well-formed `cnot` or `t` statement in ASCII is accepted inline, where
+    ``isidentifier()`` is the `_ID_RE` check (on ASCII text they accept the
+    same words); every other statement goes to `_parse_statement`, which
+    accepts it, drops it or words its error.
+    """
     specs = []
+    append = specs.append
+    cnot_kind, t_kind = GateKind.CNOT, GateKind.T
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0]
         col = 1
         for stmt in line.split(";"):
             tokens = stmt.split()
             if tokens:
-                specs_or_none = _parse_statement(tokens, line_no, col + stmt.index(tokens[0]), strict)
-                if specs_or_none is not None:
-                    specs.append(specs_or_none)
+                n, name = len(tokens), tokens[0].lower()
+                if (n == 3 and name == "cnot" and tokens[1] != tokens[2] and stmt.isascii()
+                        and tokens[1].isidentifier() and tokens[2].isidentifier()):
+                    append((cnot_kind, (tokens[1], tokens[2])))
+                elif n == 2 and name == "t" and stmt.isascii() and tokens[1].isidentifier():
+                    append((t_kind, (tokens[1],)))
+                else:
+                    spec = _parse_statement(tokens, line_no, col + stmt.index(tokens[0]), strict)
+                    if spec is not None:
+                        append(spec)
             col += len(stmt) + 1
     return circuit_from_gates(specs)
 
@@ -162,9 +190,15 @@ def serialize_circuit(circuit: Circuit) -> str:
 def gate_depths(circuit: Circuit) -> list[int]:
     """1-based dependency depth per gate: 1 + max depth over earlier gates sharing a qubit."""
     depth_by_qubit: dict[str, int] = {}
+    get = depth_by_qubit.get
     depths = []
     for g in circuit.gates:
-        d = 1 + max((depth_by_qubit.get(q, 0) for q in g.qubits), default=0)
+        d = 0
+        for q in g.qubits:
+            e = get(q, 0)
+            if e > d:
+                d = e
+        d += 1
         depths.append(d)
         for q in g.qubits:
             depth_by_qubit[q] = d
@@ -174,9 +208,15 @@ def gate_depths(circuit: Circuit) -> list[int]:
 def gate_heights(circuit: Circuit) -> list[int]:
     """1-based height per gate: longest dependency chain starting at the gate."""
     height_by_qubit: dict[str, int] = {}
+    get = height_by_qubit.get
     heights = [0] * len(circuit.gates)
     for g in reversed(circuit.gates):
-        h = 1 + max((height_by_qubit.get(q, 0) for q in g.qubits), default=0)
+        h = 0
+        for q in g.qubits:
+            e = get(q, 0)
+            if e > h:
+                h = e
+        h += 1
         heights[g.index] = h
         for q in g.qubits:
             height_by_qubit[q] = h
@@ -207,11 +247,10 @@ class Layering:
 
 def topological_layering(circuit: Circuit) -> Layering:
     depths = gate_depths(circuit)
-    d = max(depths, default=0)
-    layers: list[list[int]] = [[] for _ in range(d)]
-    for g in circuit.gates:
-        layers[depths[g.index] - 1].append(g.index)
-    return Layering(tuple(tuple(layer) for layer in layers))
+    layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
+    for i, d in enumerate(depths):   # gate i has index i
+        layers[d - 1].append(i)
+    return Layering(tuple(map(tuple, layers)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +270,13 @@ class InteractionGraph:
 
 def interaction_graph(circuit: Circuit) -> InteractionGraph:
     edges = []
-    seen: set[frozenset] = set()
+    seen: set[tuple] = set()   # each kept edge, in both directions
+    cnot_kind = GateKind.CNOT
     for g in circuit.gates:
-        if g.kind is GateKind.CNOT:
-            e = (g.control, g.target)
-        else:
-            e = (T_VERTEX, g.operand)
-        key = frozenset(e)
-        if key not in seen:
-            seen.add(key)
+        e = g.qubits if g.kind is cnot_kind else (T_VERTEX, g.qubits[0])
+        if e not in seen:
+            seen.add(e)
+            seen.add(e[::-1])
             edges.append(e)
     return InteractionGraph(circuit.qubits + (T_VERTEX,), tuple(edges))
 

@@ -98,7 +98,9 @@ def _distance_to_set(arch: Architecture, sources) -> dict[Vertex, int]:
     return {vertex_of[i]: d for i, d in dist.items()}
 
 
-_STRIDE2 = ((-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
+# The stride-2 ring offsets in row-major order, so the ring around any
+# vertex comes out row-major sorted.
+_STRIDE2 = ((0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), (1, 1), (0, 2))
 
 
 def _row_major(v: Vertex):
@@ -145,7 +147,7 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
         first, *rest = [q for q in chain if q is not T_VERTEX]
         prev = assignment[first] = take(near_magic if chain[0] is T_VERTEX else rows)
         for q in rest:
-            ring = sorted(((prev[0] + da, prev[1] + db) for da, db in _STRIDE2), key=_row_major)
+            ring = [(prev[0] + da, prev[1] + db) for da, db in _STRIDE2]
             prev = assignment[q] = take(itertools.chain(ring, rows))
     return qubit_map(assignment)
 

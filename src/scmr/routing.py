@@ -31,6 +31,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import chain
+from operator import sub
 from types import MappingProxyType
 
 from .architecture import Architecture, Vertex, is_json_vertex
@@ -299,7 +301,13 @@ class Violation:
 
 
 def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRoute) -> list[Violation]:
-    """Check every rule of a valid solution; empty list means ok."""
+    """Check every rule of a valid solution; empty list means ok.
+
+    Each path, and each step's paths together, are first checked with set
+    and id operations over `arch.cells`; only a path or a step that fails
+    goes to the code that words its violations, so the list is the same as
+    if every path and step were worded.
+    """
     out: list[Violation] = []
     bad = out.append
 
@@ -323,61 +331,98 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
         return out
 
     mapped = set(qmap.vertices())
+    magic = arch.magic
+    protected = mapped | magic
+    cells = arch.cells
+    cell_id, stride = cells.id_of.get, cells.stride
+    # id differences of grid neighbors: vertical ±1, horizontal ±stride
+    vertical, horizontal = (1, -1), (stride, -stride)
+    hops = {*vertical, *horizontal}
+    # plain dicts: a lookup through the read-only views is a method call
+    time, space = dict(route.time), dict(route.space)
+    cnot_kind = GateKind.CNOT
 
     for g in circuit.gates:
-        rule = Rule.CNOT_ROUTING if g.kind is GateKind.CNOT else Rule.T_ROUTING
-        step = route.time.get(g.index)
-        path = route.space.get(g.index)
+        step = time.get(g.index)
+        path = space.get(g.index)
         if step is None or path is None:
+            rule = Rule.CNOT_ROUTING if g.kind is cnot_kind else Rule.T_ROUTING
             bad(Violation(rule, (g.index,), "gate missing from the schedule"))
             continue
         if not 1 <= step <= route.steps:
             bad(Violation(Rule.LOGICAL_ORDER, (g.index,), f"step {step} outside 1..{route.steps}"))
-        shape, well_formed = _check_path_shape(arch, g, path, rule)
-        out.extend(shape)
-        if well_formed:
-            if g.kind is GateKind.CNOT:
-                if path[0] != qmap[g.control]:
-                    bad(Violation(rule, (g.index,), f"path starts at {path[0]}, control is at {qmap[g.control]}"))
-                if path[-1] != qmap[g.target]:
-                    bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, target is at {qmap[g.target]}"))
-            else:
-                if path[0] != qmap[g.operand]:
-                    bad(Violation(rule, (g.index,), f"path starts at {path[0]}, operand is at {qmap[g.operand]}"))
-                if path[-1] not in arch.magic:
-                    bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, not a magic vertex"))
-            for v in path[1:-1]:
-                if v in mapped or v in arch.magic:
-                    bad(Violation(Rule.DATA_PRESERVATION, (g.index,),
-                                  f"protected vertex {v} used as path interior"))
+        ids = list(map(cell_id, path))   # None off the grid
+        qs = g.qubits
+        if not (len(ids) >= 3 and None not in ids and len(set(ids)) == len(ids)
+                and ids[1] - ids[0] in vertical and ids[-1] - ids[-2] in horizontal
+                and hops.issuperset(map(sub, ids[1:], ids))
+                and path[0] == mapping[qs[0]]
+                and (path[-1] == mapping[qs[1]] if g.kind is cnot_kind else path[-1] in magic)
+                and protected.isdisjoint(path[1:-1])):
+            out.extend(_path_violations(arch, qmap, mapped, g, path))
 
     indices = {g.index for g in circuit.gates}
-    for idx in sorted((set(route.time) | set(route.space)) - indices):
+    for idx in sorted((time.keys() | space.keys()) - indices):
         bad(Violation(Rule.LOGICAL_ORDER, (idx,), f"gate {idx} is scheduled but not in the circuit"))
-    last = max((route.time[i] for i in indices if i in route.time), default=0)
+    last = max(map(time.__getitem__, indices & time.keys()), default=0)
     if route.steps > last:
         bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, last used step is {last}"))
     elif route.steps < 0:
         bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, below 0"))
 
     for i, j in consecutive_qubit_pairs(circuit):
-        ti, tj = route.time.get(i), route.time.get(j)
+        ti, tj = time.get(i), time.get(j)
         if ti is not None and tj is not None and ti >= tj:
             bad(Violation(Rule.LOGICAL_ORDER, (i, j),
                           f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
 
     by_step: dict[int, list[int]] = {}
-    for idx, step in route.time.items():
+    for idx, step in time.items():
         by_step.setdefault(step, []).append(idx)
     for step, idxs in sorted(by_step.items()):
-        claimed: dict[Vertex, int] = {}
-        for idx in sorted(idxs):
-            for v in route.space.get(idx, ()):
-                if v in claimed:
-                    bad(Violation(Rule.DISJOINT_PATHS, (claimed[v], idx),
-                                  f"vertex {v} shared at step {step}"))
-                else:
-                    claimed[v] = idx
+        paths = [space.get(idx, ()) for idx in idxs]
+        if len(set(chain.from_iterable(paths))) != sum(map(len, paths)):
+            out.extend(_shared_vertices(space, step, idxs))
+    return out
+
+
+def _path_violations(arch: Architecture, qmap: QubitMap, mapped: set[Vertex],
+                     g: Gate, path: Path) -> list[Violation]:
+    """Every violation of one scheduled gate's path: its shape, then, when
+    it is well formed, its endpoints and its interior."""
+    rule = Rule.CNOT_ROUTING if g.kind is GateKind.CNOT else Rule.T_ROUTING
+    out, well_formed = _check_path_shape(arch, g, path, rule)
+    bad = out.append
+    if well_formed:
+        if g.kind is GateKind.CNOT:
+            if path[0] != qmap[g.control]:
+                bad(Violation(rule, (g.index,), f"path starts at {path[0]}, control is at {qmap[g.control]}"))
+            if path[-1] != qmap[g.target]:
+                bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, target is at {qmap[g.target]}"))
+        else:
+            if path[0] != qmap[g.operand]:
+                bad(Violation(rule, (g.index,), f"path starts at {path[0]}, operand is at {qmap[g.operand]}"))
+            if path[-1] not in arch.magic:
+                bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, not a magic vertex"))
+        for v in path[1:-1]:
+            if v in mapped or v in arch.magic:
+                bad(Violation(Rule.DATA_PRESERVATION, (g.index,),
+                              f"protected vertex {v} used as path interior"))
+    return out
+
+
+def _shared_vertices(space, step: int, idxs: list[int]) -> list[Violation]:
+    """One violation per repeat of a vertex among the paths of one step,
+    naming the gate that claimed it first, in gate index order."""
+    out = []
+    claimed: dict[Vertex, int] = {}
+    for idx in sorted(idxs):
+        for v in space.get(idx, ()):
+            if v in claimed:
+                out.append(Violation(Rule.DISJOINT_PATHS, (claimed[v], idx),
+                                     f"vertex {v} shared at step {step}"))
+            else:
+                claimed[v] = idx
     return out
 
 
@@ -423,9 +468,10 @@ def _check_path_shape(arch: Architecture, g: Gate, path: Path,
 # ---------------------------------------------------------------------------
 
 def route_to_json(route: GateRoute) -> str:
-    # json.dumps writes a tuple as an array, so paths go in as they are
+    # json.dumps writes a tuple as an array, so paths go in as they are;
+    # tuples of ints cannot hold a cycle, so the encoder tracks none
     gates = [{"index": i, "step": route.time[i], "path": route.space[i]} for i in sorted(route.time)]
-    return json.dumps({"steps": route.steps, "gates": gates})
+    return json.dumps({"steps": route.steps, "gates": gates}, check_circular=False)
 
 
 def route_from_json(text: str) -> GateRoute:

@@ -123,12 +123,11 @@ class CnfInstance:
     diagnostic: str = ""
 
     def __post_init__(self):
-        # three passes over the literals in C, none of which copies them
+        # one pass over the literals in C, then checks on the distinct ones
         n = self.num_vars
-        lits = chain.from_iterable
-        if (min(lits(self.clauses), default=0) < -n or max(lits(self.clauses), default=0) > n
-                or 0 in lits(self.clauses)):
-            lit = next(l for l in lits(self.clauses) if l == 0 or abs(l) > n)
+        lits = set(chain.from_iterable(self.clauses))
+        if lits and (min(lits) < -n or max(lits) > n or 0 in lits):
+            lit = next(l for l in chain.from_iterable(self.clauses) if l == 0 or abs(l) > n)
             raise ValueError(f"literal {lit} out of range 1..{n}")
 
 

@@ -13,15 +13,19 @@ These do, and say why in their section headers:
   against projected model counts), and `VarTable` and `CnfInstance`; the
   usable-edge and plain encoders also key a pinned map's edges by
   `gate_requests`;
-- the struct-map reference imports `_distance_to_set` and `_STRIDE2`, which
-  its rewrite left unchanged, and `_best_random` routes with the library's
-  `greedy_route`, since it checks the trial loop, not the router.
+- the struct-map reference imports `_distance_to_set`, which its rewrite
+  left unchanged, and `_best_random` routes with the library's
+  `greedy_route`, since it checks the trial loop, not the router;
+- the circuit references build the library's `Gate`, `Circuit`,
+  `Layering` and `InteractionGraph` values and raise its `ParseError`, so
+  their results compare equal to the library's.
 """
 from __future__ import annotations
 
 import importlib
 import itertools
 import json
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -33,18 +37,129 @@ from typing import NamedTuple
 from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE, FULL_TR, TILE, _offset,
                          cycle_time_limit, processor_unit_width)
-from scmr.circuit import (Circuit, Gate, GateKind, circuit_from_gates, cnot, consecutive_qubit_pairs, gate_depths,
-                          gate_heights, tgate, topological_layering)
+from scmr.circuit import (Circuit, Gate, GateKind, Layering, ParseError, cnot,
+                          consecutive_qubit_pairs, tgate)
 from scmr.circuit import depth as circuit_depth
 from scmr.architecture import regular_locations as _regular_locations
-from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX, interaction_graph
-from scmr.mapping import _STRIDE2, MappingError, QubitMap, _distance_to_set, qubit_map, random_map
+from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX
+from scmr.mapping import MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 import scmr.routing as _routing
 from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation, gate_requests,
                           greedy_route)
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
 from scmr.sat.encoding import CnfInstance, VarTable
+
+
+# ---------------------------------------------------------------------------
+# The circuit layer as it was before its per-gate loops were made plain:
+# the parser with a regex check per argument and `Gate.__init__` per gate,
+# the dependency tables with a generator and `max(..., default=0)` per gate,
+# and the interaction graph keyed by a frozenset per gate. Kept verbatim as
+# the references the library must match circuit for circuit, and error for
+# error (type, message, line and col).
+# ---------------------------------------------------------------------------
+
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def circuit_from_gates(specs) -> Circuit:
+    """Build a circuit from (kind, qubits) pairs, assigning source indices."""
+    gates = []
+    qubits: list[str] = []
+    seen: set[str] = set()
+    for i, (kind, qs) in enumerate(specs):
+        gates.append(Gate(kind, tuple(qs), i))
+        for q in qs:
+            if q not in seen:
+                seen.add(q)
+                qubits.append(q)
+    return Circuit(tuple(gates), tuple(qubits))
+
+
+def parse_circuit(text: str, strict: bool = True) -> Circuit:
+    """Parse circuit text; in lenient mode unknown one-qubit gates are dropped."""
+    specs = []
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.split("#", 1)[0]
+        col = 1
+        for stmt in line.split(";"):
+            tokens = stmt.split()
+            if tokens:
+                specs_or_none = _parse_statement(tokens, line_no, col + stmt.index(tokens[0]), strict)
+                if specs_or_none is not None:
+                    specs.append(specs_or_none)
+            col += len(stmt) + 1
+    return circuit_from_gates(specs)
+
+
+def _parse_statement(tokens, line, col, strict):
+    name = tokens[0].lower()
+    args = tokens[1:]
+    for a in args:
+        if not _ID_RE.match(a):
+            raise ParseError(f"bad qubit id {a!r}", line, col)
+    if name == "cnot":
+        if len(args) != 2:
+            raise ParseError(f"cnot takes 2 qubits, got {len(args)}", line, col)
+        if args[0] == args[1]:
+            raise ParseError(f"cnot operands must be distinct, got {args[0]!r} twice", line, col)
+        return (GateKind.CNOT, (args[0], args[1]))
+    if name == "t":
+        if len(args) != 1:
+            raise ParseError(f"t takes 1 qubit, got {len(args)}", line, col)
+        return (GateKind.T, (args[0],))
+    if not strict and len(args) == 1:
+        return None  # unsupported one-qubit gate, dropped in lenient mode
+    raise ParseError(f"unknown gate {tokens[0]!r}", line, col)
+
+
+def gate_depths(circuit: Circuit) -> list[int]:
+    """1-based dependency depth per gate: 1 + max depth over earlier gates sharing a qubit."""
+    depth_by_qubit: dict[str, int] = {}
+    depths = []
+    for g in circuit.gates:
+        d = 1 + max((depth_by_qubit.get(q, 0) for q in g.qubits), default=0)
+        depths.append(d)
+        for q in g.qubits:
+            depth_by_qubit[q] = d
+    return depths
+
+
+def gate_heights(circuit: Circuit) -> list[int]:
+    """1-based height per gate: longest dependency chain starting at the gate."""
+    height_by_qubit: dict[str, int] = {}
+    heights = [0] * len(circuit.gates)
+    for g in reversed(circuit.gates):
+        h = 1 + max((height_by_qubit.get(q, 0) for q in g.qubits), default=0)
+        heights[g.index] = h
+        for q in g.qubits:
+            height_by_qubit[q] = h
+    return heights
+
+
+def topological_layering(circuit: Circuit) -> Layering:
+    depths = gate_depths(circuit)
+    d = max(depths, default=0)
+    layers: list[list[int]] = [[] for _ in range(d)]
+    for g in circuit.gates:
+        layers[depths[g.index] - 1].append(g.index)
+    return Layering(tuple(tuple(layer) for layer in layers))
+
+
+def interaction_graph(circuit: Circuit) -> InteractionGraph:
+    edges = []
+    seen: set[frozenset] = set()
+    for g in circuit.gates:
+        if g.kind is GateKind.CNOT:
+            e = (g.control, g.target)
+        else:
+            e = (T_VERTEX, g.operand)
+        key = frozenset(e)
+        if key not in seen:
+            seen.add(key)
+            edges.append(e)
+    return InteractionGraph(circuit.qubits + (T_VERTEX,), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +781,17 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
 # The structural mapper as it was before it became one ordered take over
 # three candidate orders: a row-major pointer, per-distance buckets with one
 # pointer each, and the stride-2 ring. Kept verbatim as the reference the
-# rewrite must match map for map and error for error; `_distance_to_set` and
-# `_STRIDE2` are the library's own, unchanged by it, and the chains come from
-# the `interaction_chain_set` reference above, so the whole old mapper path
-# is compared with the new one. The one edit: the default locations come from
+# rewrite must match map for map and error for error; `_distance_to_set` is
+# the library's own, unchanged by it, `_STRIDE2` is its offset order of the
+# time, and the chains come from the `interaction_graph` and
+# `interaction_chain_set` references in this file, so the whole old mapper
+# path is compared with the new one. The one edit: the default locations come from
 # the library's `regular_locations`, imported as `_regular_locations`, since
 # this module's own `regular_locations` is the all-pairs reference above.
 # ---------------------------------------------------------------------------
+
+_STRIDE2 = ((-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
 
 def _candidates(arch: Architecture, locations) -> list[Vertex]:
     locs = list(_regular_locations(arch) if locations is None else locations)

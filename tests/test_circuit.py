@@ -17,6 +17,7 @@ from scmr.circuit import (
     consecutive_qubit_pairs,
     depth,
     gate_depths,
+    gate_heights,
     interaction_chain_set,
     interaction_graph,
     parse_circuit,
@@ -271,3 +272,123 @@ def test_dependency_closure_matches_shared_qubit_relation(circuit):
     direct = {(i, j) for i in range(n) for j in range(n)
               if i < j and circuit.gates[i].shares_qubit(circuit.gates[j])}
     assert _transitive_closure(consecutive_qubit_pairs(circuit)) == _transitive_closure(direct)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the parser and the dependency tables against their
+# pre-change references in oracles
+# ---------------------------------------------------------------------------
+
+def _outcome(build, *args):
+    """The circuit `build(*args)` returns, or its error's type, text and place."""
+    try:
+        return build(*args)
+    except CircuitError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+def _dressed(rng, text):
+    """`text` with its statements rewritten as a person might: mixed-case
+    mnemonics, tabs and runs of blanks, comments, empty lines and statements,
+    two statements on one line, CRLF line ends."""
+    lines = []
+    for line in text.splitlines():
+        words = line.rstrip(";").split()
+        if words and rng.random() < 0.3:
+            words[0] = rng.choice((str.upper, str.title, str.lower))(words[0])
+        line = rng.choice((" ", "\t", "  ", " \t ")).join(words) + rng.choice((";", ";;", "", " ; "))
+        if rng.random() < 0.2:
+            line = rng.choice(("", "\t", "  ")) + line
+        if rng.random() < 0.2:
+            line += rng.choice(("  # note", "#cnot x y; t z", " # ;;", "#"))
+        if lines and rng.random() < 0.15:
+            lines[-1] += rng.choice((";", ";;", "; ;")) + line
+        else:
+            lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "# comment", ";;", "   ", "\t;")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+_BAD_STATEMENTS = (
+    "cnot q0 1q", "t q-1", "cnot q0 q.x", "t qé", "cnot é q0", "t ０", "cnot a", "cnot a b c",
+    "t", "t a b", "cnot a a", "CNOT b B b", "h a", "h", "swap a b", "x a b c", "rz 0.5 a",
+)
+
+
+def _mutated(rng, text):
+    """`text` with one statement replaced by, or joined to, a faulty one."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines) + 1)
+    bad = rng.choice(_BAD_STATEMENTS)
+    if i < len(lines) and rng.random() < 0.5:
+        lines[i] = lines[i] + rng.choice((";", "; ", ";;\t")) + bad
+    else:
+        lines.insert(i, bad)
+    return "\n".join(lines)
+
+
+def test_parse_circuit_matches_reference():
+    rng = random.Random(22)
+    seen = dict.fromkeys(("circuits", "errors", "lenient drops", "non-ascii"), 0)
+    corpus = list(_chain_corpus())
+    for circuit in rng.sample(corpus, 600) + corpus[-40:]:
+        text = serialize_circuit(circuit)
+        for variant in (text, _dressed(rng, text), _mutated(rng, _dressed(rng, text))):
+            for strict in (True, False):
+                got = _outcome(parse_circuit, variant, strict)
+                assert got == _outcome(oracles.parse_circuit, variant, strict), variant
+                if isinstance(got, Circuit):
+                    seen["circuits"] += 1
+                    seen["lenient drops"] += not strict and got != _outcome(parse_circuit, variant, True)
+                else:
+                    seen["errors"] += 1
+                    seen["non-ascii"] += not variant.isascii()
+    assert min(seen.values()) >= 20, seen
+
+
+def test_identifier_check_matches_the_id_pattern():
+    # the parser's inline accept reads isascii() and isidentifier() in place
+    # of the pattern that words a bad id; they must agree on every token
+    alphabet = [chr(c) for c in range(33, 127)] + ["é", "０", "ſ", "K", "_"]
+    for a in alphabet:
+        for b in [""] + alphabet:
+            token = a + b
+            assert bool(oracles._ID_RE.match(token)) == (token.isascii() and token.isidentifier()), token
+
+
+def test_circuit_from_gates_matches_reference_on_bad_specs():
+    specs = [
+        [cnot("a", "a")], [(GateKind.CNOT, ("a",))], [(GateKind.CNOT, ("a", "b", "c"))],
+        [(GateKind.T, ())], [(GateKind.T, ("a", "b"))], [tgate("a"), (GateKind.CNOT, ["b", "a"])],
+        [(GateKind.CNOT, ["a", "b"]), (GateKind.T, ["c"])], [],
+    ]
+    for spec in specs:
+        assert _outcome(circuit_from_gates, spec) == _outcome(oracles.circuit_from_gates, spec)
+
+
+def _dependency_corpus():
+    """Empty, one-qubit and T-only circuits, the shapes of the benchmark's
+    greedy workloads (known-optimum circuits of 30-200 pairs, random
+    circuits of 12-24 qubits with 20% T) and the chain-set corpus."""
+    rng = random.Random(5)
+    yield circuit_from_gates([])
+    yield circuit_from_gates([tgate("a")])
+    yield circuit_from_gates([tgate("a")] * 7)
+    yield circuit_from_gates([tgate(f"q{rng.randrange(6)}") for _ in range(40)])
+    yield random_circuit(1, 6, 1.0, seed=3)
+    for d, k, rho in ((2, 200, 0.5), (12, 80, 0.5), (8, 64, 1.0), (30, 50, 0.5), (50, 30, 1.0)):
+        yield known_optimal(d, k, rho, seed=d)
+    for q, d in ((12, 64), (16, 40), (20, 20), (24, 12)):
+        yield random_circuit(q, d, 0.2, seed=q)
+    yield from _chain_corpus()
+
+
+def test_dependency_tables_match_reference():
+    for circuit in _dependency_corpus():
+        depths = gate_depths(circuit)
+        assert depths == oracles.gate_depths(circuit)
+        assert gate_heights(circuit) == oracles.gate_heights(circuit)
+        assert topological_layering(circuit) == oracles.topological_layering(circuit)
+        assert interaction_graph(circuit) == oracles.interaction_graph(circuit)
+        assert depth(circuit) == max(depths, default=0)

@@ -599,13 +599,59 @@ def _corrupt(rng, arch, circuit, qmap, route):
     return QubitMap(tuple(assignment)), GateRoute(steps, time, space)
 
 
+def _large_valid_routes():
+    """Greedy routes of the benchmark's greedy shapes: known-optimum
+    circuits under the struct map and random circuits with 20% T under
+    random maps, each on the bordered grid."""
+    for d, k in ((2, 200), (12, 80), (50, 30)):
+        c = known_optimal(d, k, seed=d)
+        arch = bordered_architecture(c.num_qubits)
+        m = struct_map(arch, c)
+        yield arch, c, m, greedy_route(arch, c, m)
+    for q, d in ((12, 64), (16, 40), (24, 12)):
+        c = random_circuit(q, d, 0.2, seed=q)
+        arch = bordered_architecture(c.num_qubits)
+        m = random_map(arch, c, seed=d)
+        yield arch, c, m, greedy_route(arch, c, m)
+
+
+def _single_faults(rng, circuit, qmap, route):
+    """Copies of a valid (map, route), each broken at one gate's path: a
+    spare qubit mapped onto its interior; a loop back over its first
+    interior vertices; or a CNOT's control (target) moved one hop along its
+    path and the path cut to start (end) there, so that its first (last)
+    edge may take the wrong orientation while its ends still match the map."""
+    assignment = list(qmap.assignment)
+    for i in rng.sample(sorted(route.space), 12):
+        path = route.space[i]
+        yield "interior", QubitMap(tuple(assignment) + (("~spare", path[1]),)), route
+        yield "revisit", qmap, GateRoute(route.steps, route.time, {**route.space, i: path[:3] + path[1:]})
+    cnots = [g for g in circuit.gates if g.kind is GateKind.CNOT and len(route.space[g.index]) >= 4]
+    for g in rng.sample(cnots, min(len(cnots), 12)):
+        path = route.space[g.index]
+        for name, qubit, cut, end in (("first edge", g.control, path[1:], 0),
+                                      ("last edge", g.target, path[:-1], -1)):
+            moved = QubitMap(tuple((q, cut[end] if q == qubit else v) for q, v in assignment))
+            yield name, moved, GateRoute(route.steps, route.time, {**route.space, g.index: cut})
+
+
 def test_validate_matches_reference():
     seen_rules, seen_details = set(), set()
     marks = ("needs at least 3", "off-grid", "not grid neighbors", "revisits",
              "not vertical", "not horizontal", "shared", "path ends at", "path starts at",
              "protected vertex", "outside", "not in the circuit", "last used step",
              "depends on", "missing", "unmapped", "magic vertex", "share vertex")
-    for seed in range(400):
+    valid, faults = 0, {}
+    for arch, c, m, r in _large_valid_routes():
+        assert validate(arch, c, m, r) == [] == oracles.validate(arch, c, m, r)
+        valid += len(c.gates)
+        for fault, bad_map, bad_route in _single_faults(random.Random(valid), c, m, r):
+            got = validate(arch, c, bad_map, bad_route)
+            assert got == oracles.validate(arch, c, bad_map, bad_route)
+            faults[fault] = faults.get(fault, 0) + bool(got)
+    assert valid > 2000
+    assert min(faults.values()) >= 20 and len(faults) == 4, faults
+    for seed in range(1200):
         rng = random.Random(seed)
         c = random_circuit(2 + seed % 7, 1 + seed % 5, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
         arch = _BUILDERS[seed % 3](c.num_qubits)
