@@ -24,7 +24,6 @@ from .circuit import (
     GateKind,
     InteractionChainSet,
     InteractionGraph,
-    Layering,
     ParseError,
     T_VERTEX,
     circuit_from_gates,

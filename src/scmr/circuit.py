@@ -187,40 +187,32 @@ def serialize_circuit(circuit: Circuit) -> str:
 # Dependency structure
 # ---------------------------------------------------------------------------
 
-def gate_depths(circuit: Circuit) -> list[int]:
-    """1-based dependency depth per gate: 1 + max depth over earlier gates sharing a qubit."""
-    depth_by_qubit: dict[str, int] = {}
-    get = depth_by_qubit.get
-    depths = []
-    for g in circuit.gates:
-        d = 0
+def _chain_lengths(gates) -> list[int]:
+    """Per gate of `gates`, in order: 1 + the most over earlier gates sharing a qubit."""
+    length_by_qubit: dict[str, int] = {}
+    get = length_by_qubit.get
+    lengths = []
+    for g in gates:
+        n = 0
         for q in g.qubits:
             e = get(q, 0)
-            if e > d:
-                d = e
-        d += 1
-        depths.append(d)
+            if e > n:
+                n = e
+        n += 1
+        lengths.append(n)
         for q in g.qubits:
-            depth_by_qubit[q] = d
-    return depths
+            length_by_qubit[q] = n
+    return lengths
+
+
+def gate_depths(circuit: Circuit) -> list[int]:
+    """1-based dependency depth per gate: 1 + max depth over earlier gates sharing a qubit."""
+    return _chain_lengths(circuit.gates)
 
 
 def gate_heights(circuit: Circuit) -> list[int]:
     """1-based height per gate: longest dependency chain starting at the gate."""
-    height_by_qubit: dict[str, int] = {}
-    get = height_by_qubit.get
-    heights = [0] * len(circuit.gates)
-    for g in reversed(circuit.gates):
-        h = 0
-        for q in g.qubits:
-            e = get(q, 0)
-            if e > h:
-                h = e
-        h += 1
-        heights[g.index] = h
-        for q in g.qubits:
-            height_by_qubit[q] = h
-    return heights
+    return _chain_lengths(reversed(circuit.gates))[::-1]
 
 
 def depth(circuit: Circuit) -> int:
@@ -240,17 +232,13 @@ def consecutive_qubit_pairs(circuit: Circuit):
             last[q] = g.index
 
 
-@dataclass(frozen=True)
-class Layering:
-    layers: tuple[tuple[int, ...], ...]  # gate indices, layer i = gates at depth i+1
-
-
-def topological_layering(circuit: Circuit) -> Layering:
+def topological_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
+    """Gate indices by depth: layer i holds the gates at depth i + 1, in gate order."""
     depths = gate_depths(circuit)
     layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
     for i, d in enumerate(depths):   # gate i has index i
         layers[d - 1].append(i)
-    return Layering(tuple(map(tuple, layers)))
+    return tuple(map(tuple, layers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Qubit maps: uniform-random placement and structural chain placement.
 
-Both mappers draw from an explicit candidate-location set, checked once by
-`_candidates`: every location an (int, int) tuple, no magic, off-grid or
-repeated vertex, and at least one per qubit. The default is the
-architecture's regular mapping locations, which keep a private 3x3 ring
-around every qubit so any single gate is always routable; pass
-``locations=unrestricted_locations(arch)`` for the raw non-magic vertex set.
+Both mappers draw from an explicit candidate-location set with at least one
+location per qubit. The default is the architecture's regular mapping
+locations, which keep a private 3x3 ring around every qubit so any single
+gate is always routable; pass ``locations=unrestricted_locations(arch)`` for
+the raw non-magic vertex set, or any other set: `_candidates` checks a given
+set for (int, int) tuples and for magic, off-grid or repeated vertices.
 
 `struct_map` takes each location from one of three candidate orders: the
 row-major order, the by-magic order (row-major, stably sorted by grid
@@ -61,16 +61,17 @@ def unrestricted_locations(arch: Architecture) -> tuple[Vertex, ...]:
 
 def _candidates(arch: Architecture, locations, num_qubits: int) -> list[Vertex]:
     locs = list(regular_locations(arch) if locations is None else locations)
-    malformed = [v for v in locs if not (isinstance(v, tuple) and len(v) == 2
-                                         and all(type(x) is int for x in v))]
-    if malformed:
-        raise MappingError(f"candidate locations must be (int, int) tuples: {malformed}")
-    bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
-    if bad:
-        raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
-    if len(set(locs)) < len(locs):
-        repeated = sorted({v for v in locs if locs.count(v) > 1})
-        raise MappingError(f"candidate locations repeat vertices: {repeated}")
+    if locations is not None:   # the regular locations are well formed by construction
+        malformed = [v for v in locs if not (isinstance(v, tuple) and len(v) == 2
+                                             and all(type(x) is int for x in v))]
+        if malformed:
+            raise MappingError(f"candidate locations must be (int, int) tuples: {malformed}")
+        bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
+        if bad:
+            raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
+        if len(set(locs)) < len(locs):
+            repeated = sorted({v for v in locs if locs.count(v) > 1})
+            raise MappingError(f"candidate locations repeat vertices: {repeated}")
     if len(locs) < num_qubits:
         raise MappingError(f"{len(locs)} locations for {num_qubits} qubits")
     return locs

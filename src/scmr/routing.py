@@ -258,7 +258,7 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
     step = 0
-    for layer in topological_layering(circuit).layers:
+    for layer in topological_layering(circuit):
         pending = [requests[i] for i in layer]
         while pending:
             step += 1
@@ -303,24 +303,26 @@ class Violation:
 def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRoute) -> list[Violation]:
     """Check every rule of a valid solution; empty list means ok.
 
-    Each path, and each step's paths together, are first checked with set
-    and id operations over `arch.cells`; only a path or a step that fails
-    goes to the code that words its violations, so the list is the same as
-    if every path and step were worded.
+    The grid is read through `arch.cells` alone: a vertex is on the grid
+    when it has a cell id, and two vertices are grid neighbors when their ids
+    differ by ±1 (vertical) or ±stride (horizontal). Each path, and each
+    step's paths together, are first checked with set and id operations;
+    only a path or a step that fails goes to the code that words its
+    violations, which reads the same ids, so the list is the same as if
+    every path and step were worded.
     """
     out: list[Violation] = []
     bad = out.append
 
     seen_vertices: dict[Vertex, str] = {}
     mapping = qmap.as_dict
-    cols, rows = arch.cols, arch.rows
+    cell_id, stride = arch.cells.id_of.get, arch.cells.stride   # None off the grid
     for q in circuit.qubits:
         v = mapping.get(q)
         if v is None:
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} is unmapped"))
             continue
-        a, b = v
-        if not (1 <= a <= cols and 1 <= b <= rows):
+        if cell_id(v) is None:
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped off-grid at {v}"))
         elif v in arch.magic:
             bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped onto magic vertex {v}"))
@@ -330,11 +332,8 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     if out:
         return out
 
-    mapped = set(qmap.vertices())
     magic = arch.magic
-    protected = mapped | magic
-    cells = arch.cells
-    cell_id, stride = cells.id_of.get, cells.stride
+    protected = magic.union(qmap.vertices())
     # id differences of grid neighbors: vertical ±1, horizontal ±stride
     vertical, horizontal = (1, -1), (stride, -stride)
     hops = {*vertical, *horizontal}
@@ -351,7 +350,7 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
             continue
         if not 1 <= step <= route.steps:
             bad(Violation(Rule.LOGICAL_ORDER, (g.index,), f"step {step} outside 1..{route.steps}"))
-        ids = list(map(cell_id, path))   # None off the grid
+        ids = list(map(cell_id, path))
         qs = g.qubits
         if not (len(ids) >= 3 and None not in ids and len(set(ids)) == len(ids)
                 and ids[1] - ids[0] in vertical and ids[-1] - ids[-2] in horizontal
@@ -359,7 +358,8 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
                 and path[0] == mapping[qs[0]]
                 and (path[-1] == mapping[qs[1]] if g.kind is cnot_kind else path[-1] in magic)
                 and protected.isdisjoint(path[1:-1])):
-            out.extend(_path_violations(arch, qmap, mapped, g, path))
+            out.extend(_path_violations(g, path, ids, vertical, horizontal, hops,
+                                        mapping, magic, protected))
 
     indices = {g.index for g in circuit.gates}
     for idx in sorted((time.keys() | space.keys()) - indices):
@@ -386,28 +386,46 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     return out
 
 
-def _path_violations(arch: Architecture, qmap: QubitMap, mapped: set[Vertex],
-                     g: Gate, path: Path) -> list[Violation]:
-    """Every violation of one scheduled gate's path: its shape, then, when
-    it is well formed, its endpoints and its interior."""
-    rule = Rule.CNOT_ROUTING if g.kind is GateKind.CNOT else Rule.T_ROUTING
-    out, well_formed = _check_path_shape(arch, g, path, rule)
-    bad = out.append
+def _path_violations(g: Gate, path: Path, ids: list, vertical, horizontal, hops,
+                     mapping: dict, magic, protected) -> list[Violation]:
+    """Every violation of one scheduled gate's path, read from its cell `ids`
+    and `validate`'s neighbor id differences: its shape, then, when it is
+    well formed (two or more distinct on-grid vertices, each a grid neighbor
+    of the next), its ends and its interior. A path of fewer than 3 vertices
+    reports only its length, but a well-formed 2-vertex path still has its
+    ends checked."""
+    cnot = g.kind is GateKind.CNOT
+    details = []
+    distinct = len(set(path)) == len(path)
+    if not distinct:
+        details.append("path revisits a vertex")
+    connected = None not in ids and hops.issuperset(map(sub, ids[1:], ids))
+    if None in ids:
+        details.append(f"path vertex {path[ids.index(None)]} is off-grid")
+    elif not connected:
+        k = next(k for k, d in enumerate(map(sub, ids[1:], ids)) if d not in hops)
+        details.append(f"{path[k]} and {path[k + 1]} are not grid neighbors")
+    if len(path) < 3:
+        details = [f"path has {len(path)} vertices, needs at least 3"]
+    elif connected:
+        if ids[1] - ids[0] not in vertical:
+            details.append(f"first edge {path[0]}->{path[1]} is not vertical")
+        if ids[-1] - ids[-2] not in horizontal:
+            details.append(f"last edge {path[-2]}->{path[-1]} is not horizontal")
+    well_formed = len(path) >= 2 and distinct and connected
     if well_formed:
-        if g.kind is GateKind.CNOT:
-            if path[0] != qmap[g.control]:
-                bad(Violation(rule, (g.index,), f"path starts at {path[0]}, control is at {qmap[g.control]}"))
-            if path[-1] != qmap[g.target]:
-                bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, target is at {qmap[g.target]}"))
-        else:
-            if path[0] != qmap[g.operand]:
-                bad(Violation(rule, (g.index,), f"path starts at {path[0]}, operand is at {qmap[g.operand]}"))
-            if path[-1] not in arch.magic:
-                bad(Violation(rule, (g.index,), f"path ends at {path[-1]}, not a magic vertex"))
-        for v in path[1:-1]:
-            if v in mapped or v in arch.magic:
-                bad(Violation(Rule.DATA_PRESERVATION, (g.index,),
-                              f"protected vertex {v} used as path interior"))
+        source = mapping[g.qubits[0]]
+        if path[0] != source:
+            details.append(f"path starts at {path[0]}, {'control' if cnot else 'operand'} is at {source}")
+        if cnot and path[-1] != mapping[g.qubits[1]]:
+            details.append(f"path ends at {path[-1]}, target is at {mapping[g.qubits[1]]}")
+        if not cnot and path[-1] not in magic:
+            details.append(f"path ends at {path[-1]}, not a magic vertex")
+    rule = Rule.CNOT_ROUTING if cnot else Rule.T_ROUTING
+    out = [Violation(rule, (g.index,), d) for d in details]
+    if well_formed:
+        out += [Violation(Rule.DATA_PRESERVATION, (g.index,), f"protected vertex {v} used as path interior")
+                for v in path[1:-1] if v in protected]
     return out
 
 
@@ -424,43 +442,6 @@ def _shared_vertices(space, step: int, idxs: list[int]) -> list[Violation]:
             else:
                 claimed[v] = idx
     return out
-
-
-def _check_path_shape(arch: Architecture, g: Gate, path: Path,
-                      rule: Rule) -> tuple[list[Violation], bool]:
-    """The shape violations of a gate's path, and whether the path is well
-    formed: two or more distinct on-grid vertices, each a grid neighbor of
-    the next. A path of fewer than 3 vertices reports only its length, but a
-    well-formed 2-vertex path still has its endpoints checked."""
-    details = []
-    distinct = len(set(path)) == len(path)
-    if not distinct:
-        details.append("path revisits a vertex")
-    connected = True
-    cols, rows = arch.cols, arch.rows
-    for v in path:
-        a, b = v
-        if not (1 <= a <= cols and 1 <= b <= rows):
-            details.append(f"path vertex {v} is off-grid")
-            connected = False
-            break
-    else:
-        for u, v in zip(path, path[1:]):
-            if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
-                details.append(f"{u} and {v} are not grid neighbors")
-                connected = False
-                break
-    if len(path) < 3:
-        details = [f"path has {len(path)} vertices, needs at least 3"]
-    elif connected:
-        first, second = path[0], path[1]
-        if abs(first[1] - second[1]) != 1:
-            details.append(f"first edge {first}->{second} is not vertical")
-        last, before = path[-1], path[-2]
-        if abs(last[0] - before[0]) != 1:
-            details.append(f"last edge {before}->{last} is not horizontal")
-    well_formed = len(path) >= 2 and distinct and connected
-    return [Violation(rule, (g.index,), d) for d in details], well_formed
 
 
 # ---------------------------------------------------------------------------

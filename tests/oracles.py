@@ -16,9 +16,9 @@ These do, and say why in their section headers:
 - the struct-map reference imports `_distance_to_set`, which its rewrite
   left unchanged, and `_best_random` routes with the library's
   `greedy_route`, since it checks the trial loop, not the router;
-- the circuit references build the library's `Gate`, `Circuit`,
-  `Layering` and `InteractionGraph` values and raise its `ParseError`, so
-  their results compare equal to the library's.
+- the circuit references build the library's `Gate`, `Circuit` and
+  `InteractionGraph` values and raise its `ParseError`, so their results
+  compare equal to the library's.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import NamedTuple
 from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE, FULL_TR, TILE, _offset,
                          cycle_time_limit, processor_unit_width)
-from scmr.circuit import (Circuit, Gate, GateKind, Layering, ParseError, cnot,
+from scmr.circuit import (Circuit, Gate, GateKind, ParseError, cnot,
                           consecutive_qubit_pairs, tgate)
 from scmr.circuit import depth as circuit_depth
 from scmr.architecture import regular_locations as _regular_locations
@@ -57,7 +57,9 @@ from scmr.sat.encoding import CnfInstance, VarTable
 # the dependency tables with a generator and `max(..., default=0)` per gate,
 # and the interaction graph keyed by a frozenset per gate. Kept verbatim as
 # the references the library must match circuit for circuit, and error for
-# error (type, message, line and col).
+# error (type, message, line and col), but for one change of type: like the
+# library's, `topological_layering` returns the tuple of layers itself, no
+# longer wrapped in a one-field `Layering`.
 # ---------------------------------------------------------------------------
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -138,13 +140,13 @@ def gate_heights(circuit: Circuit) -> list[int]:
     return heights
 
 
-def topological_layering(circuit: Circuit) -> Layering:
+def topological_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     depths = gate_depths(circuit)
     d = max(depths, default=0)
     layers: list[list[int]] = [[] for _ in range(d)]
     for g in circuit.gates:
         layers[depths[g.index] - 1].append(g.index)
-    return Layering(tuple(tuple(layer) for layer in layers))
+    return tuple(tuple(layer) for layer in layers)
 
 
 def interaction_graph(circuit: Circuit) -> InteractionGraph:
@@ -435,7 +437,7 @@ def layered_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap,
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
     step = 0
-    for layer in topological_layering(circuit).layers:
+    for layer in topological_layering(circuit):
         pending = [request_for_gate(arch, qmap, circuit.gates[i]) for i in layer]
         while pending:
             step += 1

@@ -136,6 +136,9 @@ def test_regular_location_properties(make, n):
     arch = make(n)
     locs = regular_locations(arch)
     assert len(locs) >= n
+    # the mappers take these unchecked: (int, int) tuples, none repeated
+    assert all(type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v) for v in locs)
+    assert len(set(locs)) == len(locs)
     for a, b in locs:
         box = [(a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
         assert all(arch.in_bounds(c) and c not in arch.magic for c in box)

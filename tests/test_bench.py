@@ -401,7 +401,7 @@ def test_known_optimal_2_3_layering():
     from scmr.circuit import topological_layering
 
     c = known_optimal(2, 3, 1.0, seed=1)
-    layers = topological_layering(c).layers
+    layers = topological_layering(c)
     assert len(layers) == 2 and all(len(l) == 3 for l in layers)
 
 

@@ -90,20 +90,20 @@ def test_depth_examples():
 
 def test_layering_examples():
     fig1 = parse_circuit("CNOT q0 q1; T q2;")
-    assert topological_layering(fig1).layers == ((0, 1),)
+    assert topological_layering(fig1) == ((0, 1),)
     chain = parse_circuit("cnot q0 q1; cnot q1 q2")
-    assert topological_layering(chain).layers == ((0,), (1,))
+    assert topological_layering(chain) == ((0,), (1,))
 
 
 def test_layering_matches_depth_and_disjointness():
     c = parse_circuit("cnot a b; t c; cnot b c; t a; cnot a c")
-    lay = topological_layering(c)
-    assert len(lay.layers) == depth(c)
-    for layer in lay.layers:
+    layers = topological_layering(c)
+    assert len(layers) == depth(c)
+    for layer in layers:
         qs = [q for i in layer for q in c.gates[i].qubits]
         assert len(qs) == len(set(qs))
     depths = gate_depths(c)
-    for i, layer in enumerate(lay.layers, start=1):
+    for i, layer in enumerate(layers, start=1):
         assert all(depths[g] == i for g in layer)
 
 
@@ -262,7 +262,7 @@ def test_parse_serialize_roundtrip(circuit):
 @given(circuits())
 @settings(max_examples=100, deadline=None)
 def test_depth_equals_layer_count(circuit):
-    assert depth(circuit) == len(topological_layering(circuit).layers)
+    assert depth(circuit) == len(topological_layering(circuit))
 
 
 @given(circuits(max_gates=10))

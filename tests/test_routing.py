@@ -635,13 +635,34 @@ def _single_faults(rng, circuit, qmap, route):
             yield name, moved, GateRoute(route.steps, route.time, {**route.space, g.index: cut})
 
 
+def _off_grid_faults(rng, arch, qmap, route):
+    """Copies of a valid (map, route) with one off-grid vertex: in the
+    padding ring of the cell index (a coordinate 0, cols + 1 or rows + 1),
+    just past it (-1) or far outside it (10**6). Each vertex goes first, in
+    the interior or last on a seeded gate's path, or to a seeded qubit in
+    the map."""
+    a, b = rng.randint(1, arch.cols), rng.randint(1, arch.rows)
+    outside = [(0, b), (a, 0), (-1, b), (a, -1), (arch.cols + 1, b), (a, arch.rows + 1),
+               (10**6, b), (a, 10**6), (0, 0), (arch.cols + 1, arch.rows + 1)]
+    assignment = list(qmap.assignment)
+    for v in outside:
+        i = rng.choice(sorted(route.space))
+        path = route.space[i]
+        k = rng.randrange(1, len(path) - 1)
+        for where, cut in (("first", (v,) + path[1:]), ("interior", path[:k] + (v,) + path[k + 1:]),
+                           ("last", path[:-1] + (v,))):
+            yield where, qmap, GateRoute(route.steps, route.time, {**route.space, i: cut})
+        j = rng.randrange(len(assignment))
+        yield "map", QubitMap(tuple((q, v if n == j else u) for n, (q, u) in enumerate(assignment))), route
+
+
 def test_validate_matches_reference():
     seen_rules, seen_details = set(), set()
     marks = ("needs at least 3", "off-grid", "not grid neighbors", "revisits",
              "not vertical", "not horizontal", "shared", "path ends at", "path starts at",
              "protected vertex", "outside", "not in the circuit", "last used step",
              "depends on", "missing", "unmapped", "magic vertex", "share vertex")
-    valid, faults = 0, {}
+    valid, faults, placed = 0, {}, {}
     for arch, c, m, r in _large_valid_routes():
         assert validate(arch, c, m, r) == [] == oracles.validate(arch, c, m, r)
         valid += len(c.gates)
@@ -649,8 +670,14 @@ def test_validate_matches_reference():
             got = validate(arch, c, bad_map, bad_route)
             assert got == oracles.validate(arch, c, bad_map, bad_route)
             faults[fault] = faults.get(fault, 0) + bool(got)
+        for where, bad_map, bad_route in _off_grid_faults(random.Random(valid), arch, m, r):
+            got = validate(arch, c, bad_map, bad_route)
+            assert got == oracles.validate(arch, c, bad_map, bad_route)
+            assert any("off-grid" in v.detail for v in got), (where, got)
+            placed[where] = placed.get(where, 0) + 1
     assert valid > 2000
     assert min(faults.values()) >= 20 and len(faults) == 4, faults
+    assert placed == dict.fromkeys(("first", "interior", "last", "map"), 60)
     for seed in range(1200):
         rng = random.Random(seed)
         c = random_circuit(2 + seed % 7, 1 + seed % 5, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
