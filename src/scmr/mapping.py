@@ -185,7 +185,9 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
     if n < 1:
         raise MappingError("need at least one trial")
     master = random.Random(seed)
-    trials = [(arch, circuit, master.randrange(2 ** 62), router, mapper) for _ in range(n)]
+    # in-process, each seed is drawn as its trial starts, so a large n holds
+    # no list of n trials
+    trials = ((arch, circuit, master.randrange(2 ** 62), router, mapper) for _ in range(n))
     if jobs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -7,22 +7,29 @@ vertex; T paths run from the operand's vertex to any magic-state vertex.
 Mapped and magic vertices may appear only as path endpoints, and paths that
 share a time step must be vertex-disjoint, endpoints included.
 
-The greedy router searches over `Architecture.cells` ids. The free cells
-are one Python `int` with a bit per id (`CellIndex.free`); `greedy_route`
-builds one such bitset per route, and `shortest_legal_path` searches it a
-whole breadth-first layer at a time with four shifts, then walks the kept
-layers to the path a FIFO search with sorted neighbor expansion would give.
+The greedy router searches over `Architecture.cells` ids, and its hot loops
+work on cell bitsets alone: one Python `int` with a bit per id. The free
+cells are `CellIndex.free`; `greedy_route` builds one such bitset per route.
+`shortest_legal_path` searches it a whole breadth-first layer at a time with
+four shifts, from the sink side: layer j holds the open cells at distance j
+from the goal cells next to a usable sink, and the search stops at the first
+layer that holds one of the source's exit cells. A walk forward from the
+source through those layers, toward the sinks, then takes the first
+neighbor in sorted order at each hop, which gives the path a FIFO search
+from the source with sorted neighbor expansion would give. The search takes
+the cells consumed earlier in the step as a bitset, `used`, skips the sinks
+among them, and returns the path with the bitset of its cells.
 A routing request is a plain tuple `(gate, source, sinks)`; `gate_requests`
 builds one per gate from the map's dict, and the greedy router and the SAT
 decoder both read that table (`validate` derives the endpoints itself).
 `shortest_first` keeps the pending requests in a heap keyed by path length
-and gate index and searches a request again only when it is popped with a
-path that meets an earlier pick; since consuming vertices only lengthens or
-removes paths, the picks are those of searching every pending request again
-after every pick. The picked paths are taken out of the step's bitset only
-before such a search. Every step of a route starts from the same bitset, so
-`greedy_route` keeps one dict per route from (source, sinks) to the path of
-that first, unobstructed search, and runs it at most once per pair.
+and gate index, and the step's consumed cells as one bitset; it searches a
+request again only when it is popped with a path whose cells meet that
+bitset. Since consuming vertices only lengthens or removes paths, the picks
+are those of searching every pending request again after every pick. Every
+step of a route starts from the same bitset, so `greedy_route` keeps one
+dict per route from (source, sinks) to the result of that first,
+unobstructed search, and runs it at most once per pair.
 """
 from __future__ import annotations
 
@@ -71,66 +78,66 @@ class GateRoute:
 # ---------------------------------------------------------------------------
 
 def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
-                        used=frozenset()) -> Path | None:
-    """Minimum-length legal path from source to some sink, or None.
+                        used: int = 0) -> tuple[Path, int] | None:
+    """Minimum-length legal path from source to some sink and the bitset of
+    its cells, or None when there is none.
 
-    `free` is a bitset over `arch.cells` ids (see `CellIndex`): set where a
-    vertex may be a path interior, clear at mapped, magic and padding cells
-    and at the vertices consumed earlier in the step. The source and the
-    sinks are never interiors. Sinks are endpoint candidates and must be
-    entered through a horizontal edge; sinks in `used` (a set of vertices)
-    are skipped. Only the first and last edges are orientation-constrained,
-    so the search runs over interior cells alone. The goal cells are the
-    cells horizontally next to a usable sink.
+    `free` and `used` are bitsets over `arch.cells` ids (see `CellIndex`).
+    `free` is set where a vertex may be a path interior, clear at mapped,
+    magic and padding cells and at the vertices consumed earlier in the
+    step. The source and the sinks are never interiors. Sinks are endpoint
+    candidates and must be entered through a horizontal edge; sinks whose
+    bit is set in `used` are skipped. Only the first and last edges are
+    orientation-constrained, so the search runs over interior cells alone:
+    from the source's exit cells (its open vertical neighbors) to the goal
+    cells (the open cells horizontally next to a usable sink).
 
-    The search is layer-synchronous: the first layer is the open vertical
-    neighbors of the source, and each next layer is the open, unreached
-    neighbors of the last, all found by four shifts of one integer. It stops
-    at the first layer that meets a goal cell. Walking back through the kept
-    layers leaves, in each, the cells on a shortest path to a reached goal;
-    walking forward from the source then takes at each hop the first such
-    cell in the order ``-stride, -1, +1, +stride`` (``-1, +1`` on the first
-    hop). That is the lexicographically least shortest path by direction,
-    which is the path of a FIFO breadth-first search that expands neighbors
-    in that order and keeps each cell's first parent: its tree path to a cell
+    The search is layer-synchronous and runs from the sink side: layer 0 is
+    the goal cells, and each next layer is the open, unreached neighbors of
+    the last, all found by four shifts of one integer. So layer j holds the
+    cells at distance j from the goal cells, and the search stops at the
+    first layer k that holds an exit cell; k + 1 interior cells is the
+    shortest length. The walk then goes forward from the source, taking at
+    each hop the first neighbor in the order ``-stride, -1, +1, +stride``
+    (``-1, +1`` on the first hop) that lies in the next layer. That is the
+    lexicographically least shortest path by direction: a neighbor n of the
+    cell at hop i - 1 lies in layer k - i exactly when its distance from the
+    exit cells is i (it is at most i as a neighbor, at least i since no
+    path is shorter than k), so the walk sees the cells a forward search
+    from the exit cells would keep on a shortest path. It is the path of a
+    FIFO breadth-first search from the source that expands neighbors in
+    that order and keeps each cell's first parent: its tree path to a cell
     is the least one, and the first goal it enqueues ends the least path at
     the least distance. The path ends at the sink ``-stride`` from its last
     cell when that sink is usable, otherwise at the one ``+stride`` from it.
     """
     cells = arch.cells
     id_of, stride = cells.id_of, cells.stride
-    closed = ends = 0   # every sink; the sinks not in `used`
+    closed = 0   # every sink
     for t in sinks:
-        bit = 1 << id_of[t]
-        closed |= bit
-        if t not in used:
-            ends |= bit
-    if not ends:
-        return None
-    goal = ends << stride | ends >> stride
-
+        closed |= 1 << id_of[t]
+    ends = closed & ~used
     s = id_of[source]
     open_ = free & ~(closed | 1 << s)
-    front = (1 << (s - 1) | 1 << (s + 1)) & open_
+    exits = (1 << (s - 1) | 1 << (s + 1)) & open_
+    if not (ends and exits):
+        return None
+    front = (ends << stride | ends >> stride) & open_
     layers: list[int] = []
     while front:
-        layers.append(front)
-        if front & goal:
+        if front & exits:
             break
+        layers.append(front)
         open_ ^= front
         front = (front << stride | front >> stride | front << 1 | front >> 1) & open_
     else:
         return None
 
-    # Walk back: keep in each layer the cells on a shortest path to a goal
-    # the last layer reached; then walk forward through them.
-    on = layers[-1] = front & goal
-    for k in range(len(layers) - 2, -1, -1):
-        on = layers[k] = layers[k] & (on << stride | on >> stride | on << 1 | on >> 1)
     vertex_of = cells.vertex_of
-    cur = s - 1 if layers[0] >> (s - 1) & 1 else s + 1
+    cur = s - 1 if front >> (s - 1) & 1 else s + 1
+    bits = 1 << s | 1 << cur
     hops = [source, vertex_of[cur]]
-    for on in layers[1:]:
+    for on in reversed(layers):
         near = on >> (cur - stride)   # bit 0 is cur - stride
         if near & 1:
             cur -= stride
@@ -138,11 +145,13 @@ def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
             cur -= 1
         elif near >> (stride + 1) & 1:
             cur += 1
-        else:   # a kept cell always has a kept neighbor in the next layer
+        else:   # a cell in layer j always has a neighbor in layer j - 1
             cur += stride
+        bits |= 1 << cur
         hops.append(vertex_of[cur])
-    hops.append(vertex_of[cur - stride if ends >> (cur - stride) & 1 else cur + stride])
-    return tuple(hops)
+    end = cur - stride if ends >> (cur - stride) & 1 else cur + stride
+    hops.append(vertex_of[end])
+    return tuple(hops), bits | 1 << end
 
 
 # ---------------------------------------------------------------------------
@@ -184,54 +193,43 @@ def shortest_first(arch: Architecture, requests, free: int,
     vertex-disjoint paths, in pick order.
 
     `requests` are `gate_requests` tuples, and `free` is a
-    `shortest_legal_path` bitset (see `free_mask`). Requests wait in a heap
-    keyed by (path length, gate index, position in `requests`). A popped
-    path that still avoids every consumed vertex is picked; one that meets
-    them is searched again under `free` without the picked paths and pushed
-    back, or dropped when it has no path left. The picked paths are taken
-    out of the bitset only before such a search, all those picked since the
-    last one at once, so a step whose picks need no search never rebuilds
-    it. Consuming vertices only removes paths, and the search returns the
-    first shortest path in its fixed expansion order, so a path that stays
-    clear is the one a fresh search would return, and a stale key is a lower
-    bound on its request's current key. The pick is therefore the minimum
-    over the current paths, as if every pending request were searched again
-    after every pick, while a request is searched again at most once per
-    pop.
+    `shortest_legal_path` bitset (see `free_mask`). The step's consumed
+    cells are one bitset, `used`. Requests wait in a heap keyed by (path
+    length, gate index, position in `requests`) with their search result. A
+    popped path whose cells miss `used` is picked, and its cells join
+    `used`; one that meets them is searched again under ``free & ~used``
+    and pushed back, or dropped when it has no path left. Consuming vertices
+    only removes paths, and the search returns the first shortest path in
+    its fixed expansion order, so a path that stays clear is the one a fresh
+    search would return, and a stale key is a lower bound on its request's
+    current key. The pick is therefore the minimum over the current paths,
+    as if every pending request were searched again after every pick, while
+    a request is searched again at most once per pop.
 
-    `first_paths` maps (source, sinks) to the path of a search under `free`
-    alone; missing entries are searched and stored. It is valid only across
-    calls with the same bitset.
+    `first_paths` maps (source, sinks) to the result of a search under
+    `free` alone; missing entries are searched and stored. It is valid only
+    across calls with the same bitset.
     """
     heap = []
     for position, r in enumerate(requests):
         key = r[1:]
         if key not in first_paths:
             first_paths[key] = shortest_legal_path(arch, free, *key)
-        path = first_paths[key]
-        if path is not None:
-            heap.append((len(path), r[0].index, position, path, r))
+        found = first_paths[key]
+        if found is not None:
+            heap.append((len(found[0]), r[0].index, position, found, r))
     heapify(heap)
-    id_of = arch.cells.id_of
-    used: set[Vertex] = set()
+    used = 0
     routed: list[tuple[Gate, Path]] = []
-    folded = 0   # routed[:folded] are out of `free`
     while heap:
-        _, index, position, path, r = heappop(heap)
-        if used.isdisjoint(path):
-            used.update(path)
-            routed.append((r[0], path))
+        _, index, position, found, r = heappop(heap)
+        if not found[1] & used:
+            used |= found[1]
+            routed.append((r[0], found[0]))
         else:
-            if folded < len(routed):
-                gone = 0
-                for _, picked in routed[folded:]:
-                    for v in picked:
-                        gone |= 1 << id_of[v]
-                free &= ~gone
-                folded = len(routed)
-            path = shortest_legal_path(arch, free, r[1], r[2], used)
-            if path is not None:
-                heappush(heap, (len(path), index, position, path, r))
+            found = shortest_legal_path(arch, free & ~used, r[1], r[2], used)
+            if found is not None:
+                heappush(heap, (len(found[0]), index, position, found, r))
     return routed
 
 
@@ -242,9 +240,9 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
 
     Every step starts from the same bitset, `free_mask(arch, mapped vertices)`
     (magic cells are never free), built once per route; so a request's
-    first search in any step gives the same path, one dict per route keeps
-    it, and each (source, sinks) pair is searched unobstructed at most once
-    per route.
+    first search in any step gives the same result, one dict per route
+    keeps it, and each (source, sinks) pair is searched unobstructed at most
+    once per route.
 
     Raises UnroutableGateError exactly when some gate has no legal path even
     with the grid to itself: a step picks its first path before it consumes
@@ -306,10 +304,11 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     The grid is read through `arch.cells` alone: a vertex is on the grid
     when it has a cell id, and two vertices are grid neighbors when their ids
     differ by ±1 (vertical) or ±stride (horizontal). Each path, and each
-    step's paths together, are first checked with set and id operations;
-    only a path or a step that fails goes to the code that words its
-    violations, which reads the same ids, so the list is the same as if
-    every path and step were worded.
+    step's paths together, are first checked with set and id operations,
+    and the logical order with one pass over the gates; only a path, a step
+    or an order that fails goes to the code that words its violations,
+    which reads the same ids and steps, so the list is the same as if every
+    path, step and pair of dependent gates were worded.
     """
     out: list[Violation] = []
     bad = out.append
@@ -370,11 +369,12 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     elif route.steps < 0:
         bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, below 0"))
 
-    for i, j in consecutive_qubit_pairs(circuit):
-        ti, tj = time.get(i), time.get(j)
-        if ti is not None and tj is not None and ti >= tj:
-            bad(Violation(Rule.LOGICAL_ORDER, (i, j),
-                          f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
+    if not _steps_rise(circuit.gates, time):
+        for i, j in consecutive_qubit_pairs(circuit):
+            ti, tj = time.get(i), time.get(j)
+            if ti is not None and tj is not None and ti >= tj:
+                bad(Violation(Rule.LOGICAL_ORDER, (i, j),
+                              f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
 
     by_step: dict[int, list[int]] = {}
     for idx, step in time.items():
@@ -384,6 +384,23 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
         if len(set(chain.from_iterable(paths))) != sum(map(len, paths)):
             out.extend(_shared_vertices(space, step, idxs))
     return out
+
+
+def _steps_rise(gates, time: dict) -> bool:
+    """Whether every gate has a step and, taken in index order, each qubit's
+    gates run at rising steps, so that no consecutive pair of them is out of
+    order. One pass, keeping each qubit's last step; when it says no, the
+    pair loop finds and words the faults."""
+    last: dict[str, int] = {}
+    for g in gates:
+        step = time.get(g.index)
+        if step is None:
+            return False
+        for q in g.qubits:
+            if last.get(q, 0) >= step:
+                return False
+            last[q] = step
+    return True
 
 
 def _path_violations(g: Gate, path: Path, ids: list, vertical, horizontal, hops,

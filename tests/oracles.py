@@ -461,10 +461,13 @@ def layered_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap,
 # Kept verbatim (renamed `eager_*`, with `free_mask` and
 # `shortest_legal_path` read through the `scmr.routing` module, so a counter
 # patched there sees this copy's searches too) as the reference the heap
-# router must match pick for pick, and as its search-count baseline. Two
+# router must match pick for pick, and as its search-count baseline. Three
 # later edits: since the free mask became an `int` bitset, the line that takes
-# a picked vertex out of it clears its bit instead of zeroing a byte, and the
-# layer loop is `layered_greedy_route`'s.
+# a picked vertex out of it clears its bit instead of zeroing a byte; the
+# layer loop is `layered_greedy_route`'s; and since the search takes `used`
+# as a cell bitset and returns `(path, cells)`, that line also sets the
+# vertex's bit in `taken`, the searches get `taken` and their paths are read
+# as `[0]` (`first_paths` keeps the whole results, as the library's does).
 # ---------------------------------------------------------------------------
 
 def eager_shortest_first(arch: Architecture, requests, blocked: set,
@@ -481,7 +484,7 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
     stays clear is still the one the search would return, and a request
     without a path never gets one.
 
-    `first_paths`, when given, maps (source, sinks) to the path of a search
+    `first_paths`, when given, maps (source, sinks) to the result of a search
     under `blocked` alone; missing entries are searched and stored. It is
     valid only across calls with the same `blocked`.
     """
@@ -494,9 +497,11 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
         key = (r.source, r.sinks)
         if key not in first_paths:
             first_paths[key] = _routing.shortest_legal_path(arch, free, r.source, r.sinks)
-        paths.append(first_paths[key])
+        found = first_paths[key]
+        paths.append(found and found[0])
     id_of = arch.cells.id_of
     used: set[Vertex] = set()
+    taken = 0
     routed: list[tuple[Gate, Path]] = []
     while True:
         best = None
@@ -509,11 +514,13 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
         used.update(picked)
         for v in picked:
             free &= ~(1 << id_of[v])
+            taken |= 1 << id_of[v]
         routed.append((req.gate, picked))
         for i, path in enumerate(paths):
             if path is not None and not used.isdisjoint(path):
                 r = remaining[i]
-                paths[i] = _routing.shortest_legal_path(arch, free, r.source, r.sinks, used)
+                found = _routing.shortest_legal_path(arch, free, r.source, r.sinks, taken)
+                paths[i] = found and found[0]
     return routed
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from scmr import mapping
 from scmr.architecture import (
     ArchitectureError,
     bordered_architecture,
@@ -249,6 +250,27 @@ def test_best_of_n_keeps_only_the_best_route_so_far():
     _, best = best_of_n(arch, parse_circuit("cnot a b"), 20, seed=0, router=router)
     assert len(alive_at_call) == 20 and max(alive_at_call) <= 2
     assert best.steps == 1
+
+
+def test_best_of_n_draws_each_seed_as_its_trial_starts(monkeypatch):
+    # a sentinel from the first trial's router stops the run: only its seed
+    # has been drawn, not all n, so `rand:N` holds no O(N) trial list
+    draws = 0
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args, **kwargs):
+            nonlocal draws
+            draws += 1
+            return super().randrange(*args, **kwargs)
+
+    def router(arch, circuit, qmap):
+        raise RuntimeError("sentinel")
+
+    monkeypatch.setattr(mapping.random, "Random", CountingRandom)
+    arch = bordered_architecture(4)
+    with pytest.raises(RuntimeError, match="sentinel"):
+        best_of_n(arch, parse_circuit("cnot a b"), 1000, seed=0, router=router)
+    assert draws == 1
 
 
 def test_best_of_n_requires_positive_n():

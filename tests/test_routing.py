@@ -17,7 +17,15 @@ from scmr.architecture import (
     right_column_architecture,
 )
 from scmr.bench import known_optimal, random_circuit
-from scmr.circuit import GateKind, circuit_from_gates, cnot, parse_circuit, serialize_circuit, tgate
+from scmr.circuit import (
+    GateKind,
+    circuit_from_gates,
+    cnot,
+    consecutive_qubit_pairs,
+    parse_circuit,
+    serialize_circuit,
+    tgate,
+)
 from scmr.mapping import MappingError, QubitMap, qubit_map, random_map, struct_map, unrestricted_locations
 from scmr.routing import (
     GateRoute,
@@ -38,9 +46,17 @@ from scmr.sat import solve_optimal
 from oracles import enumerate_legal_paths, layered_shortest_length
 
 
+def _bits(arch, vertices) -> int:
+    """The cell bitset of `vertices`, each set once."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << arch.cells.id_of[v]
+    return bits
+
+
 def test_shortest_path_unobstructed_L():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (4, 4)}), (2, 2), {(4, 4)})
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (4, 4)}), (2, 2), {(4, 4)})[0]
     assert p is not None and len(p) == 5
     assert p[0] == (2, 2) and p[-1] == (4, 4)
     assert abs(p[0][1] - p[1][1]) == 1       # leaves vertically
@@ -49,7 +65,7 @@ def test_shortest_path_unobstructed_L():
 
 def test_shortest_path_adjacent_target_needs_bend():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 2)}), (2, 2), {(3, 2)})
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 2)}), (2, 2), {(3, 2)})[0]
     assert p is not None and len(p) >= 3
 
 
@@ -59,6 +75,26 @@ def test_shortest_path_blocked_source():
     assert shortest_legal_path(arch, free_mask(arch, blocked), (2, 2), {(1, 1)}) is None
 
 
+def test_shortest_path_exit_cell_next_to_the_sink():
+    # the source's exit cell is itself horizontally next to the sink, so the
+    # sink-side search stops at its first layer: a 3-vertex path
+    arch = custom_architecture(5, 5, [])
+    path, cells = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 3)}), (2, 2), {(3, 3)})
+    assert path == ((2, 2), (2, 3), (3, 3))
+    assert cells == _bits(arch, path)
+
+
+def test_shortest_path_t_request_with_every_magic_sink_used():
+    arch = bordered_architecture(4)
+    source = next(v for v in arch.vertices() if v not in arch.magic)
+    free = free_mask(arch, {source})
+    assert shortest_legal_path(arch, free, source, arch.magic) is not None
+    assert shortest_legal_path(arch, free, source, arch.magic, _bits(arch, arch.magic)) is None
+    for t in sorted(arch.magic):   # every magic sink used but t
+        found = shortest_legal_path(arch, free, source, arch.magic, _bits(arch, arch.magic - {t}))
+        assert (found and found[0]) == oracles.shortest_legal_path(arch, {source}, source, {t})
+
+
 def test_shortest_path_matches_layered_oracle():
     arch = custom_architecture(4, 5, [(3, 3)])
     vertices = list(arch.vertices())
@@ -66,7 +102,8 @@ def test_shortest_path_matches_layered_oracle():
         if source in arch.magic or sink in arch.magic:
             continue
         blocked = {source, sink}
-        got = shortest_legal_path(arch, free_mask(arch, blocked), source, {sink})
+        found = shortest_legal_path(arch, free_mask(arch, blocked), source, {sink})
+        got = found and found[0]
         want = layered_shortest_length(arch, blocked, source, {sink})
         if want is None:
             assert got is None
@@ -115,7 +152,7 @@ def test_shortest_first_is_maximal():
     for gate, source, sinks in reqs:
         if gate.index not in done:
             assert shortest_legal_path(arch, free_mask(arch, blocked | used), source,
-                                       sinks - used) is None
+                                       sinks, _bits(arch, used)) is None
 
 
 def test_greedy_route_one_step_for_parallel_circuit():
@@ -497,7 +534,8 @@ def test_shortest_first_matches_eager_reference(monkeypatch):
             rounds += 1
             picked = dict(got)
             no_path += any(heap_memo[r.source, r.sinks] is None for _, r in pending)
-            taken += any(heap_memo[r.source, r.sinks] not in (None, picked.get(r.gate))
+            taken += any(heap_memo[r.source, r.sinks] is not None
+                         and heap_memo[r.source, r.sinks][0] != picked.get(r.gate)
                          for _, r in pending)
             if not got:
                 break
@@ -620,7 +658,8 @@ def _single_faults(rng, circuit, qmap, route):
     spare qubit mapped onto its interior; a loop back over its first
     interior vertices; or a CNOT's control (target) moved one hop along its
     path and the path cut to start (end) there, so that its first (last)
-    edge may take the wrong orientation while its ends still match the map."""
+    edge may take the wrong orientation while its ends still match the map;
+    or one of two consecutive gates on a qubit moved to the other's step."""
     assignment = list(qmap.assignment)
     for i in rng.sample(sorted(route.space), 12):
         path = route.space[i]
@@ -633,6 +672,9 @@ def _single_faults(rng, circuit, qmap, route):
                                       ("last edge", g.target, path[:-1], -1)):
             moved = QubitMap(tuple((q, cut[end] if q == qubit else v) for q, v in assignment))
             yield name, moved, GateRoute(route.steps, route.time, {**route.space, g.index: cut})
+    for i, j in rng.sample(list(consecutive_qubit_pairs(circuit)), 12):
+        moved, to = (j, i) if rng.random() < 0.5 else (i, j)
+        yield "order", qmap, GateRoute(route.steps, {**route.time, moved: route.time[to]}, route.space)
 
 
 def _off_grid_faults(rng, arch, qmap, route):
@@ -676,7 +718,7 @@ def test_validate_matches_reference():
             assert any("off-grid" in v.detail for v in got), (where, got)
             placed[where] = placed.get(where, 0) + 1
     assert valid > 2000
-    assert min(faults.values()) >= 20 and len(faults) == 4, faults
+    assert min(faults.values()) >= 20 and len(faults) == 5, faults
     assert placed == dict.fromkeys(("first", "interior", "last", "map"), 60)
     for seed in range(1200):
         rng = random.Random(seed)
@@ -747,10 +789,13 @@ def test_shortest_legal_path_matches_reference_search():
     seen = dict.fromkeys(("calls", "found", "none", "magic found", "all used",
                           "source is a sink", "source-sink found", "thin grid"), 0)
     for arch, free, source, sinks, used in _search_calls():
-        got = shortest_legal_path(arch, free, source, sinks, used)
+        found = shortest_legal_path(arch, free, source, sinks, _bits(arch, used))
+        got = found and found[0]
         id_of = arch.cells.id_of
         blocked = {v for v in arch.vertices() if not free >> id_of[v] & 1} | used
         assert got == oracles.shortest_legal_path(arch, blocked, source, sinks - used)
+        if found is not None:
+            assert found[1] == _bits(arch, got)
         for label, hit in (("calls", True), ("found", got is not None), ("none", got is None),
                            ("magic found", got is not None and sinks == arch.magic),
                            ("all used", sinks <= used), ("source is a sink", source in sinks),
