@@ -96,12 +96,14 @@ class CellIndex:
     `free` is a cell bitset: bit ``i`` of the integer is set at the in-bounds
     non-magic cells and clear elsewhere, padding too. Shifting a bitset by
     ``stride`` or 1 moves every cell to a neighbor at once, and the padding
-    bits, never set, stop a shift from wrapping across the border.
+    bits, never set, stop a shift from wrapping across the border. `magic`
+    is the bitset of the magic cells, a T gate's routing sinks.
     """
     stride: int
     id_of: MappingProxyType              # in-bounds vertex -> id; off-grid raises ArchitectureError
     vertex_of: tuple[Vertex | None, ...]  # id -> vertex, None at padding
     free: int                            # bit i set at in-bounds non-magic cells
+    magic: int                           # bit i set at magic cells
 
     @classmethod
     def of(cls, arch: Architecture) -> CellIndex:
@@ -118,7 +120,8 @@ class CellIndex:
                 free[i] = v not in arch.magic
         # one base-2 digit per cell, highest id first, parsed in C
         bits = int(free[::-1].translate(_DIGITS), 2)
-        return cls(stride, MappingProxyType(id_of), tuple(vertex_of), bits)
+        return cls(stride, MappingProxyType(id_of), tuple(vertex_of), bits,
+                   sum(1 << id_of[v] for v in arch.magic))
 
 
 def grid_distance(u: Vertex, v: Vertex) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .architecture import Architecture, Vertex, is_json_vertex, regular_locations
@@ -180,7 +181,8 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
     GateRoute or an OptimalResult. With `jobs > 1` the trials run in up to
     `jobs` spawned worker processes, so `router` and `mapper` must pickle,
     and the calling script must guard its entry point with
-    `if __name__ == "__main__"`.
+    `if __name__ == "__main__"`; at most `jobs` trials are submitted and
+    unread at a time, and results are read in trial order.
     """
     if n < 1:
         raise MappingError("need at least one trial")
@@ -194,8 +196,20 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
 
         with ProcessPoolExecutor(max_workers=min(jobs, n),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            return _fewest_steps(pool.map(_trial, trials))
+            return _fewest_steps(_in_order(pool, trials, jobs))
     return _fewest_steps(map(_trial, trials))
+
+
+def _in_order(pool, trials, window: int):
+    """`_trial` over `trials` on `pool`, in trial order: the first `window`
+    trials are submitted at once, and one more each time the earliest
+    pending result is read, so no more than `window` wait at a time
+    (`Executor.map` submits every trial before it yields)."""
+    pending = deque(pool.submit(_trial, t) for t in itertools.islice(trials, window))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(_trial, t) for t in itertools.islice(trials, 1))
+        yield result
 
 
 def _fewest_steps(results):

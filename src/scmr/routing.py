@@ -19,9 +19,13 @@ neighbor in sorted order at each hop, which gives the path a FIFO search
 from the source with sorted neighbor expansion would give. The search takes
 the cells consumed earlier in the step as a bitset, `used`, skips the sinks
 among them, and returns the path with the bitset of its cells.
-A routing request is a plain tuple `(gate, source, sinks)`; `gate_requests`
-builds one per gate from the map's dict, and the greedy router and the SAT
-decoder both read that table (`validate` derives the endpoints itself).
+A routing request is a plain tuple `(gate, source, sinks)`: the source's
+cell id and the bitset of the sinks' cells, `CellIndex.magic` itself for a
+T gate. `gate_requests` builds one per gate, and is the one place where
+both engines meet the map: it checks the map first, by the rule `validate`
+words its map-validity violations from, and raises `MappingError` with the
+first of them. The greedy router, the SAT encoder and decoder all read that
+table.
 `shortest_first` keeps the pending requests in a heap keyed by path length
 and gate index, and the step's consumed cells as one bitset; it searches a
 request again only when it is popped with a path whose cells meet that
@@ -44,7 +48,7 @@ from types import MappingProxyType
 
 from .architecture import Architecture, Vertex, is_json_vertex
 from .circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, topological_layering
-from .mapping import QubitMap
+from .mapping import MappingError, QubitMap
 
 Path = tuple[Vertex, ...]
 
@@ -77,17 +81,18 @@ class GateRoute:
 # Shortest legal path
 # ---------------------------------------------------------------------------
 
-def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
+def shortest_legal_path(arch: Architecture, free: int, source: int, sinks: int,
                         used: int = 0) -> tuple[Path, int] | None:
     """Minimum-length legal path from source to some sink and the bitset of
     its cells, or None when there is none.
 
-    `free` and `used` are bitsets over `arch.cells` ids (see `CellIndex`).
-    `free` is set where a vertex may be a path interior, clear at mapped,
-    magic and padding cells and at the vertices consumed earlier in the
-    step. The source and the sinks are never interiors. Sinks are endpoint
-    candidates and must be entered through a horizontal edge; sinks whose
-    bit is set in `used` are skipped. Only the first and last edges are
+    `source` is a cell id, as `gate_requests` gives it; `free`, `sinks` and
+    `used` are bitsets over `arch.cells` ids (see `CellIndex`). `free` is
+    set where a vertex may be a path interior, clear at mapped, magic and
+    padding cells and at the vertices consumed earlier in the step. The
+    source and the sinks are never interiors. Sinks are endpoint candidates
+    and must be entered through a horizontal edge; sinks whose bit is set
+    in `used` are skipped. Only the first and last edges are
     orientation-constrained, so the search runs over interior cells alone:
     from the source's exit cells (its open vertical neighbors) to the goal
     cells (the open cells horizontally next to a usable sink).
@@ -111,15 +116,10 @@ def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
     the least distance. The path ends at the sink ``-stride`` from its last
     cell when that sink is usable, otherwise at the one ``+stride`` from it.
     """
-    cells = arch.cells
-    id_of, stride = cells.id_of, cells.stride
-    closed = 0   # every sink
-    for t in sinks:
-        closed |= 1 << id_of[t]
-    ends = closed & ~used
-    s = id_of[source]
-    open_ = free & ~(closed | 1 << s)
-    exits = (1 << (s - 1) | 1 << (s + 1)) & open_
+    stride, vertex_of = arch.cells.stride, arch.cells.vertex_of
+    ends = sinks & ~used
+    open_ = free & ~(sinks | 1 << source)
+    exits = (1 << (source - 1) | 1 << (source + 1)) & open_
     if not (ends and exits):
         return None
     front = (ends << stride | ends >> stride) & open_
@@ -133,10 +133,9 @@ def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
     else:
         return None
 
-    vertex_of = cells.vertex_of
-    cur = s - 1 if front >> (s - 1) & 1 else s + 1
-    bits = 1 << s | 1 << cur
-    hops = [source, vertex_of[cur]]
+    cur = source - 1 if front >> (source - 1) & 1 else source + 1
+    bits = 1 << source | 1 << cur
+    hops = [vertex_of[source], vertex_of[cur]]
     for on in reversed(layers):
         near = on >> (cur - stride)   # bit 0 is cur - stride
         if near & 1:
@@ -159,17 +158,50 @@ def shortest_legal_path(arch: Architecture, free: int, source: Vertex, sinks,
 # ---------------------------------------------------------------------------
 
 def gate_requests(arch: Architecture, circuit: Circuit,
-                  qmap: QubitMap) -> list[tuple[Gate, Vertex, frozenset[Vertex]]]:
+                  qmap: QubitMap) -> list[tuple[Gate, int, int]]:
     """One `(gate, source, sinks)` per gate of `circuit`, in gate order: a
-    CNOT runs from its control's vertex to its target's, a T gate from its
-    operand's vertex to any vertex of `arch.magic` (that set itself). The
-    slice `r[1:]` is a request's search key."""
-    at = qmap.as_dict
-    magic = arch.magic
+    CNOT runs from its control's cell id to the bitset of its target's
+    cell, a T gate from its operand's cell id to `arch.cells.magic` (that
+    bitset itself). The slice `r[1:]` is a request's search key.
+
+    Raises `MappingError` with the first of `validate`'s map-validity
+    details when `qmap` leaves a qubit of the circuit unmapped, off the
+    grid, on a magic vertex or on another's vertex; entries for qubits the
+    circuit does not use are not checked."""
+    cell, faults = _placement(arch, circuit, qmap)
+    if faults:
+        raise MappingError(faults[0])
+    magic = arch.cells.magic
     cnot = GateKind.CNOT
     # qubits[0] is the control of a CNOT and the operand of a T gate
-    return [(g, at[g.qubits[0]], frozenset((at[g.qubits[1]],)) if g.kind is cnot else magic)
+    return [(g, cell[g.qubits[0]], 1 << cell[g.qubits[1]] if g.kind is cnot else magic)
             for g in circuit.gates]
+
+
+def _placement(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> tuple[dict, list[str]]:
+    """The cell id of each circuit qubit's vertex under `qmap` (None off the
+    grid), and one detail per fault of the map, in qubit order: a qubit
+    unmapped, off the grid, on a magic vertex, or on a vertex an earlier
+    qubit holds."""
+    mapping = qmap.as_dict
+    cell_id, magic = arch.cells.id_of.get, arch.magic
+    cell: dict[str, int] = {}
+    faults: list[str] = []
+    seen_vertices: dict[Vertex, str] = {}
+    for q in circuit.qubits:
+        v = mapping.get(q)
+        if v is None:
+            faults.append(f"qubit {q!r} is unmapped")
+            continue
+        cell[q] = i = cell_id(v)
+        if i is None:
+            faults.append(f"qubit {q!r} mapped off-grid at {v}")
+        elif v in magic:
+            faults.append(f"qubit {q!r} mapped onto magic vertex {v}")
+        if v in seen_vertices:
+            faults.append(f"qubits {seen_vertices[v]!r} and {q!r} share vertex {v}")
+        seen_vertices[v] = q
+    return cell, faults
 
 
 def free_mask(arch: Architecture, blocked) -> int:
@@ -206,9 +238,10 @@ def shortest_first(arch: Architecture, requests, free: int,
     as if every pending request were searched again after every pick, while
     a request is searched again at most once per pop.
 
-    `first_paths` maps (source, sinks) to the result of a search under
-    `free` alone; missing entries are searched and stored. It is valid only
-    across calls with the same bitset.
+    `first_paths` maps a request's search key, (source id, sinks bitset),
+    to the result of a search under `free` alone; missing entries are
+    searched and stored. It is valid only across calls with the same
+    bitset.
     """
     heap = []
     for position, r in enumerate(requests):
@@ -244,14 +277,16 @@ def greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap) -> GateRo
     keeps it, and each (source, sinks) pair is searched unobstructed at most
     once per route.
 
-    Raises UnroutableGateError exactly when some gate has no legal path even
-    with the grid to itself: a step picks its first path before it consumes
-    a vertex, so it routes nothing, and raises naming a pending gate, only
-    when no pending gate has such a path; a gate without one is never
-    routed, so its layer ends in such a step.
+    Raises MappingError, through `gate_requests`, when the map does not
+    place the circuit. Otherwise raises UnroutableGateError exactly when
+    some gate has no legal path even with the grid to itself: a step picks
+    its first path before it consumes a vertex, so it routes nothing, and
+    raises naming a pending gate, only when no pending gate has such a
+    path; a gate without one is never routed, so its layer ends in such a
+    step.
     """
-    free = free_mask(arch, qmap.vertices())
     requests = gate_requests(arch, circuit, qmap)
+    free = free_mask(arch, qmap.vertices())
     first_paths: dict = {}
     time: dict[int, int] = {}
     space: dict[int, Path] = {}
@@ -310,26 +345,12 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     which reads the same ids and steps, so the list is the same as if every
     path, step and pair of dependent gates were worded.
     """
-    out: list[Violation] = []
-    bad = out.append
-
-    seen_vertices: dict[Vertex, str] = {}
-    mapping = qmap.as_dict
-    cell_id, stride = arch.cells.id_of.get, arch.cells.stride   # None off the grid
-    for q in circuit.qubits:
-        v = mapping.get(q)
-        if v is None:
-            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} is unmapped"))
-            continue
-        if cell_id(v) is None:
-            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped off-grid at {v}"))
-        elif v in arch.magic:
-            bad(Violation(Rule.MAP_VALIDITY, (), f"qubit {q!r} mapped onto magic vertex {v}"))
-        if v in seen_vertices:
-            bad(Violation(Rule.MAP_VALIDITY, (), f"qubits {seen_vertices[v]!r} and {q!r} share vertex {v}"))
-        seen_vertices[v] = q
+    out = [Violation(Rule.MAP_VALIDITY, (), d) for d in _placement(arch, circuit, qmap)[1]]
     if out:
         return out
+    bad = out.append
+    mapping = qmap.as_dict
+    cell_id, stride = arch.cells.id_of.get, arch.cells.stride   # None off the grid
 
     magic = arch.magic
     protected = magic.union(qmap.vertices())

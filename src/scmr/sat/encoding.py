@@ -37,13 +37,16 @@ formula. Projected onto the map literals it keeps, the formula has the
 models it had with every map literal and its mapping family.
 
 Usable edges. A gate g gets path variables only on a directed edge (u, v)
-that some legal path of g can use. The blocked vertices are the magic ones
-and, under a pinned map, every vertex the map places a qubit on, whether
-the circuit uses that qubit or not, so routes keep clear of every vertex
-`routing.validate` protects. A T gate's ends are the magic vertices; under
-a pinned map, a CNOT's one end is its target's vertex and every gate's
-start is its first qubit's vertex (under a free map no vertex is a start,
-or a CNOT's end, in this rule). Then (u, v) is usable iff both hold:
+that some legal path of g can use. The blocked vertices are the cells
+clear in `routing.free_mask(arch, map vertices)`, the bitset the greedy
+search starts from: the magic ones and, under a pinned map, every on-grid
+vertex the map places a qubit on, whether the circuit uses that qubit or
+not, so routes keep clear of every vertex `routing.validate` protects. A
+T gate's ends are the magic vertices. A pinned map is checked, and each
+gate's start and ends read, by `routing.gate_requests`: a CNOT's one end
+is its target's vertex and every gate's start is its first qubit's vertex
+(under a free map no vertex is a start, or a CNOT's end, in this rule).
+Then (u, v) is usable iff both hold:
   it leaves correctly: vertical if u is g's start, else u is not blocked;
   it enters correctly: horizontal if v is an end of g, else v is not blocked.
 Every family reads a missing path literal as false: clauses it would
@@ -84,7 +87,7 @@ from typing import NamedTuple
 from ..architecture import Architecture, Vertex
 from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
 from ..mapping import QubitMap, qubit_map
-from ..routing import GateRoute, gate_requests
+from ..routing import GateRoute, free_mask, gate_requests
 from .cardinality import encode_amo, encode_eo
 
 
@@ -165,19 +168,22 @@ def _grid(arch: Architecture) -> _Grid:
 
 class _GateEdges(NamedTuple):
     """The edges one gate's path may use, shared by the gates with one start
-    and set of ends: `usable` per `_Grid` edge and, per cell id, `ins` and
-    `outs` the usable edges into and out of it in neighbor order."""
-    usable: list[bool]
+    and set of ends: `usable` per `_Grid` edge, truthy when it is usable,
+    and, per cell id, `ins` and `outs` the usable edges into and out of it
+    in neighbor order."""
+    usable: list[int]
     ins: list[list[int]]
     outs: list[list[int]]
 
 
-def _gate_edges(grid: _Grid, start: int | None, ends, blocked) -> _GateEdges:
+def _gate_edges(grid: _Grid, start: int | None, ends: int, is_open: list[int]) -> _GateEdges:
     """The usable edges (module docstring) of a gate from cell id `start`
-    (None under a free map) into the cell ids `ends`, with `blocked` the
-    blocked cell ids."""
-    usable = [(not flat if u == start else u not in blocked)
-              and (flat if v in ends else v not in blocked)
+    (None under a free map) into the cells of bitset `ends`, the search key
+    of the gate's `routing.gate_requests` entry under a pinned map.
+    `is_open` is the `routing.free_mask` of the map as a list: per cell id,
+    1 unless the cell is blocked, else 0."""
+    usable = [(not flat if u == start else is_open[u])
+              and (flat if ends >> v & 1 else is_open[v])
               for u, v, flat in zip(grid.tail, grid.head, grid.horizontal)]
     return _GateEdges(usable, [[j for j in js if usable[j]] for js in grid.ins],
                       [[j for j in js if usable[j]] for js in grid.outs])
@@ -186,9 +192,17 @@ def _gate_edges(grid: _Grid, start: int | None, ends, blocked) -> _GateEdges:
 def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
            t_s: int = 1) -> CnfInstance:
     """Build the decision formula for `t_s` steps; pin and fold in the map if
-    one is given."""
+    one is given. A given map that does not place the circuit raises
+    `MappingError` from `routing.gate_requests`."""
     if t_s < 1:
         raise ValueError("need at least one time step")
+    # a gate's usable-edge key: its start's cell id and its ends' bitset
+    gates = circuit.gates
+    pinned = None if qmap is None else qmap.as_dict
+    if pinned is None:
+        keys = [(None, arch.cells.magic if g.kind is GateKind.T else 0) for g in gates]
+    else:
+        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
     table = VarTable()
     free_vertices = [v for v in arch.vertices() if v not in arch.magic]
     if circuit.num_qubits > len(free_vertices):
@@ -196,34 +210,16 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
             1, [[]], table, t_s,
             diagnostic=f"{circuit.num_qubits} qubits exceed {len(free_vertices)} non-magic vertices",
         )
-    pinned = None
-    if qmap is not None:
-        free_set = set(free_vertices)
-        pinned = qmap.as_dict
-        for q in circuit.qubits:
-            if q not in pinned:
-                raise ValueError(f"fixed map does not place qubit {q!r}")
-            if pinned[q] not in free_set:
-                raise ValueError(f"qubit {q!r} pinned to {pinned[q]}, which is magic or off-grid")
 
-    gates = circuit.gates
     windows = exec_windows(circuit, t_s)
     grid = _grid(arch)
     at, vertex_of = arch.cells.id_of, arch.cells.vertex_of
     rows = [at[v] for v in arch.vertices()]
     magic = arch.magic
-    blocked = {at[v] for v in (magic if pinned is None else magic | set(pinned.values()))}
-    if pinned is None:
-        keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in gates]
-    else:
-        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
-    shared: dict[tuple, _GateEdges] = {}
-    gate_edges: list[_GateEdges] = []
-    for start, ends in keys:
-        if (start, ends) not in shared:
-            shared[start, ends] = _gate_edges(
-                grid, None if start is None else at[start], {at[v] for v in ends}, blocked)
-        gate_edges.append(shared[start, ends])
+    free = free_mask(arch, () if pinned is None else pinned.values())
+    is_open = [free >> i & 1 for i in range(len(vertex_of))]   # per cell id: 1 unless blocked
+    shared = {key: _gate_edges(grid, *key, is_open) for key in dict.fromkeys(keys)}
+    gate_edges = [shared[key] for key in keys]
     counter = 0
 
     def fresh() -> int:
@@ -307,7 +303,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # `encode_amo` to allocate no auxiliary variable). Then per step and
     # vertex, out-degree is at most one per start qubit that may sit there,
     # across its gates, and in-degree at most one across all gates.
-    homes = [None if pinned is None else at[pinned[g.qubits[0]]] for g in gates]
+    homes = [start for start, _ in keys]
     if pinned is not None:
         for i, ge in enumerate(gate_edges):
             f = first[i]
@@ -396,7 +392,8 @@ def route_literals(table: VarTable, circuit: Circuit, qmap: QubitMap,
 def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tuple[QubitMap, GateRoute]:
     """Rebuild (map, route) from true variables; spurious path cycles at
     non-execution steps are ignored by construction. Each gate's path starts
-    and may end where its `routing.gate_requests` entry says."""
+    at the cell id and may end at a cell of the bitset that its
+    `routing.gate_requests` entry gives."""
     true_vars = {lit for lit in model if lit > 0}
     assignment: dict[str, Vertex] = {}
     for (q, v), i in table.map_ids.items():
@@ -418,27 +415,28 @@ def decode(model, table: VarTable, circuit: Circuit, arch: Architecture) -> tupl
     if len(time) != len(circuit.gates):
         raise DecodeError("model misses execution steps")
 
-    succ: dict[tuple[int, int, Vertex], Vertex] = {}
+    # each gate's true edges at its step, from cell id to cell id
+    at, vertex_of = arch.cells.id_of, arch.cells.vertex_of
+    succ: dict[tuple[int, int], int] = {}
     for (u, v, g, t), i in table.path_ids.items():
         if i in true_vars and time[g] == t:
-            succ[(g, t, u)] = v
+            succ[(g, at[u])] = at[v]
 
     space: dict[int, tuple[Vertex, ...]] = {}
     for g, source, sinks in gate_requests(arch, circuit, qmap):
-        t = time[g.index]
-        path = [source]
+        path = [vertex_of[source]]
         cur = source
         for _ in range(arch.num_vertices):
-            if (g.index, t, cur) not in succ:
+            if (g.index, cur) not in succ:
                 break
-            cur = succ[(g.index, t, cur)]
-            path.append(cur)
-            if cur in sinks:
+            cur = succ[(g.index, cur)]
+            path.append(vertex_of[cur])
+            if sinks >> cur & 1:
                 break
         else:
             raise DecodeError(f"gate {g.index}: path does not terminate")
-        if cur not in sinks:
-            raise DecodeError(f"gate {g.index}: path ends at {cur}")
+        if not sinks >> cur & 1:
+            raise DecodeError(f"gate {g.index}: path ends at {vertex_of[cur]}")
         space[g.index] = tuple(path)
 
     steps = max(time.values(), default=0)

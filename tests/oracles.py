@@ -10,9 +10,7 @@ These do, and say why in their section headers:
 - `probe_loop_solve_optimal` reads `encode`, `solve` and `decode` through
   `scmr.sat.solve`, so both step loops run the same probes;
 - the encoders import `encode_amo` and `encode_eo` (checked on their own
-  against projected model counts), and `VarTable` and `CnfInstance`; the
-  usable-edge and plain encoders also key a pinned map's edges by
-  `gate_requests`;
+  against projected model counts), and `VarTable` and `CnfInstance`;
 - the struct-map reference imports `_distance_to_set`, which its rewrite
   left unchanged, and `_best_random` routes with the library's
   `greedy_route`, since it checks the trial loop, not the router;
@@ -44,8 +42,7 @@ from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX
 from scmr.mapping import MappingError, QubitMap, _distance_to_set, qubit_map, random_map
 import scmr.routing as _routing
-from scmr.routing import (GateRoute, Path, Rule, UnroutableGateError, Violation, gate_requests,
-                          greedy_route)
+from scmr.routing import GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route
 from scmr.sat.cardinality import encode_amo, encode_eo
 from scmr.sat.cdcl import SolverTimeout, _luby
 from scmr.sat.encoding import CnfInstance, VarTable
@@ -333,8 +330,9 @@ def regular_locations(arch: Architecture) -> tuple[Vertex, ...]:
 # ---------------------------------------------------------------------------
 # Routing requests as they were before `routing.gate_requests`: one frozen
 # dataclass per gate, built from `QubitMap.__getitem__`. Kept verbatim as the
-# request shape the root router and the eager one below read, and as the
-# reference the plain-tuple table must match.
+# request shape the root router, the eager one below and the encoder
+# references read, and as the reference the library's table must match once
+# its vertices are converted to cell ids.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -461,13 +459,16 @@ def layered_greedy_route(arch: Architecture, circuit: Circuit, qmap: QubitMap,
 # Kept verbatim (renamed `eager_*`, with `free_mask` and
 # `shortest_legal_path` read through the `scmr.routing` module, so a counter
 # patched there sees this copy's searches too) as the reference the heap
-# router must match pick for pick, and as its search-count baseline. Three
+# router must match pick for pick, and as its search-count baseline. Four
 # later edits: since the free mask became an `int` bitset, the line that takes
 # a picked vertex out of it clears its bit instead of zeroing a byte; the
-# layer loop is `layered_greedy_route`'s; and since the search takes `used`
+# layer loop is `layered_greedy_route`'s; since the search takes `used`
 # as a cell bitset and returns `(path, cells)`, that line also sets the
 # vertex's bit in `taken`, the searches get `taken` and their paths are read
-# as `[0]` (`first_paths` keeps the whole results, as the library's does).
+# as `[0]` (`first_paths` keeps the whole results, as the library's does);
+# and since the search takes the source's cell id and the sinks' bitset,
+# each request's pair is converted to those once, and `first_paths` is keyed
+# by them, as the library's is.
 # ---------------------------------------------------------------------------
 
 def eager_shortest_first(arch: Architecture, requests, blocked: set,
@@ -484,22 +485,22 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
     stays clear is still the one the search would return, and a request
     without a path never gets one.
 
-    `first_paths`, when given, maps (source, sinks) to the result of a search
-    under `blocked` alone; missing entries are searched and stored. It is
-    valid only across calls with the same `blocked`.
+    `first_paths`, when given, maps (source id, sinks bitset) to the result
+    of a search under `blocked` alone; missing entries are searched and
+    stored. It is valid only across calls with the same `blocked`.
     """
     free = _routing.free_mask(arch, blocked)
     remaining = sorted(requests, key=lambda r: r.gate.index)
     if first_paths is None:
         first_paths = {}
+    id_of = arch.cells.id_of
+    keys = [(id_of[r.source], sum(1 << id_of[t] for t in r.sinks)) for r in remaining]
     paths = []
-    for r in remaining:
-        key = (r.source, r.sinks)
+    for key in keys:
         if key not in first_paths:
-            first_paths[key] = _routing.shortest_legal_path(arch, free, r.source, r.sinks)
+            first_paths[key] = _routing.shortest_legal_path(arch, free, *key)
         found = first_paths[key]
         paths.append(found and found[0])
-    id_of = arch.cells.id_of
     used: set[Vertex] = set()
     taken = 0
     routed: list[tuple[Gate, Path]] = []
@@ -511,6 +512,7 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
         if best is None:
             break
         req, picked = remaining.pop(best), paths.pop(best)
+        del keys[best]
         used.update(picked)
         for v in picked:
             free &= ~(1 << id_of[v])
@@ -518,8 +520,7 @@ def eager_shortest_first(arch: Architecture, requests, blocked: set,
         routed.append((req.gate, picked))
         for i, path in enumerate(paths):
             if path is not None and not used.isdisjoint(path):
-                r = remaining[i]
-                found = _routing.shortest_legal_path(arch, free, r.source, r.sinks, taken)
+                found = _routing.shortest_legal_path(arch, free, *keys[i], taken)
                 paths[i] = found and found[0]
     return routed
 
@@ -1734,7 +1735,9 @@ def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMa
 # the named variables the encoder keeps. `_adjacency` is the encoder's former reader of
 # `Architecture.cells`, kept verbatim; its orders are those the encoder's
 # module docstring fixes. `exec_windows` is this module's, whose pruned
-# windows are the library's.
+# windows are the library's. One edit: a pinned map's edges are keyed by
+# this module's `request_for_gate`, not by the library's request table,
+# which now gives cell ids.
 # ---------------------------------------------------------------------------
 
 def _adjacency(arch: Architecture):
@@ -1812,7 +1815,7 @@ def usable_edge_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | No
     if pinned is None:
         keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
     else:
-        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
+        keys = [(r.source, r.sinks) for r in (request_for_gate(arch, qmap, g) for g in circuit.gates)]
     shared: dict[tuple, _UsableEdges] = {}
     gate_edges: list[_UsableEdges] = []
     for key in keys:
@@ -1940,7 +1943,8 @@ def usable_edge_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | No
 # then per step and vertex across the gates of each start qubit that may
 # sit there, next to the in-degree one. Kept as the third encoder
 # reference: the encoder must match its formula bytes, that is its variable
-# count, clauses, their order and the variable table.
+# count, clauses, their order and the variable table. Like the one above, it
+# keys a pinned map's edges by this module's `request_for_gate`.
 # ---------------------------------------------------------------------------
 
 def plain_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
@@ -1974,7 +1978,7 @@ def plain_encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = N
     if pinned is None:
         keys = [(None, magic if g.kind is GateKind.T else frozenset()) for g in circuit.gates]
     else:
-        keys = [r[1:] for r in gate_requests(arch, circuit, qmap)]
+        keys = [(r.source, r.sinks) for r in (request_for_gate(arch, qmap, g) for g in circuit.gates)]
     shared: dict[tuple, _UsableEdges] = {}
     gate_edges: list[_UsableEdges] = []
     for key in keys:

@@ -323,6 +323,28 @@ def test_best_of_n_skips_trials_without_a_route(jobs):
         assert qmap == random_map(arch, c, second)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_best_of_n_draws_seeds_only_for_the_trials_in_flight(jobs, monkeypatch):
+    # with no candidate location the mapper raises in every trial, so the
+    # first result read ends the run; by then at most `jobs` trials are
+    # pending, plus the one submitted as that result is read
+    draws = 0
+
+    class Counting(random.Random):
+        def randrange(self, *args, **kwargs):
+            nonlocal draws
+            draws += 1
+            return super().randrange(*args, **kwargs)
+
+    monkeypatch.setattr(mapping.random, "Random", Counting)
+    arch = bordered_architecture(2)
+    c = parse_circuit("cnot a b")
+    with pytest.raises(MappingError, match="0 locations for 2 qubits"):
+        best_of_n(arch, c, 1000, 0, greedy_route,
+                  mapper=functools.partial(random_map, locations=[]), jobs=jobs)
+    assert 1 <= draws <= jobs + 1
+
+
 def test_map_from_json_rejects_malformed_maps():
     for text in ('{"a": 5}', '[]', '{"a": [1, 2, 3]}', '{"a": [1, "2"]}'):
         with pytest.raises(MappingError):

@@ -56,7 +56,8 @@ def _bits(arch, vertices) -> int:
 
 def test_shortest_path_unobstructed_L():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (4, 4)}), (2, 2), {(4, 4)})[0]
+    id_of = arch.cells.id_of
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (4, 4)}), id_of[2, 2], _bits(arch, {(4, 4)}))[0]
     assert p is not None and len(p) == 5
     assert p[0] == (2, 2) and p[-1] == (4, 4)
     assert abs(p[0][1] - p[1][1]) == 1       # leaves vertically
@@ -65,21 +66,25 @@ def test_shortest_path_unobstructed_L():
 
 def test_shortest_path_adjacent_target_needs_bend():
     arch = custom_architecture(5, 5, [])
-    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 2)}), (2, 2), {(3, 2)})[0]
+    id_of = arch.cells.id_of
+    p = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 2)}), id_of[2, 2], _bits(arch, {(3, 2)}))[0]
     assert p is not None and len(p) >= 3
 
 
 def test_shortest_path_blocked_source():
     arch = custom_architecture(3, 3, [])
     blocked = set(arch.vertices())  # everything unusable as interior
-    assert shortest_legal_path(arch, free_mask(arch, blocked), (2, 2), {(1, 1)}) is None
+    id_of = arch.cells.id_of
+    assert shortest_legal_path(arch, free_mask(arch, blocked), id_of[2, 2], _bits(arch, {(1, 1)})) is None
 
 
 def test_shortest_path_exit_cell_next_to_the_sink():
     # the source's exit cell is itself horizontally next to the sink, so the
     # sink-side search stops at its first layer: a 3-vertex path
     arch = custom_architecture(5, 5, [])
-    path, cells = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 3)}), (2, 2), {(3, 3)})
+    id_of = arch.cells.id_of
+    path, cells = shortest_legal_path(arch, free_mask(arch, {(2, 2), (3, 3)}), id_of[2, 2],
+                                      _bits(arch, {(3, 3)}))
     assert path == ((2, 2), (2, 3), (3, 3))
     assert cells == _bits(arch, path)
 
@@ -88,21 +93,23 @@ def test_shortest_path_t_request_with_every_magic_sink_used():
     arch = bordered_architecture(4)
     source = next(v for v in arch.vertices() if v not in arch.magic)
     free = free_mask(arch, {source})
-    assert shortest_legal_path(arch, free, source, arch.magic) is not None
-    assert shortest_legal_path(arch, free, source, arch.magic, _bits(arch, arch.magic)) is None
+    s, magic = arch.cells.id_of[source], _bits(arch, arch.magic)
+    assert shortest_legal_path(arch, free, s, magic) is not None
+    assert shortest_legal_path(arch, free, s, magic, _bits(arch, arch.magic)) is None
     for t in sorted(arch.magic):   # every magic sink used but t
-        found = shortest_legal_path(arch, free, source, arch.magic, _bits(arch, arch.magic - {t}))
+        found = shortest_legal_path(arch, free, s, magic, _bits(arch, arch.magic - {t}))
         assert (found and found[0]) == oracles.shortest_legal_path(arch, {source}, source, {t})
 
 
 def test_shortest_path_matches_layered_oracle():
     arch = custom_architecture(4, 5, [(3, 3)])
     vertices = list(arch.vertices())
+    id_of = arch.cells.id_of
     for source, sink in itertools.permutations(vertices, 2):
         if source in arch.magic or sink in arch.magic:
             continue
         blocked = {source, sink}
-        found = shortest_legal_path(arch, free_mask(arch, blocked), source, {sink})
+        found = shortest_legal_path(arch, free_mask(arch, blocked), id_of[source], _bits(arch, {sink}))
         got = found and found[0]
         want = layered_shortest_length(arch, blocked, source, {sink})
         if want is None:
@@ -373,7 +380,8 @@ def test_shortest_first_routes_one_whenever_possible_systematic():
         reqs = gate_requests(arch, c, m)
         routed = shortest_first(arch, reqs, free_mask(arch, blocked), {})
         alone = any(
-            enumerate_legal_paths(arch, blocked, source, sinks) for _, source, sinks in reqs
+            enumerate_legal_paths(arch, blocked, r.source, r.sinks)
+            for r in (oracles.request_for_gate(arch, m, g) for g in c.gates)
         )
         assert bool(routed) == alone
 
@@ -533,10 +541,10 @@ def test_shortest_first_matches_eager_reference(monkeypatch):
             assert heap_memo == eager_memo
             rounds += 1
             picked = dict(got)
-            no_path += any(heap_memo[r.source, r.sinks] is None for _, r in pending)
-            taken += any(heap_memo[r.source, r.sinks] is not None
-                         and heap_memo[r.source, r.sinks][0] != picked.get(r.gate)
-                         for _, r in pending)
+            no_path += any(heap_memo[t[1:]] is None for t, _ in pending)
+            taken += any(heap_memo[t[1:]] is not None
+                         and heap_memo[t[1:]][0] != picked.get(r.gate)
+                         for t, r in pending)
             if not got:
                 break
             pending = [(t, r) for t, r in pending if r.gate not in picked]
@@ -789,9 +797,9 @@ def test_shortest_legal_path_matches_reference_search():
     seen = dict.fromkeys(("calls", "found", "none", "magic found", "all used",
                           "source is a sink", "source-sink found", "thin grid"), 0)
     for arch, free, source, sinks, used in _search_calls():
-        found = shortest_legal_path(arch, free, source, sinks, _bits(arch, used))
-        got = found and found[0]
         id_of = arch.cells.id_of
+        found = shortest_legal_path(arch, free, id_of[source], _bits(arch, sinks), _bits(arch, used))
+        got = found and found[0]
         blocked = {v for v in arch.vertices() if not free >> id_of[v] & 1} | used
         assert got == oracles.shortest_legal_path(arch, blocked, source, sinks - used)
         if found is not None:
@@ -849,14 +857,57 @@ def test_gate_requests_match_the_per_gate_reference():
     for arch, circuit, qmap in corpus:
         table = gate_requests(arch, circuit, qmap)
         assert len(table) == len(circuit.gates)
+        id_of = arch.cells.id_of
         for i, g in enumerate(circuit.gates):
             r = oracles.request_for_gate(arch, qmap, g)
-            assert table[i] == (r.gate, r.source, r.sinks)
+            assert table[i] == (r.gate, id_of[r.source], _bits(arch, r.sinks))
             if g.kind is GateKind.T:
-                assert table[i][2] is arch.magic
+                assert table[i][2] is arch.cells.magic
                 t_gates += 1
     assert t_gates > 100
     assert {arch.magic == frozenset() for arch, _, _ in corpus} == {True, False}
+
+
+# Maps that do not place `cnot q0 q1; t q1` on `bordered_architecture(2)`,
+# a 7x7 grid ringed by magic vertices; the last one is built directly, since
+# `qubit_map` refuses a map that is not injective.
+_BAD_MAPS = {
+    "unmapped": qubit_map({"q0": (3, 3)}),
+    "off-grid": qubit_map({"q0": (3, 3), "q1": (9, 2)}),
+    "on-magic": qubit_map({"q0": (3, 3), "q1": (1, 4)}),
+    "shared": QubitMap((("q0", (3, 3)), ("q1", (3, 3)))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_MAPS))
+def test_a_bad_map_raises_the_validators_first_map_fault_in_both_engines(kind):
+    from scmr.sat import encode
+
+    arch = bordered_architecture(2)
+    c = parse_circuit("cnot q0 q1; t q1")
+    qmap = _BAD_MAPS[kind]
+    faults = [v for v in validate(arch, c, qmap, GateRoute(0, {}, {})) if v.rule is Rule.MAP_VALIDITY]
+    assert faults
+    for engine in (gate_requests, greedy_route, lambda *a: encode(*a, t_s=2), solve_optimal):
+        with pytest.raises(MappingError) as e:
+            engine(arch, c, qmap)
+        assert str(e.value) == faults[0].detail
+
+
+def test_an_off_grid_spare_entry_routes_and_encodes():
+    # a qubit the circuit does not use is not checked, on the grid or off it
+    from scmr.sat import encode
+
+    arch = bordered_architecture(2)
+    c = parse_circuit("cnot q0 q1; t q1")
+    qmap = qubit_map({"q0": (3, 3), "q1": (5, 5), "spare": (0, 9)})
+    route = greedy_route(arch, c, qmap)
+    assert validate(arch, c, qmap, route) == []
+    pinned = qubit_map({"q0": (3, 3), "q1": (5, 5)})
+    for t_s in (2, 3):
+        got, want = encode(arch, c, qmap, t_s=t_s), encode(arch, c, pinned, t_s=t_s)
+        assert (got.num_vars, got.clauses) == (want.num_vars, want.clauses)
+    assert solve_optimal(arch, c, qmap).steps == 2
 
 
 def test_greedy_route_raises_exactly_when_a_gate_has_no_solo_path():

@@ -15,7 +15,7 @@ from scmr.bench import known_optimal, random_circuit
 from scmr.circuit import (GateKind, circuit_from_gates, cnot, depth, parse_circuit,
                           serialize_circuit, tgate)
 from scmr.mapping import qubit_map, random_map, struct_map
-from scmr.routing import GateRoute, gate_requests, validate
+from scmr.routing import GateRoute, validate
 from scmr.sat import (
     CapExhausted,
     CdclSolver,
@@ -320,10 +320,11 @@ def test_path_variables_cover_every_legal_path_under_a_pinned_map(arch):
                      random_map(arch, circuit, seed, locations),
                      qubit_map(dict(zip(circuit.qubits, rng.sample(free, 4))))):
             cnf = encode(arch, circuit, qmap, t_s=t_s)
-            for g, source, sinks in gate_requests(arch, circuit, qmap):
-                others = set(qmap.vertices()) - {source} - sinks
+            for g in circuit.gates:
+                r = oracles.request_for_gate(arch, qmap, g)
+                others = set(qmap.vertices()) - {r.source} - r.sinks
                 needed = _path_edges(oracles.enumerate_legal_paths(
-                    arch, others, source, sinks))
+                    arch, others, r.source, r.sinks))
                 for t in windows[g.index]:
                     assert needed <= _edges_at(cnf, g.index, t), (qmap, g)
                 covered += len(needed)
@@ -1093,8 +1094,8 @@ def _outcome(solver, probes, arch, circuit, qmap):
 
 def _solo_unroutable(arch, circuit, qmap):
     blocked = set(qmap.vertices())
-    return any(oracles.layered_shortest_length(arch, blocked, source, sinks) is None
-               for _, source, sinks in gate_requests(arch, circuit, qmap))
+    return any(oracles.layered_shortest_length(arch, blocked, r.source, r.sinks) is None
+               for r in (oracles.request_for_gate(arch, qmap, g) for g in circuit.gates))
 
 
 def test_solve_optimal_matches_probe_loop_that_always_climbs(probes):
