@@ -28,9 +28,20 @@ from types import MappingProxyType
 
 Vertex = tuple[int, int]
 
+# The most cells (rows * cols) a grid may have. Its cell index holds a few
+# objects per cell, so a grid past this ends in GridTooLarge instead of
+# exhausting memory; the largest harness grid, 43 x 43, is 1,849 cells.
+MAX_CELLS = 1_000_000
+
 
 class ArchitectureError(ValueError):
     pass
+
+
+class GridTooLarge(ArchitectureError):
+    """A grid of more than MAX_CELLS cells: the command line reports it as
+    a usage error (exit 1), whether the grid came from a file, a generator
+    or a built-in layout, not as an infeasible instance."""
 
 
 class _IdTable(dict):
@@ -49,6 +60,8 @@ class Architecture:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ArchitectureError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        if self.rows * self.cols > MAX_CELLS:
+            raise GridTooLarge(f"grid {self.cols}x{self.rows} has more than {MAX_CELLS} cells")
         for v in self.magic:
             if not self.in_bounds(v):
                 raise ArchitectureError(f"magic vertex {v} outside {self.cols}x{self.rows} grid")

@@ -3,6 +3,10 @@
 A circuit is an ordered list of gates over named qubits. Gate j depends on
 gate i when i < j and the two act on a shared qubit; everything downstream
 (depth, topological layers, interaction structure) derives from that relation.
+`Circuit.dependencies` walks the qubit timelines once per circuit, on first
+use, for each gate's depth and height and the pairs of gates adjacent on a
+qubit; the depth, the greedy layers, the SAT windows and order clauses and
+the validator's order check all read that one table.
 
 Text format: one gate per statement, statements split on ';' or newline,
 tokens whitespace-separated, `#` comments to end of line, case-insensitive
@@ -14,7 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 # Vertex used in interaction graphs for the magic-state side of T gates.
 # None can never collide with a parsed qubit id.
@@ -88,6 +94,16 @@ class Circuit:
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
+
+    @cached_property
+    def dependencies(self) -> Dependencies:
+        """The gate dependency relation, built once per instance on first
+        use; every reader of depths, heights or dependent pairs reads it."""
+        return _dependencies(self.gates)
+
+    def __getstate__(self):
+        # Pickle and copy the fields only; a copy rebuilds its table on use.
+        return {"gates": self.gates, "qubits": self.qubits}
 
 
 def circuit_from_gates(specs) -> Circuit:
@@ -187,54 +203,54 @@ def serialize_circuit(circuit: Circuit) -> str:
 # Dependency structure
 # ---------------------------------------------------------------------------
 
-def _chain_lengths(gates) -> list[int]:
-    """Per gate of `gates`, in order: 1 + the most over earlier gates sharing a qubit."""
-    length_by_qubit: dict[str, int] = {}
-    get = length_by_qubit.get
-    lengths = []
-    for g in gates:
-        n = 0
+class Dependencies(NamedTuple):
+    """A circuit's dependency relation, one entry per gate in gate order.
+
+    `depths[i]` is 1 + the largest depth among earlier gates sharing a qubit
+    with gate i; `heights[i]` is the length of the longest dependency chain
+    starting at gate i. `pairs` holds (i, j), i < j, for each two gates
+    adjacent in some qubit's timeline, in order of j, then of the qubit's
+    place in gate j; a gate listed again on the same two qubits gives its
+    pair twice. Ordering these pairs orders every two gates sharing a qubit.
+    """
+    depths: tuple[int, ...]
+    heights: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
+def _dependencies(gates) -> Dependencies:
+    """One forward pass over the qubit timelines gives each gate's pairs and
+    depth (its predecessors' depths are final, and the latest gate on a
+    qubit is the deepest there); a pass over the pairs in reverse, where
+    each gate's successors come before it, gives the heights."""
+    last: dict[str, int] = {}   # qubit -> index of its latest gate so far
+    get = last.get
+    depths: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for j, g in enumerate(gates):   # gate j has index j
+        d = 0
         for q in g.qubits:
-            e = get(q, 0)
-            if e > n:
-                n = e
-        n += 1
-        lengths.append(n)
-        for q in g.qubits:
-            length_by_qubit[q] = n
-    return lengths
-
-
-def gate_depths(circuit: Circuit) -> list[int]:
-    """1-based dependency depth per gate: 1 + max depth over earlier gates sharing a qubit."""
-    return _chain_lengths(circuit.gates)
-
-
-def gate_heights(circuit: Circuit) -> list[int]:
-    """1-based height per gate: longest dependency chain starting at the gate."""
-    return _chain_lengths(reversed(circuit.gates))[::-1]
+            i = get(q)
+            if i is not None:
+                pairs.append((i, j))
+                if depths[i] > d:
+                    d = depths[i]
+            last[q] = j
+        depths.append(d + 1)
+    heights = [1] * len(depths)
+    for i, j in reversed(pairs):
+        if heights[j] >= heights[i]:
+            heights[i] = heights[j] + 1
+    return Dependencies(tuple(depths), tuple(heights), tuple(pairs))
 
 
 def depth(circuit: Circuit) -> int:
-    return max(gate_depths(circuit), default=0)
-
-
-def consecutive_qubit_pairs(circuit: Circuit):
-    """Yield (i, j) for gates adjacent in some qubit's timeline, i < j.
-
-    Ordering these pairs orders every pair of gates sharing a qubit.
-    """
-    last: dict[str, int] = {}
-    for g in circuit.gates:
-        for q in g.qubits:
-            if q in last:
-                yield (last[q], g.index)
-            last[q] = g.index
+    return max(circuit.dependencies.depths, default=0)
 
 
 def topological_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     """Gate indices by depth: layer i holds the gates at depth i + 1, in gate order."""
-    depths = gate_depths(circuit)
+    depths = circuit.dependencies.depths
     layers: list[list[int]] = [[] for _ in range(max(depths, default=0))]
     for i, d in enumerate(depths):   # gate i has index i
         layers[d - 1].append(i)

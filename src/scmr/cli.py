@@ -16,6 +16,7 @@ from pathlib import Path
 from .architecture import (
     Architecture,
     ArchitectureError,
+    GridTooLarge,
     architecture_from_json,
     architecture_to_json,
     bordered_architecture,
@@ -283,15 +284,16 @@ def run(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    # before ArchitectureError: a grid past the cell cap is a usage error
+    except (CliUsage, CircuitError, BenchError, OSError, GridTooLarge) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (UnroutableGateError, CapExhausted, MappingError, ArchitectureError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverTimeout as e:
         print(f"timeout: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (CliUsage, CircuitError, BenchError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main():

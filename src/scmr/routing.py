@@ -47,7 +47,7 @@ from operator import sub
 from types import MappingProxyType
 
 from .architecture import Architecture, Vertex, is_json_vertex
-from .circuit import Circuit, Gate, GateKind, consecutive_qubit_pairs, topological_layering
+from .circuit import Circuit, Gate, GateKind, topological_layering
 from .mapping import MappingError, QubitMap
 
 Path = tuple[Vertex, ...]
@@ -339,11 +339,12 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     The grid is read through `arch.cells` alone: a vertex is on the grid
     when it has a cell id, and two vertices are grid neighbors when their ids
     differ by ±1 (vertical) or ±stride (horizontal). Each path, and each
-    step's paths together, are first checked with set and id operations,
-    and the logical order with one pass over the gates; only a path, a step
-    or an order that fails goes to the code that words its violations,
-    which reads the same ids and steps, so the list is the same as if every
-    path, step and pair of dependent gates were worded.
+    step's paths together, are first checked with set and id operations;
+    only a path or a step that fails goes to the code that words its
+    violations, which reads the same ids, so the list is the same as if
+    every path and step were worded. The logical order is checked, and
+    worded, over the pairs of `circuit.dependencies`, the table the engines
+    schedule from: gates adjacent on a qubit must run at rising steps.
     """
     out = [Violation(Rule.MAP_VALIDITY, (), d) for d in _placement(arch, circuit, qmap)[1]]
     if out:
@@ -390,12 +391,11 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
     elif route.steps < 0:
         bad(Violation(Rule.LOGICAL_ORDER, (), f"steps is {route.steps}, below 0"))
 
-    if not _steps_rise(circuit.gates, time):
-        for i, j in consecutive_qubit_pairs(circuit):
-            ti, tj = time.get(i), time.get(j)
-            if ti is not None and tj is not None and ti >= tj:
-                bad(Violation(Rule.LOGICAL_ORDER, (i, j),
-                              f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
+    for i, j in circuit.dependencies.pairs:
+        ti, tj = time.get(i), time.get(j)
+        if ti is not None and tj is not None and ti >= tj:
+            bad(Violation(Rule.LOGICAL_ORDER, (i, j),
+                          f"gate {j} depends on gate {i} but runs at step {tj} <= {ti}"))
 
     by_step: dict[int, list[int]] = {}
     for idx, step in time.items():
@@ -405,23 +405,6 @@ def validate(arch: Architecture, circuit: Circuit, qmap: QubitMap, route: GateRo
         if len(set(chain.from_iterable(paths))) != sum(map(len, paths)):
             out.extend(_shared_vertices(space, step, idxs))
     return out
-
-
-def _steps_rise(gates, time: dict) -> bool:
-    """Whether every gate has a step and, taken in index order, each qubit's
-    gates run at rising steps, so that no consecutive pair of them is out of
-    order. One pass, keeping each qubit's last step; when it says no, the
-    pair loop finds and words the faults."""
-    last: dict[str, int] = {}
-    for g in gates:
-        step = time.get(g.index)
-        if step is None:
-            return False
-        for q in g.qubits:
-            if last.get(q, 0) >= step:
-                return False
-            last[q] = step
-    return True
 
 
 def _path_violations(g: Gate, path: Path, ids: list, vertical, horizontal, hops,

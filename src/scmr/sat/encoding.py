@@ -17,7 +17,9 @@ gate's start vertex (left through a vertical edge) to its end vertex
 vertex for T).
 
 Gate execution steps are restricted to the feasible window
-[dependency depth, t_s - height + 1]. A T gate enters at most one magic
+[dependency depth, t_s - height + 1]; the depths and heights, and the pairs
+of dependent gates the order clauses bind, are read from the circuit's one
+dependency table, `Circuit.dependencies`. A T gate enters at most one magic
 vertex per step, and at least one at the step it executes.
 
 The formula's vertex indices are `Architecture.cells` ids; neighbor lists
@@ -85,7 +87,7 @@ from itertools import chain, compress
 from typing import NamedTuple
 
 from ..architecture import Architecture, Vertex
-from ..circuit import Circuit, GateKind, consecutive_qubit_pairs, gate_depths, gate_heights
+from ..circuit import Circuit, GateKind
 from ..mapping import QubitMap, qubit_map
 from ..routing import GateRoute, free_mask, gate_requests
 from .cardinality import encode_amo, encode_eo
@@ -135,9 +137,8 @@ class CnfInstance:
 
 
 def exec_windows(circuit: Circuit, t_s: int) -> list[range]:
-    depths = gate_depths(circuit)
-    heights = gate_heights(circuit)
-    return [range(depths[i], t_s - heights[i] + 2) for i in range(len(circuit.gates))]
+    depths, heights, _ = circuit.dependencies
+    return [range(d, t_s - h + 2) for d, h in zip(depths, heights)]
 
 
 class _Grid(NamedTuple):
@@ -274,7 +275,7 @@ def encode(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = None,
     # schedule: one step per gate, dependent gates strictly ordered
     for g in gates:
         clauses.extend(encode_eo([evar[(g.index, t)] for t in windows[g.index]], fresh))
-    for i, j in consecutive_qubit_pairs(circuit):
+    for i, j in circuit.dependencies.pairs:
         for t in windows[i]:
             for t2 in windows[j]:
                 if t2 <= t:

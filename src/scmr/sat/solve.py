@@ -4,7 +4,9 @@
 (signed literals covering every variable) or None when the formula is
 unsatisfiable; a timeout raises SolverTimeout. `solve_optimal` probes
 t = depth, depth + 1, ... and encodes each probe afresh, so a probe keeps
-nothing from the one before it. When the first probe finds no model, the
+no formula from the one before it; the depth and every probe's windows and
+order clauses read one table, the circuit's `Circuit.dependencies`, built
+on first use and then shared. When the first probe finds no model, the
 loop asks once whether any probe could: none can when the formula carries a
 `diagnostic`, or when `greedy_route` finds that a pinned map leaves some
 gate without a legal path even with the grid to itself; the loop then stops

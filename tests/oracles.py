@@ -17,6 +17,11 @@ These do, and say why in their section headers:
 - the circuit references build the library's `Gate`, `Circuit` and
   `InteractionGraph` values and raise its `ParseError`, so their results
   compare equal to the library's.
+
+None imports the library's dependency code: where a reference orders,
+windows or layers gates itself (the encoders, the validator, the layered
+routers, the step loop's depth), it reads this module's own walks, never
+`Circuit.dependencies`; only the library code named above reads that table.
 """
 from __future__ import annotations
 
@@ -35,9 +40,7 @@ from typing import NamedTuple
 from scmr.architecture import Architecture, ArchitectureError, Vertex
 from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE, FULL_TR, TILE, _offset,
                          cycle_time_limit, processor_unit_width)
-from scmr.circuit import (Circuit, Gate, GateKind, ParseError, cnot,
-                          consecutive_qubit_pairs, tgate)
-from scmr.circuit import depth as circuit_depth
+from scmr.circuit import Circuit, Gate, GateKind, ParseError, cnot, tgate
 from scmr.architecture import regular_locations as _regular_locations
 from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX
 from scmr.mapping import MappingError, QubitMap, _distance_to_set, qubit_map, random_map
@@ -51,12 +54,15 @@ from scmr.sat.encoding import CnfInstance, VarTable
 # ---------------------------------------------------------------------------
 # The circuit layer as it was before its per-gate loops were made plain:
 # the parser with a regex check per argument and `Gate.__init__` per gate,
-# the dependency tables with a generator and `max(..., default=0)` per gate,
-# and the interaction graph keyed by a frozenset per gate. Kept verbatim as
-# the references the library must match circuit for circuit, and error for
-# error (type, message, line and col), but for one change of type: like the
-# library's, `topological_layering` returns the tuple of layers itself, no
-# longer wrapped in a one-field `Layering`.
+# the dependency tables with a generator and `max(..., default=0)` per gate
+# and the consecutive pairs from a generator of their own, each its own walk
+# over the qubit timelines, and the interaction graph keyed by a frozenset
+# per gate. Kept verbatim as the references the library must match circuit
+# for circuit, and error for error (type, message, line and col), but for
+# one change of type: like the library's, `topological_layering` returns the
+# tuple of layers itself, no longer wrapped in a one-field `Layering`. The
+# library's `Circuit.dependencies` must match `gate_depths`, `gate_heights`
+# and `consecutive_qubit_pairs` field for field.
 # ---------------------------------------------------------------------------
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -144,6 +150,19 @@ def topological_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     for g in circuit.gates:
         layers[depths[g.index] - 1].append(g.index)
     return tuple(tuple(layer) for layer in layers)
+
+
+def consecutive_qubit_pairs(circuit: Circuit):
+    """Yield (i, j) for gates adjacent in some qubit's timeline, i < j.
+
+    Ordering these pairs orders every pair of gates sharing a qubit.
+    """
+    last: dict[str, int] = {}
+    for g in circuit.gates:
+        for q in g.qubits:
+            if q in last:
+                yield (last[q], g.index)
+            last[q] = g.index
 
 
 def interaction_graph(circuit: Circuit) -> InteractionGraph:
@@ -1691,7 +1710,7 @@ def probe_loop_solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMa
     minimal). Raises CapExhausted when the cap runs out, or SolverTimeout
     when every remaining probe timed out.
     """
-    d = circuit_depth(circuit)
+    d = max(gate_depths(circuit), default=0)
     if len(circuit.gates) == 0:
         m = qmap if qmap is not None else qubit_map({})
         return _sat.OptimalResult(m, GateRoute(0, {}, {}), 0, True)

@@ -20,10 +20,7 @@ from scmr.circuit import (
     GateKind,
     circuit_from_gates,
     cnot,
-    consecutive_qubit_pairs,
     depth,
-    gate_depths,
-    gate_heights,
     tgate,
 )
 from scmr.mapping import best_of_n, qubit_map, random_map, struct_map
@@ -192,7 +189,7 @@ def _mutate(rng, arch, circuit, qmap, route):
     time_ = dict(route.time)
     space = dict(route.space)
     ops = []
-    dependent = list(consecutive_qubit_pairs(circuit))
+    dependent = list(circuit.dependencies.pairs)
     if dependent:
         ops.append("same-step")
     long_gates = [i for i, p in space.items() if len(p) >= 3]
@@ -298,7 +295,7 @@ def test_criterion_6_depth_bound_and_best_of_n():
 
 def _t_order_pairs(circuit, job_names):
     succ = {i: [] for i in range(len(circuit.gates))}
-    for i, j in consecutive_qubit_pairs(circuit):
+    for i, j in circuit.dependencies.pairs:
         succ[i].append(j)
     t_of = {}
     for g in circuit.gates:
@@ -347,7 +344,7 @@ def test_criterion_7b_cycle_circuit_length_formula():
                     per_chain[q] = per_chain.get(q, 0) + 1
                 for c in range(k):
                     assert per_chain[f"cyc{c}_a"] == t_s
-                depths, heights = gate_depths(circuit), gate_heights(circuit)
+                depths, heights, _ = circuit.dependencies
                 assert all(depths[i] + heights[i] - 1 == t_s for i in range(len(circuit.gates)))
     _report("7b", "chain lengths match (2d+1)t_p + dk(t_p-1) across the sweep")
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import json
+import math
 import pickle
 import random
 import weakref
@@ -9,7 +10,9 @@ import weakref
 import pytest
 
 from scmr.architecture import (
+    MAX_CELLS,
     ArchitectureError,
+    GridTooLarge,
     architecture_from_json,
     architecture_to_json,
     bordered_architecture,
@@ -228,6 +231,21 @@ def test_json_roundtrip():
     assert again == arch
     data = json.loads(architecture_to_json(arch))
     assert set(data) == {"rows", "cols", "magic"}
+
+
+def test_architecture_from_json_rejects_grids_past_the_cell_cap():
+    # rejected before any table is built: the cell index of a 2**70-column
+    # grid cannot be sized at all, and a 30,000 x 30,000 one not held
+    for rows, cols in ((5, 2 ** 70), (30_000, 30_000), (1, MAX_CELLS + 1)):
+        with pytest.raises(GridTooLarge, match=f"more than {MAX_CELLS} cells"):
+            architecture_from_json(json.dumps({"rows": rows, "cols": cols, "magic": []}))
+    # the cap holds for every way a grid is built, the layouts included
+    with pytest.raises(GridTooLarge, match="grid 1001x1001 has more than"):
+        bordered_architecture(248_005)
+    assert issubclass(GridTooLarge, ArchitectureError)
+    side = math.isqrt(MAX_CELLS)
+    assert side * side == MAX_CELLS
+    assert architecture_from_json(json.dumps({"rows": side, "cols": side, "magic": []})).num_vertices == MAX_CELLS
 
 
 def test_architecture_from_json_rejects_malformed_architectures():

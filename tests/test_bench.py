@@ -24,7 +24,7 @@ from scmr.bench import (
     psp_to_scmr,
     random_circuit,
 )
-from scmr.circuit import Circuit, GateKind, depth, gate_depths, gate_heights, parse_circuit, serialize_circuit
+from scmr.circuit import Circuit, GateKind, depth, parse_circuit, serialize_circuit
 from scmr.mapping import map_to_json
 
 from oracles import all_labeled_posets, enumerate_legal_paths, hasse_edges, neighbors
@@ -222,7 +222,7 @@ def test_cycle_circuit_every_gate_slack_zero(d, k, tp):
     c = cycle_circuit(d, k, tp)
     t_s = cycle_time_limit(d, k, tp)
     assert depth(c) == t_s
-    depths, heights = gate_depths(c), gate_heights(c)
+    depths, heights, _ = c.dependencies
     assert all(depths[i] + heights[i] - 1 == t_s for i in range(len(c.gates)))
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -14,10 +16,7 @@ from scmr.circuit import (
     T_VERTEX,
     circuit_from_gates,
     cnot,
-    consecutive_qubit_pairs,
     depth,
-    gate_depths,
-    gate_heights,
     interaction_chain_set,
     interaction_graph,
     parse_circuit,
@@ -102,7 +101,7 @@ def test_layering_matches_depth_and_disjointness():
     for layer in layers:
         qs = [q for i in layer for q in c.gates[i].qubits]
         assert len(qs) == len(set(qs))
-    depths = gate_depths(c)
+    depths = c.dependencies.depths
     for i, layer in enumerate(layers, start=1):
         assert all(depths[g] == i for g in layer)
 
@@ -126,7 +125,7 @@ def test_dependency_order_is_strict_partial_order_small():
     c = parse_circuit("cnot a b; t b; cnot b c; t a; cnot c a")
     direct = {(i, j) for i in range(len(c.gates)) for j in range(len(c.gates))
               if i < j and c.gates[i].shares_qubit(c.gates[j])}
-    closure = _transitive_closure(consecutive_qubit_pairs(c))
+    closure = _transitive_closure(c.dependencies.pairs)
     assert closure == _transitive_closure(direct)
     assert direct <= closure
     assert all(i < j for i, j in closure)
@@ -271,7 +270,7 @@ def test_dependency_closure_matches_shared_qubit_relation(circuit):
     n = len(circuit.gates)
     direct = {(i, j) for i in range(n) for j in range(n)
               if i < j and circuit.gates[i].shares_qubit(circuit.gates[j])}
-    assert _transitive_closure(consecutive_qubit_pairs(circuit)) == _transitive_closure(direct)
+    assert _transitive_closure(circuit.dependencies.pairs) == _transitive_closure(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +381,31 @@ def _dependency_corpus():
     for q, d in ((12, 64), (16, 40), (20, 20), (24, 12)):
         yield random_circuit(q, d, 0.2, seed=q)
     yield from _chain_corpus()
+    # a gate listed again on the same two qubits: its pair comes twice
+    yield parse_circuit("cnot a b; cnot a b")
+    yield parse_circuit("cnot a b; cnot b a; t a")
 
 
 def test_dependency_tables_match_reference():
     for circuit in _dependency_corpus():
-        depths = gate_depths(circuit)
-        assert depths == oracles.gate_depths(circuit)
-        assert gate_heights(circuit) == oracles.gate_heights(circuit)
+        table = circuit.dependencies
+        assert list(table.depths) == oracles.gate_depths(circuit)
+        assert list(table.heights) == oracles.gate_heights(circuit)
+        assert list(table.pairs) == list(oracles.consecutive_qubit_pairs(circuit))
         assert topological_layering(circuit) == oracles.topological_layering(circuit)
         assert interaction_graph(circuit) == oracles.interaction_graph(circuit)
-        assert depth(circuit) == max(depths, default=0)
+        assert depth(circuit) == max(oracles.gate_depths(circuit), default=0)
+
+
+def test_dependency_table_is_built_once_and_not_pickled():
+    c = parse_circuit("cnot a b; t b; cnot b c; cnot a b; t c")
+    before = pickle.dumps(c)
+    table = c.dependencies
+    assert c.dependencies is table
+    assert all(type(field) is tuple for field in table)
+    assert table.pairs == ((0, 1), (1, 2), (0, 3), (2, 3), (2, 4))
+    assert pickle.dumps(c) == before
+    for again in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert again == c and hash(again) == hash(c)
+        assert vars(again) == {"gates": c.gates, "qubits": c.qubits}
+        assert again.dependencies == table and again.dependencies is not table

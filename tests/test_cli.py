@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,8 @@ def test_gen_ndp(tmp_path):
     (["random", "-q", "-2", "-d", "0"], "need qubits >= 0 and depth >= 0, got -2 and 0"),
     (["ndp", "--cols", "0", "--rows", "2"], "pair grid must be at least 1x1, got 0x2"),
     (["ndp", "--cols", "2", "--rows", "-1"], "pair grid must be at least 1x1, got 2x-1"),
+    # 201 x 201 pair tiles make a 1005 x 1005 grid, past the cell cap
+    (["ndp", "--cols", "201", "--rows", "201"], "grid 1005x1005 has more than 1000000 cells"),
 ])
 def test_gen_out_of_range_sizes_exit_1(tmp_path, capsys, argv, message):
     pairs = tmp_path / "pairs.json"
@@ -557,3 +560,95 @@ def test_mapper_spelling_and_internal_errors(tmp_path, fig1, monkeypatch):
     monkeypatch.setattr(scmr.cli, "struct_map", broken)
     with pytest.raises(ValueError, match="internal fault"):
         _compile(tmp_path, fig1)
+
+
+HUGE_ARCH = json.dumps({"rows": 5, "cols": 2 ** 70, "magic": []})
+
+
+@pytest.mark.parametrize("argv", [
+    "validate {fig1} {bad} {out}/fig1.map.json {out}/fig1.route.json",
+    "compile {fig1} --arch {bad} --out {tmp}/arch-out",
+], ids=["validate", "compile"])
+def test_huge_architecture_exits_1_naming_the_file(tmp_path, fig1, capsys, argv):
+    # a grid past the cell cap is rejected as the file is read, before its
+    # cell index (an entry per cell) or its mapping locations are built
+    code, out = _compile(tmp_path, fig1)
+    assert code == EXIT_OK
+    bad = tmp_path / "huge.arch.json"
+    bad.write_text(HUGE_ARCH)
+    paths = {"fig1": fig1, "bad": bad, "out": out, "tmp": tmp_path}
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv.split()]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_built_in_layout_past_the_cell_cap_exits_1(tmp_path, capsys):
+    # 248,005 qubits need a bordered grid of side 2 * 499 + 3 = 1001, the
+    # fewest qubits whose built-in layout passes the cell cap
+    big = tmp_path / "big.qc"
+    big.write_text("".join(f"t q{i}\n" for i in range(248_005)))
+    code, out = _compile(tmp_path, big)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: grid 1001x1001 has more than 1000000 cells\n"
+    assert not out.exists()
+
+
+# JSON values a mutation puts in place of one field of a valid file
+_FUZZ_VALUES = [None, True, False, 0, -1, 1, 2, 3, 6, 1.5, "7", "", 2 ** 70, -(2 ** 70),
+                [], [1], [1, 2], [[1, 2]], {}, {"a": [1, 2]}]
+
+
+def _fuzz_slots(node, slots):
+    """Every (container, key) of a parsed JSON document, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        slots.append((node, k))
+        _fuzz_slots(node[k], slots)
+    return slots
+
+
+def _fuzz_mutate(rng, doc):
+    """`doc` with one structure-aware change: a value swapped for another
+    JSON type or size, a dict key dropped or a key added."""
+    doc = json.loads(json.dumps(doc))
+    slots = _fuzz_slots(doc, [(None, None)])
+    container, key = rng.choice(slots)
+    if container is None:   # the whole document
+        return rng.choice(_FUZZ_VALUES)
+    op = rng.randrange(3) if isinstance(container, dict) else 0
+    if op == 0:
+        container[key] = rng.choice(_FUZZ_VALUES)
+    elif op == 1:
+        del container[key]
+    else:
+        container[rng.choice(["extra", "q0", "steps", "rows", "path"])] = rng.choice(_FUZZ_VALUES)
+    return doc
+
+
+def test_validate_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    # seeded structure-aware mutations of a valid 5-qubit solution's arch,
+    # map and route files: every run ends in 0 (still valid), 1 (the file
+    # is rejected) or 4 (the solution is not valid), and raises nothing
+    from scmr.bench import random_circuit
+    from scmr.circuit import serialize_circuit
+
+    circ = tmp_path / "five.qc"
+    circ.write_text(serialize_circuit(random_circuit(5, 4, 0.3, seed=2)))
+    code, out = _compile(tmp_path, circ)
+    assert code == EXIT_OK
+    good = {role: json.loads((out / f"five.{role}.json").read_text()) for role in ("arch", "map", "route")}
+    cases = [("arch", json.loads(HUGE_ARCH)), ("arch", {**good["arch"], "rows": 2 ** 70})]
+    rng = random.Random(11)
+    for _ in range(300):
+        role = rng.choice(sorted(good))
+        cases.append((role, _fuzz_mutate(rng, good[role])))
+    codes = {}
+    for n, (role, doc) in enumerate(cases):
+        files = {r: out / f"five.{r}.json" for r in good}
+        files[role] = tmp_path / f"fuzz{n}.{role}.json"
+        files[role].write_text(json.dumps(doc))
+        code = run(["validate", str(circ), str(files["arch"]), str(files["map"]), str(files["route"])])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVALID), (role, doc)
+        codes[code] = codes.get(code, 0) + 1
+    capsys.readouterr()
+    assert len(codes) == 3, codes

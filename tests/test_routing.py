@@ -21,7 +21,6 @@ from scmr.circuit import (
     GateKind,
     circuit_from_gates,
     cnot,
-    consecutive_qubit_pairs,
     parse_circuit,
     serialize_circuit,
     tgate,
@@ -680,7 +679,7 @@ def _single_faults(rng, circuit, qmap, route):
                                       ("last edge", g.target, path[:-1], -1)):
             moved = QubitMap(tuple((q, cut[end] if q == qubit else v) for q, v in assignment))
             yield name, moved, GateRoute(route.steps, route.time, {**route.space, g.index: cut})
-    for i, j in rng.sample(list(consecutive_qubit_pairs(circuit)), 12):
+    for i, j in rng.sample(circuit.dependencies.pairs, 12):
         moved, to = (j, i) if rng.random() < 0.5 else (i, j)
         yield "order", qmap, GateRoute(route.steps, {**route.time, moved: route.time[to]}, route.space)
 
