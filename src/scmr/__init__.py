@@ -22,8 +22,6 @@ from .circuit import (
     CircuitError,
     Gate,
     GateKind,
-    InteractionChainSet,
-    InteractionGraph,
     ParseError,
     T_VERTEX,
     circuit_from_gates,
@@ -45,7 +43,6 @@ from .mapping import (
     qubit_map,
     random_map,
     struct_map,
-    unrestricted_locations,
 )
 from .routing import (
     GateRoute,

@@ -44,6 +44,13 @@ class GridTooLarge(ArchitectureError):
     or a built-in layout, not as an infeasible instance."""
 
 
+def check_grid_size(rows: int, cols: int) -> None:
+    """GridTooLarge when a rows x cols grid would have more than MAX_CELLS
+    cells; the generators call it before they lay out a grid's cells."""
+    if rows * cols > MAX_CELLS:
+        raise GridTooLarge(f"grid {cols}x{rows} has more than {MAX_CELLS} cells")
+
+
 class _IdTable(dict):
     __slots__ = ("grid",)
 
@@ -60,8 +67,7 @@ class Architecture:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ArchitectureError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.rows * self.cols > MAX_CELLS:
-            raise GridTooLarge(f"grid {self.cols}x{self.rows} has more than {MAX_CELLS} cells")
+        check_grid_size(self.rows, self.cols)
         for v in self.magic:
             if not self.in_bounds(v):
                 raise ArchitectureError(f"magic vertex {v} outside {self.cols}x{self.rows} grid")

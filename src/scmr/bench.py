@@ -9,7 +9,10 @@ reject, with BenchError, a size or seed that is not an int, a density or T
 fraction that is not a number, a repeated job or edge, an edge that is not
 a pair, a job id unfit for qubit names, an edge to an unknown job, to itself
 or on a cycle, a pair that is not two vertices, and a pair vertex that is
-not two integers, lies off the pair grid or is in two pairs.
+not two integers, lies off the pair grid or is in two pairs. Each checks
+the size its arguments imply before it allocates: a circuit past MAX_GATES
+qubits or gates is a BenchError, and a grid past the architecture's
+MAX_CELLS a GridTooLarge.
 """
 from __future__ import annotations
 
@@ -19,13 +22,27 @@ import random
 import re
 from heapq import heappop, heappush
 
-from .architecture import Architecture, Vertex, is_json_vertex
+from .architecture import Architecture, Vertex, check_grid_size, is_json_vertex
 from .circuit import Circuit, circuit_from_gates, cnot, tgate
 from .mapping import QubitMap, qubit_map
 
 
+# The most qubits, and the most gates, a generated circuit may have: a
+# circuit holds a few objects per gate, so a size past this ends in BenchError
+# instead of exhausting memory; the largest harness circuit,
+# known_optimal(200, 200), has 400 qubits and 40,000 gates.
+MAX_GATES = 1_000_000
+
+
 class BenchError(ValueError):
     pass
+
+
+def _check_size(qubits: int, gates: int) -> None:
+    """BenchError when a circuit would have more than MAX_GATES qubits or gates."""
+    if max(qubits, gates) > MAX_GATES:
+        raise BenchError(f"a circuit of {qubits} qubits and up to {gates} gates"
+                         f" is past the cap of {MAX_GATES}")
 
 
 def _check_ints(**values) -> None:
@@ -55,6 +72,7 @@ def known_optimal(d: int, k: int, rho: float = 1.0, seed: int = 0) -> Circuit:
         raise BenchError("need d >= 1 and k >= 1")
     if not 0 < rho <= 1:
         raise BenchError("density must be in (0, 1]")
+    _check_size(2 * k, d * k)
     rng = random.Random(seed)
     qs = [f"q{i}" for i in range(2 * k)]
     rng.shuffle(qs)
@@ -86,6 +104,7 @@ def random_circuit(num_qubits: int, depth: int, t_fraction: float = 0.0, seed: i
         raise BenchError("positive depth needs at least one qubit")
     if not 0 <= t_fraction <= 1:
         raise BenchError("t_fraction must be in [0, 1]")
+    _check_size(num_qubits, num_qubits * depth)
     rng = random.Random(seed)
     qs = [f"q{i}" for i in range(num_qubits)]
     gates = []
@@ -113,6 +132,7 @@ def _gadget_gates(job, d: int):
     _check_ints(d=d)
     if d < 0:
         raise BenchError("degree bound must be nonnegative")
+    _check_size(d + 1, 2 * d + 1)
     ins = [cnot(f"q_{job}_0", f"q_{job}_{i}") for i in range(1, d + 1)]
     return ins + [tgate(f"q_{job}_0")] + ins
 
@@ -178,6 +198,7 @@ def _dependency_gates(jobs, edges) -> tuple[list, int]:
     """Gate specs of the dependency circuit, and its degree bound."""
     order, preds, succs = _job_graph(list(jobs), list(edges))
     d = max(map(len, (*preds.values(), *succs.values())), default=0)
+    _check_size(len(order) * (d + 1), sum(map(len, preds.values())) + len(order) * (2 * d + 1))
     out_index = {(a, b): i for a in order for i, b in enumerate(succs[a], start=1)}
     gates = []
     for j in order:
@@ -206,6 +227,7 @@ def _cycle_gates(d: int, k: int, t_p: int) -> list:
     _check_ints(d=d, k=k, t_p=t_p)
     if d < 0 or k < 1 or t_p < 1:
         raise BenchError("need d >= 0, k >= 1, t_p >= 1")
+    _check_size(2 * k, k * cycle_time_limit(d, k, t_p))
     gates = []
     for c in range(k):
         a, b = f"cyc{c}_a", f"cyc{c}_b"
@@ -242,6 +264,7 @@ def psp_to_scmr(jobs, edges, k: int, t_p: int) -> tuple[Architecture, Circuit, i
         raise BenchError("need at least one job")
     gates, d = _dependency_gates(jobs, edges)
     width = processor_unit_width(len(jobs))
+    check_grid_size(4, k * width)
     magic = frozenset((u * width - 1, 2) for u in range(1, k + 1))
     arch = Architecture(4, k * width, magic)
     return arch, circuit_from_gates(gates + _cycle_gates(d, k, t_p)), cycle_time_limit(d, k, t_p)
@@ -335,6 +358,7 @@ def ndp_to_scr(dims: tuple[int, int], pairs) -> tuple[Architecture, Circuit, Qub
             raise BenchError(f"pair vertex {v} is not two integers")
         if not (1 <= v[0] <= gw and 1 <= v[1] <= gh):
             raise BenchError(f"pair vertex {v} outside {gw}x{gh} grid")
+    check_grid_size(gh * TILE, gw * TILE)
     used = dict.fromkeys(v for pair in pairs for v in pair)
 
     magic = frozenset(_offset((x, y), cell) for y in range(1, gh + 1) for x in range(1, gw + 1)

@@ -261,18 +261,9 @@ def topological_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
 # Interaction structure (used by the structural mapper)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Undirected qubit-interaction graph plus the T_VERTEX magic-state node.
-
-    Vertices and edges are kept in first-appearance order so chain
-    construction is deterministic for a fixed circuit.
-    """
-    vertices: tuple  # qubits in first-appearance order, then T_VERTEX
-    edges: tuple     # (x, y) pairs, first-appearance order, deduplicated
-
-
-def interaction_graph(circuit: Circuit) -> InteractionGraph:
+def interaction_graph(circuit: Circuit) -> tuple[tuple, ...]:
+    """The undirected qubit-interaction edges, deduplicated, in first-appearance
+    order: (control, target) per CNOT and (T_VERTEX, qubit) per T gate."""
     edges = []
     seen: set[tuple] = set()   # each kept edge, in both directions
     cnot_kind = GateKind.CNOT
@@ -282,17 +273,13 @@ def interaction_graph(circuit: Circuit) -> InteractionGraph:
             seen.add(e)
             seen.add(e[::-1])
             edges.append(e)
-    return InteractionGraph(circuit.qubits + (T_VERTEX,), tuple(edges))
+    return tuple(edges)
 
 
-@dataclass(frozen=True)
-class InteractionChainSet:
-    chains: tuple  # each chain a tuple of vertices; T_VERTEX only at one end
-
-
-def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
-    """Greedy single pass over edges: add an edge iff the result is still a
-    disjoint set of paths with at most one T_VERTEX edge per path.
+def interaction_chain_set(qubits, edges) -> tuple[tuple, ...]:
+    """Greedy single pass over `edges`: add an edge iff the result is still a
+    disjoint set of paths with at most one T_VERTEX edge per path. Each
+    chain is a tuple of vertices, T_VERTEX only at one end.
 
     ``end_of`` has a key for every qubit already on a chain: its chain while
     the qubit is one of the chain's two ends, None once it is interior. A T
@@ -300,7 +287,7 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
     T-capped end takes nothing more, and a chain has its T edge exactly when
     T_VERTEX sits at one of its ends. A merge keeps the joined chain in x's
     slot and empties y's, so chains come out in the order of their first
-    edge, followed by the qubits that no edge placed.
+    edge, followed by the `qubits` that no edge placed, in their order.
     """
     chains: list[list] = []
     end_of: dict = {}
@@ -308,7 +295,7 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
     def capped(chain) -> bool:
         return chain[0] is T_VERTEX or chain[-1] is T_VERTEX
 
-    for x, y in graph.edges:
+    for x, y in edges:
         if x is T_VERTEX or (x not in end_of and y in end_of):
             x, y = y, x  # x is the placed endpoint when there is one
         if x not in end_of:
@@ -346,5 +333,5 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
             end_of[cx[-1]] = cx
 
     out = [tuple(c) for c in chains if c]
-    out += [(q,) for q in graph.vertices if q is not T_VERTEX and q not in end_of]
-    return InteractionChainSet(tuple(out))
+    out += [(q,) for q in qubits if q not in end_of]
+    return tuple(out)

@@ -1,11 +1,9 @@
 """Qubit maps: uniform-random placement and structural chain placement.
 
-Both mappers draw from an explicit candidate-location set with at least one
-location per qubit. The default is the architecture's regular mapping
+Both mappers place every qubit on one of the architecture's regular mapping
 locations, which keep a private 3x3 ring around every qubit so any single
-gate is always routable; pass ``locations=unrestricted_locations(arch)`` for
-the raw non-magic vertex set, or any other set: `_candidates` checks a given
-set for (int, int) tuples and for magic, off-grid or repeated vertices.
+gate is always routable; too few locations for the qubits is a
+`MappingError`.
 
 `struct_map` takes each location from one of three candidate orders: the
 row-major order, the by-magic order (row-major, stably sorted by grid
@@ -16,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -56,31 +55,17 @@ def qubit_map(assignment: dict[str, Vertex]) -> QubitMap:
     return QubitMap(items)
 
 
-def unrestricted_locations(arch: Architecture) -> tuple[Vertex, ...]:
-    return tuple(v for v in arch.vertices() if v not in arch.magic)
-
-
-def _candidates(arch: Architecture, locations, num_qubits: int) -> list[Vertex]:
-    locs = list(regular_locations(arch) if locations is None else locations)
-    if locations is not None:   # the regular locations are well formed by construction
-        malformed = [v for v in locs if not (isinstance(v, tuple) and len(v) == 2
-                                             and all(type(x) is int for x in v))]
-        if malformed:
-            raise MappingError(f"candidate locations must be (int, int) tuples: {malformed}")
-        bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
-        if bad:
-            raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
-        if len(set(locs)) < len(locs):
-            repeated = sorted({v for v in locs if locs.count(v) > 1})
-            raise MappingError(f"candidate locations repeat vertices: {repeated}")
+def _locations(arch: Architecture, num_qubits: int) -> tuple[Vertex, ...]:
+    """The regular locations, row-major; MappingError when too few."""
+    locs = regular_locations(arch)
     if len(locs) < num_qubits:
         raise MappingError(f"{len(locs)} locations for {num_qubits} qubits")
     return locs
 
 
-def random_map(arch: Architecture, circuit: Circuit, seed: int, locations=None) -> QubitMap:
-    """Uniformly random injective assignment of qubits onto candidate locations."""
-    locs = _candidates(arch, locations, circuit.num_qubits)
+def random_map(arch: Architecture, circuit: Circuit, seed: int) -> QubitMap:
+    """Uniformly random injective assignment of qubits onto regular locations."""
+    locs = _locations(arch, circuit.num_qubits)
     picks = random.Random(seed).sample(locs, circuit.num_qubits)
     return qubit_map(dict(zip(circuit.qubits, picks)))
 
@@ -105,11 +90,7 @@ def _distance_to_set(arch: Architecture, sources) -> dict[Vertex, int]:
 _STRIDE2 = ((0, -2), (-1, -1), (1, -1), (-2, 0), (2, 0), (-1, 1), (1, 1), (0, 2))
 
 
-def _row_major(v: Vertex):
-    return v[1], v[0]
-
-
-def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap:
+def struct_map(arch: Architecture, circuit: Circuit) -> QubitMap:
     """Chain placement: lay each interaction chain out at stride-2 locations.
 
     Chains are placed from the magic end inward: the qubit adjacent to the
@@ -123,10 +104,9 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
 
     Locations are only ever taken, so each order is one forward iterator
     that never has to look back; the by-magic order is built on first use.
-    Runs in time linear in the architecture plus the circuit, up to the
-    candidate-set constant.
+    Runs in time linear in the architecture plus the circuit.
     """
-    row_major = sorted(_candidates(arch, locations, circuit.num_qubits), key=_row_major)
+    row_major = _locations(arch, circuit.num_qubits)
     available = set(row_major)
 
     def take(order) -> Vertex:
@@ -142,7 +122,7 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
     rows, near_magic = iter(row_major), by_magic()
     order = {q: i for i, q in enumerate(circuit.qubits)}
     assignment: dict[str, Vertex] = {}
-    for chain in interaction_chain_set(interaction_graph(circuit)).chains:
+    for chain in interaction_chain_set(circuit.qubits, interaction_graph(circuit)):
         # placement order: from the T end, else toward the earlier end qubit
         if chain[-1] is T_VERTEX or (chain[0] is not T_VERTEX and order[chain[0]] < order[chain[-1]]):
             chain = chain[::-1]
@@ -178,11 +158,11 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
     `CapExhausted` is skipped; when every trial does, the first trial's
     exception is raised. `mapper` is any (arch, circuit, seed) -> QubitMap and
     `router` any (arch, circuit, map) -> result with `.steps`, such as a
-    GateRoute or an OptimalResult. With `jobs > 1` the trials run in up to
-    `jobs` spawned worker processes, so `router` and `mapper` must pickle,
-    and the calling script must guard its entry point with
-    `if __name__ == "__main__"`; at most `jobs` trials are submitted and
-    unread at a time, and results are read in trial order.
+    GateRoute or an OptimalResult. `jobs` is capped at n and at the CPU
+    count; above 1, the trials run in that many spawned worker processes, so
+    `router` and `mapper` must pickle, and the calling script must guard its
+    entry point with `if __name__ == "__main__"`; at most that many trials
+    are submitted and unread at a time, and results are read in trial order.
     """
     if n < 1:
         raise MappingError("need at least one trial")
@@ -190,11 +170,13 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
     # in-process, each seed is drawn as its trial starts, so a large n holds
     # no list of n trials
     trials = ((arch, circuit, master.randrange(2 ** 62), router, mapper) for _ in range(n))
+    # the pool starts a process per submit that finds no idle worker
+    jobs = min(jobs, n, os.cpu_count() or 1)
     if jobs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, n),
+        with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             return _fewest_steps(_in_order(pool, trials, jobs))
     return _fewest_steps(map(_trial, trials))

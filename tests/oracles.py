@@ -14,9 +14,11 @@ These do, and say why in their section headers:
 - the struct-map reference imports `_distance_to_set`, which its rewrite
   left unchanged, and `_best_random` routes with the library's
   `greedy_route`, since it checks the trial loop, not the router;
-- the circuit references build the library's `Gate`, `Circuit` and
-  `InteractionGraph` values and raise its `ParseError`, so their results
-  compare equal to the library's.
+- the circuit references build the library's `Gate` and `Circuit` values
+  and raise its `ParseError`, so their results compare equal to the
+  library's; like the library's, the interaction references return plain
+  edge and chain tuples, no longer `InteractionGraph` and
+  `InteractionChainSet` values.
 
 None imports the library's dependency code: where a reference orders,
 windows or layers gates itself (the encoders, the validator, the layered
@@ -28,6 +30,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+import random
 import re
 import time
 from collections import deque
@@ -42,8 +45,8 @@ from scmr.bench import (BenchError, EMPTY_FREE, FULL_BL, FULL_CENTER, FULL_FREE,
                          cycle_time_limit, processor_unit_width)
 from scmr.circuit import Circuit, Gate, GateKind, ParseError, cnot, tgate
 from scmr.architecture import regular_locations as _regular_locations
-from scmr.circuit import InteractionChainSet, InteractionGraph, T_VERTEX
-from scmr.mapping import MappingError, QubitMap, _distance_to_set, qubit_map, random_map
+from scmr.circuit import T_VERTEX
+from scmr.mapping import MappingError, QubitMap, _distance_to_set, qubit_map
 import scmr.routing as _routing
 from scmr.routing import GateRoute, Path, Rule, UnroutableGateError, Violation, greedy_route
 from scmr.sat.cardinality import encode_amo, encode_eo
@@ -59,8 +62,9 @@ from scmr.sat.encoding import CnfInstance, VarTable
 # over the qubit timelines, and the interaction graph keyed by a frozenset
 # per gate. Kept verbatim as the references the library must match circuit
 # for circuit, and error for error (type, message, line and col), but for
-# one change of type: like the library's, `topological_layering` returns the
-# tuple of layers itself, no longer wrapped in a one-field `Layering`. The
+# two changes of type: like the library's, `topological_layering` returns the
+# tuple of layers itself, no longer wrapped in a one-field `Layering`, and
+# `interaction_graph` the edge tuple, no longer an `InteractionGraph`. The
 # library's `Circuit.dependencies` must match `gate_depths`, `gate_heights`
 # and `consecutive_qubit_pairs` field for field.
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ def consecutive_qubit_pairs(circuit: Circuit):
             last[q] = g.index
 
 
-def interaction_graph(circuit: Circuit) -> InteractionGraph:
+def interaction_graph(circuit: Circuit) -> tuple:
     edges = []
     seen: set[frozenset] = set()
     for g in circuit.gates:
@@ -177,7 +181,7 @@ def interaction_graph(circuit: Circuit) -> InteractionGraph:
         if key not in seen:
             seen.add(key)
             edges.append(e)
-    return InteractionGraph(circuit.qubits + (T_VERTEX,), tuple(edges))
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +693,9 @@ def _check_path_shape(arch: Architecture, g: Gate, path: Path, rule: Rule) -> li
 
 # ---------------------------------------------------------------------------
 # Best-of-N random maps as `scmr compile` ran it before it called
-# mapping.best_of_n: its own seed stream, tie-break and greedy-only pool
+# mapping.best_of_n: its own seed stream, tie-break and greedy-only pool; its
+# maps come from this module's `random_map` reference below, so the library's
+# draws are checked against code they do not share
 # ---------------------------------------------------------------------------
 
 def _greedy_trial(payload):
@@ -728,10 +734,13 @@ def _best_random(arch, circuit, n, seed, router_fn, jobs=1):
 # The interaction chain builder as it was before it kept one map from chain
 # ends to chains: a qubit-to-chain-index map relabelled on every merge, a
 # parallel has-T list and an endpoint-side helper. Kept verbatim as the
-# reference the rewrite must match chain for chain, in order and orientation.
+# reference the rewrite must match chain for chain, in order and orientation,
+# but for one change of type: like the library's, it takes the qubits and the
+# edge tuple and returns the chain tuple, no longer an `InteractionGraph` in
+# and an `InteractionChainSet` out.
 # ---------------------------------------------------------------------------
 
-def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
+def interaction_chain_set(qubits, edges) -> tuple:
     """Greedy single pass over edges: add an edge iff the result is still a
     disjoint set of paths with at most one T_VERTEX edge per path."""
     chains: list[list] = []
@@ -746,7 +755,7 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
             return -1
         return None
 
-    for x, y in graph.edges:
+    for x, y in edges:
         if x is T_VERTEX or y is T_VERTEX:
             q = y if x is T_VERTEX else x
             if q not in chain_of:
@@ -800,10 +809,10 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
                     chain_of[v] = ca
 
     out = [tuple(c) for c in chains if c]
-    for q in graph.vertices:
+    for q in qubits:
         if q is not T_VERTEX and q not in chain_of:
             out.append((q,))
-    return InteractionChainSet(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +823,13 @@ def interaction_chain_set(graph: InteractionGraph) -> InteractionChainSet:
 # the library's own, unchanged by it, `_STRIDE2` is its offset order of the
 # time, and the chains come from the `interaction_graph` and
 # `interaction_chain_set` references in this file, so the whole old mapper
-# path is compared with the new one. The one edit: the default locations come from
+# path is compared with the new one. Two edits: the default locations come from
 # the library's `regular_locations`, imported as `_regular_locations`, since
-# this module's own `regular_locations` is the all-pairs reference above.
+# this module's own `regular_locations` is the all-pairs reference above, and
+# the chains are read from the plain tuples the chain references take and give.
+# The library's mappers take no `locations` and draw only from the regular
+# locations; tests that map onto another set (every non-magic vertex, or a
+# handful of cells) call this reference and the random-map one below.
 # ---------------------------------------------------------------------------
 
 _STRIDE2 = ((-2, 0), (2, 0), (0, -2), (0, 2), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -905,9 +918,46 @@ def struct_map(arch: Architecture, circuit: Circuit, locations=None) -> QubitMap
                 assignment[q] = pop_stride2_from(prev)
             prev = assignment[q]
 
-    for chain in interaction_chain_set(interaction_graph(circuit)).chains:
+    for chain in interaction_chain_set(circuit.qubits, interaction_graph(circuit)):
         place_chain(chain)
     return qubit_map(assignment)
+
+
+# ---------------------------------------------------------------------------
+# The random mapper and the free-cell list as they were while the library's
+# mappers took a `locations` set, kept verbatim (the candidate check renamed
+# from `_candidates`, which names the struct reference's own above): a seeded
+# `random_map` over any caller-supplied set, checked for shape, magic or
+# off-grid vertices and repeats, and every non-magic vertex in grid order.
+# ---------------------------------------------------------------------------
+
+def unrestricted_locations(arch: Architecture) -> tuple[Vertex, ...]:
+    return tuple(v for v in arch.vertices() if v not in arch.magic)
+
+
+def _random_candidates(arch: Architecture, locations, num_qubits: int) -> list[Vertex]:
+    locs = list(_regular_locations(arch) if locations is None else locations)
+    if locations is not None:   # the regular locations are well formed by construction
+        malformed = [v for v in locs if not (isinstance(v, tuple) and len(v) == 2
+                                             and all(type(x) is int for x in v))]
+        if malformed:
+            raise MappingError(f"candidate locations must be (int, int) tuples: {malformed}")
+        bad = [v for v in locs if v in arch.magic or not arch.in_bounds(v)]
+        if bad:
+            raise MappingError(f"candidate locations include magic/off-grid vertices: {bad}")
+        if len(set(locs)) < len(locs):
+            repeated = sorted({v for v in locs if locs.count(v) > 1})
+            raise MappingError(f"candidate locations repeat vertices: {repeated}")
+    if len(locs) < num_qubits:
+        raise MappingError(f"{len(locs)} locations for {num_qubits} qubits")
+    return locs
+
+
+def random_map(arch: Architecture, circuit: Circuit, seed: int, locations=None) -> QubitMap:
+    """Uniformly random injective assignment of qubits onto candidate locations."""
+    locs = _random_candidates(arch, locations, circuit.num_qubits)
+    picks = random.Random(seed).sample(locs, circuit.num_qubits)
+    return qubit_map(dict(zip(circuit.qubits, picks)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from scmr.circuit import (
     Circuit,
     CircuitError,
     GateKind,
-    InteractionGraph,
     ParseError,
     T_VERTEX,
     circuit_from_gates,
@@ -133,42 +132,41 @@ def test_dependency_order_is_strict_partial_order_small():
 
 def test_interaction_graph_fig6():
     c = parse_circuit("t q0; cnot q0 q1; cnot q0 q2")
-    g = interaction_graph(c)
-    assert set(map(frozenset, g.edges)) == {
+    edges = interaction_graph(c)
+    assert set(map(frozenset, edges)) == {
         frozenset({T_VERTEX, "q0"}), frozenset({"q0", "q1"}), frozenset({"q0", "q2"}),
     }
 
 
 def test_interaction_graph_no_t_and_dedup():
-    g = interaction_graph(parse_circuit("cnot q0 q1; cnot q0 q1"))
-    assert g.edges == (("q0", "q1"),)
-    assert T_VERTEX in g.vertices
+    edges = interaction_graph(parse_circuit("cnot q0 q1; cnot q0 q1"))
+    assert edges == (("q0", "q1"),)
 
 
 def test_chain_set_fig6():
     c = parse_circuit("t q0; cnot q0 q1; cnot q0 q2")
-    chains = interaction_chain_set(interaction_graph(c)).chains
+    chains = interaction_chain_set(c.qubits, interaction_graph(c))
     normalized = {ch if ch[0] is not T_VERTEX else tuple(reversed(ch)) for ch in chains}
     assert normalized == {("q1", "q0", T_VERTEX), ("q2",)}
 
 
 def test_chain_set_two_disjoint_cnots():
     c = parse_circuit("cnot q0 q1; cnot q2 q3")
-    chains = interaction_chain_set(interaction_graph(c)).chains
+    chains = interaction_chain_set(c.qubits, interaction_graph(c))
     assert sorted(chains) == [("q0", "q1"), ("q2", "q3")]
 
 
 def test_chain_set_empty():
-    assert interaction_chain_set(interaction_graph(parse_circuit(""))).chains == ()
+    assert interaction_chain_set((), interaction_graph(parse_circuit(""))) == ()
 
 
 def _chain_set_invariants(circuit: Circuit):
-    graph = interaction_graph(circuit)
-    chains = interaction_chain_set(graph).chains
+    edges = interaction_graph(circuit)
+    chains = interaction_chain_set(circuit.qubits, edges)
     qubit_hits = [v for ch in chains for v in ch if v is not T_VERTEX]
     assert len(qubit_hits) == len(set(qubit_hits))
     assert set(qubit_hits) == set(circuit.qubits)
-    edge_keys = set(map(frozenset, graph.edges))
+    edge_keys = set(map(frozenset, edges))
     for ch in chains:
         t_edges = 0
         for u, v in zip(ch, ch[1:]):
@@ -239,12 +237,11 @@ def test_chain_set_matches_reference():
     # both as interaction_graph writes them and flipped to (q, T_VERTEX)
     cases = 0
     for circuit in _chain_corpus():
-        graph = interaction_graph(circuit)
-        flipped = InteractionGraph(graph.vertices, tuple(
-            (y, x) if x is T_VERTEX else (x, y) for x, y in graph.edges))
-        for g in (graph, flipped):
-            want = oracles.interaction_chain_set(g).chains
-            assert interaction_chain_set(g).chains == want, g
+        edges = interaction_graph(circuit)
+        flipped = tuple((y, x) if x is T_VERTEX else (x, y) for x, y in edges)
+        for e in (edges, flipped):
+            want = oracles.interaction_chain_set(circuit.qubits, e)
+            assert interaction_chain_set(circuit.qubits, e) == want, e
             cases += 1
     assert cases > 6000
 

@@ -322,6 +322,38 @@ def test_gen_out_of_range_sizes_exit_1(tmp_path, capsys, argv, message):
     assert not (tmp_path / "g.qc").exists()
 
 
+_STAR = {"jobs": list(range(3000)), "edges": [[0, j] for j in range(1, 3000)]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["random", "-q", "100000000", "-d", "2"],
+     "a circuit of 100000000 qubits and up to 200000000 gates is past the cap of 1000000"),
+    (["known-optimal", "-d", "2", "-k", "100000000"],
+     "a circuit of 200000000 qubits and up to 200000000 gates is past the cap of 1000000"),
+    (["ndp", "--cols", "1000000", "--rows", "1000000", "--pairs-file", "{pairs}"],
+     "grid 5000000x5000000 has more than 1000000 cells"),
+    (["psp", "--jobs", "{chain}", "-k", "1000000000", "-t", "1"],
+     "grid 13000000000x4 has more than 1000000 cells"),
+    # the cycle circuit of one processor over 10**9 time steps
+    (["psp", "--jobs", "{chain}", "-k", "1", "-t", "1000000000"],
+     "a circuit of 2 qubits and up to 3999999999 gates is past the cap of 1000000"),
+    # a hub job with 2,999 dependents gives every job 2 * 2999 + 1 gadget gates
+    (["psp", "--jobs", "{star}", "-k", "1", "-t", "1"],
+     "a circuit of 9000000 qubits and up to 17999999 gates is past the cap of 1000000"),
+], ids=["random", "known-optimal", "ndp", "psp-grid", "psp-cycle", "psp-dependency"])
+def test_gen_past_the_size_caps_exits_1_before_allocating(tmp_path, capsys, argv, message):
+    # each of these sizes asks for gigabytes: the generator refuses it from
+    # its arguments, before it builds a qubit list, a gate list or a grid
+    files = {"pairs": [[[1, 1], [2, 2]]], "chain": {"jobs": ["a", "b"], "edges": [["a", "b"]]},
+             "star": _STAR}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+    assert run(["gen", *argv, "-o", str(tmp_path / "g")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.qc").exists()
+
+
 @pytest.mark.parametrize("spec", [
     {},                                   # no "jobs"
     {"jobs": 3},                          # "jobs" not a list
@@ -652,3 +684,65 @@ def test_validate_fuzz_exits_with_a_documented_code(tmp_path, capsys):
         codes[code] = codes.get(code, 0) + 1
     capsys.readouterr()
     assert len(codes) == 3, codes
+
+
+# words a mutation puts in place of one token of a valid circuit text
+_FUZZ_WORDS = ["cnot", "CNOT", "t", "T", "h", "q0", "q4", "q9", "_", "0q", "q-1", "é", "",
+               ";", "#", str(2 ** 70), "\x00", "q" * 300, "cnot q0 q0", "t q0 q1"]
+
+
+def _fuzz_text(rng, text):
+    """`text` with one change: a token swapped for another word, a character
+    dropped or doubled, or a line repeated or dropped."""
+    op = rng.randrange(4)
+    if op == 0:
+        tokens = text.replace(";", " ; ").split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(_FUZZ_WORDS)
+        return " ".join(tokens)
+    if op == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i] * rng.choice((0, 2)) + text[i + 1:]
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    return "".join(lines[:i] + lines[i:i + 1] * (0 if op == 2 else 2) + lines[i + 1:])
+
+
+def test_compile_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    # seeded mutations of a valid 5-qubit circuit text and of its arch file,
+    # each compiled with `--arch`: every run ends in 0 (compiled), 1 (an input
+    # is rejected), 2 (infeasible) or 4 (not valid), and raises nothing
+    from scmr.architecture import MAX_CELLS
+    from scmr.bench import random_circuit
+    from scmr.circuit import serialize_circuit
+
+    text = serialize_circuit(random_circuit(5, 4, 0.3, seed=2))
+    circ = tmp_path / "five.qc"
+    circ.write_text(text)
+    code, out = _compile(tmp_path, circ)
+    assert code == EXIT_OK
+    arch = json.loads((out / "five.arch.json").read_text())
+    cases = [("arch", {**arch, "rows": 2 ** 70}), ("arch", {**arch, "cols": 2 ** 70}),
+             ("arch", {**arch, "rows": 1000, "cols": MAX_CELLS // 1000 + 1}),
+             ("arch", {**arch, "rows": 1, "cols": MAX_CELLS + 1}),
+             ("arch", {**arch, "magic": []})]   # no magic vertex: T gates cannot route
+    rng = random.Random(5)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            cases.append(("circuit", _fuzz_text(rng, text)))
+        else:
+            cases.append(("arch", _fuzz_mutate(rng, arch)))
+    codes = {}
+    for n, (role, doc) in enumerate(cases):
+        files = {"circuit": circ, "arch": out / "five.arch.json"}
+        if role == "circuit":
+            files[role] = tmp_path / f"fuzz{n}.qc"
+            files[role].write_text(doc)
+        else:
+            files[role] = tmp_path / f"fuzz{n}.arch.json"
+            files[role].write_text(json.dumps(doc))
+        code = run(["compile", str(files["circuit"]), "--arch", str(files["arch"]),
+                    "--out", str(tmp_path / "fuzz-out")])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_INVALID), (role, doc)
+        codes[code] = codes.get(code, 0) + 1
+    capsys.readouterr()
+    assert {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE} <= set(codes), codes

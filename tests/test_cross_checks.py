@@ -11,7 +11,7 @@ import pytest
 from scmr.architecture import bordered_architecture, custom_architecture
 from scmr.bench import ndp_to_scr, random_circuit
 from scmr.circuit import circuit_from_gates, cnot, depth, tgate
-from scmr.mapping import qubit_map, random_map, struct_map, unrestricted_locations
+from scmr.mapping import qubit_map, random_map, struct_map
 from scmr.routing import GateRoute, UnroutableGateError, greedy_route, validate
 from scmr.sat import (
     CapExhausted,
@@ -24,6 +24,7 @@ from scmr.sat import (
     write_instance,
 )
 
+import oracles
 from oracles import brute_force_optimum, ndp_feasible
 
 
@@ -195,10 +196,10 @@ def test_unrestricted_mode_fig4_one_step():
     # one-step map on the bare 3x3
     arch = custom_architecture(3, 3, [])
     circuit = circuit_from_gates([cnot("q0", "q1"), cnot("q2", "q3")])
-    locs = unrestricted_locations(arch)
+    locs = oracles.unrestricted_locations(arch)
     best = None
     for seed in range(200):
-        qmap = random_map(arch, circuit, seed=seed, locations=locs)
+        qmap = oracles.random_map(arch, circuit, seed=seed, locations=locs)
         try:
             route = greedy_route(arch, circuit, qmap)
         except Exception:

@@ -1,4 +1,7 @@
 import functools
+import hashlib
+import math
+import os
 import random
 import time
 from collections import Counter
@@ -26,7 +29,6 @@ from scmr.mapping import (
     qubit_map,
     random_map,
     struct_map,
-    unrestricted_locations,
 )
 from scmr.routing import greedy_route, route_to_json
 from scmr.sat import solve_optimal
@@ -63,13 +65,14 @@ def test_random_map_not_enough_locations():
 
 def test_random_map_uniform_over_bijections():
     # 2 qubits onto 2 locations: both bijections near 50/50 over many seeds
-    arch = custom_architecture(5, 5, [])
-    locs = [(2, 2), (4, 4)]
+    arch = custom_architecture(3, 5, [])
+    locs = regular_locations(arch)
+    assert locs == ((2, 2), (4, 2))
     c = parse_circuit("cnot a b")
     counts = Counter()
     trials = 10_000
     for s in range(trials):
-        m = random_map(arch, c, seed=s, locations=locs)
+        m = random_map(arch, c, seed=s)
         counts[m["a"]] += 1
     for v in locs:
         assert abs(counts[v] / trials - 0.5) < 0.05
@@ -94,10 +97,11 @@ def test_struct_map_single_qubit():
 
 def test_struct_map_total_when_distance2_runs_out():
     # 1-row candidate band: chains longer than any stride-2 run still map fully
-    arch = custom_architecture(5, 11, [])
-    locs = [(a, 2) for a in (2, 4, 6, 8, 10)]
+    arch = custom_architecture(3, 11, [])
+    locs = regular_locations(arch)
+    assert locs == tuple((a, 2) for a in (2, 4, 6, 8, 10))
     c = parse_circuit("cnot a b; cnot b c; cnot c d; cnot d e")
-    m = struct_map(arch, c, locations=locs)
+    m = struct_map(arch, c)
     _check_map_invariants(arch, c, m, locs)
 
 
@@ -105,13 +109,6 @@ def test_struct_map_deterministic():
     arch = bordered_architecture(9)
     c = random_circuit(7, 4, 0.3, seed=9)
     assert struct_map(arch, c).assignment == struct_map(arch, c).assignment
-
-
-def test_struct_map_unrestricted_mode():
-    arch = bordered_architecture(2)
-    c = parse_circuit("cnot a b")
-    m = struct_map(arch, c, locations=unrestricted_locations(arch))
-    _check_map_invariants(arch, c, m)
 
 
 def test_struct_map_linear_time_smoke():
@@ -134,19 +131,22 @@ def test_struct_map_linear_time_smoke():
     assert big_t < 30 * max(small_t, 0.005)
 
 
-def _map_or_error(mapper, arch, circuit, locations):
+def _map_or_error(mapper, arch, circuit):
     try:
-        return map_to_json(mapper(arch, circuit, locations=locations))
+        return map_to_json(mapper(arch, circuit))
     except MappingError as e:
         return f"MappingError: {e}"
 
 
 def _mapper_corpus():
-    """(arch, circuit, locations) over bordered, right-column, center-column
-    and magic-free grids, T fractions up to 0.8, regular and unrestricted
-    locations, too few locations, and wide known-optimum circuits."""
+    """(arch, circuit) over bordered, right-column, center-column, magic-free
+    and magic-sprinkled grids (whose regular locations and magic distances
+    have no pattern), T fractions up to 0.8, too few locations, and wide
+    known-optimum circuits."""
     for seed in range(12):
         for n in range(1 + seed % 3, 34, 3):
+            side = 7 + 3 * math.isqrt(n)
+            cells = [(a, b) for b in range(1, side + 1) for a in range(1, side + 1)]
             for t_fraction in (0.0, 0.2, 0.5, 0.8):
                 c = random_circuit(n, 1 + seed % 4, t_fraction, seed=seed * 1000 + n)
                 grids = [custom_architecture(3 + n // 3, 4 + n // 2, [])]
@@ -156,48 +156,43 @@ def _mapper_corpus():
                         grids.append(build(n))
                     except ArchitectureError:
                         pass
-                for arch in grids:
-                    yield arch, c, None
-                    yield arch, c, unrestricted_locations(arch)
-                yield bordered_architecture(max(1, n // 3)), c, None
+                rng = random.Random(seed * 1000 + n + int(10 * t_fraction))
+                for density in (0.01, 0.03, 0.06):
+                    magic = rng.sample(cells, int(density * len(cells)))
+                    grids.append(custom_architecture(side, side, magic))
+                grids.append(bordered_architecture(max(1, n // 3)))
+                yield from ((arch, c) for arch in grids)
     for d, k in ((1, 1), (2, 15), (3, 40), (2, 200)):
         c = known_optimal(d, k, 0.5, seed=k)
-        yield bordered_architecture(c.num_qubits), c, None
+        yield bordered_architecture(c.num_qubits), c
 
 
 def test_struct_map_matches_reference():
     # byte-identical maps and error texts to the pointer-and-bucket mapper
     cases = 0
-    for arch, c, locs in _mapper_corpus():
-        want = _map_or_error(oracles.struct_map, arch, c, locs)
-        assert _map_or_error(struct_map, arch, c, locs) == want, (arch, c.num_qubits, locs)
+    for arch, c in _mapper_corpus():
+        want = _map_or_error(oracles.struct_map, arch, c)
+        assert _map_or_error(struct_map, arch, c) == want, (arch, c.num_qubits)
         cases += 1
     assert cases > 2000
 
 
-def test_mappers_reject_repeated_locations():
-    arch = bordered_architecture(4)
-    c = parse_circuit("cnot a b; cnot c d")
-    for mapper in (struct_map, functools.partial(random_map, seed=0)):
-        with pytest.raises(MappingError, match=r"repeat vertices: \[\(3, 3\)\]"):
-            mapper(arch, c, locations=[(3, 3)] * 4)
-        with pytest.raises(MappingError, match="repeat"):
-            mapper(arch, c, locations=[(3, 3), (5, 5), (3, 3), (3, 5)])
-
-
-@pytest.mark.parametrize("locations", [
-    [[3, 3], [5, 5]],            # lists, not tuples
-    [(3, 3, 0), (5, 5, 0)],      # three coordinates
-    [("3", "3"), (5, 5)],        # strings
-    [(3.0, 3.0), (5, 5)],        # floats
-    [(True, 3), (5, 5)],         # a bool is not a coordinate
-])
-def test_mappers_reject_malformed_locations(locations):
-    arch = bordered_architecture(4)
-    c = parse_circuit("cnot a b")
-    for mapper in (struct_map, functools.partial(random_map, seed=0)):
-        with pytest.raises(MappingError, match=r"must be \(int, int\) tuples"):
-            mapper(arch, c, locations=locations)
+def test_default_location_maps_pinned():
+    # sha256 of struct and random maps over the three built-in layouts, as
+    # `scmr compile` builds them, hashed before the mappers dropped their
+    # `locations` option: their draws are pinned to bytes no reference shares
+    h = hashlib.sha256()
+    layouts = (bordered_architecture, right_column_architecture,
+               functools.partial(center_column_architecture, widen=True))
+    for n in range(1, 31):
+        for t_fraction in (0.0, 0.2, 0.4, 0.6, 0.8):
+            c = random_circuit(n, 1 + n % 5, t_fraction, seed=100 * n + int(10 * t_fraction))
+            for build in layouts:
+                arch = build(n)
+                h.update(map_to_json(struct_map(arch, c)).encode() + b"\n")
+                for seed in range(3):
+                    h.update(map_to_json(random_map(arch, c, seed)).encode() + b"\n")
+    assert h.hexdigest() == "d2a3c6b1faf6e7441fe1519833c1635a30d19259ab4b1738b8e7fff9e9869a34"
 
 
 def test_best_of_n_first_trial_matches_n1():
@@ -224,7 +219,7 @@ def test_best_of_n_finds_a_one_step_map():
     p = steps_by_map.count(1) / len(steps_by_map)
     assert 0 < p < 1
     _, best = best_of_n(arch, c, 40, seed=1, router=greedy_route,
-                        mapper=functools.partial(random_map, locations=locs))
+                        mapper=functools.partial(oracles.random_map, locations=locs))
     assert best.steps == 1
 
 
@@ -341,8 +336,50 @@ def test_best_of_n_draws_seeds_only_for_the_trials_in_flight(jobs, monkeypatch):
     c = parse_circuit("cnot a b")
     with pytest.raises(MappingError, match="0 locations for 2 qubits"):
         best_of_n(arch, c, 1000, 0, greedy_route,
-                  mapper=functools.partial(random_map, locations=[]), jobs=jobs)
+                  mapper=functools.partial(oracles.random_map, locations=[]), jobs=jobs)
     assert 1 <= draws <= jobs + 1
+
+
+def test_best_of_n_caps_workers_at_the_cpu_count(monkeypatch):
+    # a spawn pool starts a process for each submit that finds no idle
+    # worker, so `--jobs` past the CPU count would start that many at once;
+    # on two CPUs, 64 jobs ask for two workers and keep two trials pending,
+    # and pick what the in-process run picks
+    import concurrent.futures
+
+    asked, pending, most = [], [0], [0]
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            pending[0] -= 1
+            return self.value
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            pending[0] += 1
+            most[0] = max(most[0], pending[0])
+            return Done(fn(*args))
+
+    arch = bordered_architecture(4)
+    c = random_circuit(4, 3, 0.3, seed=5)
+    want = best_of_n(arch, c, 16, 3, greedy_route, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    qmap, route = best_of_n(arch, c, 16, 3, greedy_route, jobs=64)
+    assert asked == [2] and most[0] == 2
+    assert (map_to_json(qmap), route_to_json(route)) == (map_to_json(want[0]), route_to_json(want[1]))
 
 
 def test_map_from_json_rejects_malformed_maps():
@@ -373,4 +410,6 @@ def test_all_magic_grid_rejects_any_mapping():
     arch = custom_architecture(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
     c = parse_circuit("cnot a b")
     with pytest.raises(MappingError):
-        random_map(arch, c, seed=0, locations=unrestricted_locations(arch))
+        random_map(arch, c, seed=0)
+    with pytest.raises(MappingError):
+        oracles.random_map(arch, c, seed=0, locations=oracles.unrestricted_locations(arch))

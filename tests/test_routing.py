@@ -25,7 +25,7 @@ from scmr.circuit import (
     serialize_circuit,
     tgate,
 )
-from scmr.mapping import MappingError, QubitMap, qubit_map, random_map, struct_map, unrestricted_locations
+from scmr.mapping import MappingError, QubitMap, qubit_map, random_map, struct_map
 from scmr.routing import (
     GateRoute,
     RoutingError,
@@ -434,7 +434,8 @@ def _crowded_instances():
     for seed in range(90):
         c = random_circuit(3 + seed % 6, 2 + seed % 4, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
         arch = _BUILDERS[seed % 3](c.num_qubits)
-        yield arch, c, random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+        yield arch, c, oracles.random_map(arch, c, seed=seed,
+                                          locations=oracles.unrestricted_locations(arch))
 
 
 def test_greedy_route_matches_reference_router_on_crowded_maps():
@@ -506,7 +507,7 @@ def _crowded_request_sets():
             else:
                 specs.append(tgate(qubits.pop()))
         c = circuit_from_gates(specs)
-        m = random_map(arch, c, seed=seed, locations=unrestricted_locations(arch))
+        m = oracles.random_map(arch, c, seed=seed, locations=oracles.unrestricted_locations(arch))
         requests = list(zip(gate_requests(arch, c, m),
                             [oracles.request_for_gate(arch, m, g) for g in c.gates]))
         rng.shuffle(requests)
@@ -731,8 +732,8 @@ def test_validate_matches_reference():
         rng = random.Random(seed)
         c = random_circuit(2 + seed % 7, 1 + seed % 5, (0.0, 0.3, 0.6)[seed % 3], seed=seed)
         arch = _BUILDERS[seed % 3](c.num_qubits)
-        locations = unrestricted_locations(arch) if seed % 2 else None
-        m = random_map(arch, c, seed=seed, locations=locations)
+        locations = oracles.unrestricted_locations(arch) if seed % 2 else None
+        m = oracles.random_map(arch, c, seed=seed, locations=locations)
         try:
             r = greedy_route(arch, c, m)
         except UnroutableGateError:
@@ -831,16 +832,16 @@ def _pinned_instances(rng, size):
     corpus = []
     while len(corpus) < size:
         arch = rng.choice(grids)
-        free = unrestricted_locations(arch)
+        free = oracles.unrestricted_locations(arch)
         circuit = random_circuit(rng.randint(2, 9), rng.randint(1, 6), rng.choice((0.0, 0.3, 0.7)),
                                  seed=rng.randrange(2 ** 30))
         kind = rng.choice(("struct", "random", "spare"))
         locations = free if not arch.magic or rng.random() < 0.5 else None
         try:
             if kind == "struct":
-                qmap = struct_map(arch, circuit, locations)
+                qmap = oracles.struct_map(arch, circuit, locations)
             elif kind == "random":
-                qmap = random_map(arch, circuit, rng.randrange(2 ** 30), locations)
+                qmap = oracles.random_map(arch, circuit, rng.randrange(2 ** 30), locations)
             else:
                 names = list(circuit.qubits) + ["spare"]
                 qmap = qubit_map(dict(zip(names, rng.sample(free, len(names)))))

@@ -316,8 +316,8 @@ def test_path_variables_cover_every_legal_path_under_a_pinned_map(arch):
         circuit = random_circuit(4, 2, 0.4, seed=seed)
         t_s = depth(circuit) + 1
         windows = exec_windows(circuit, t_s)
-        for qmap in (struct_map(arch, circuit, locations),
-                     random_map(arch, circuit, seed, locations),
+        for qmap in (oracles.struct_map(arch, circuit, locations),
+                     oracles.random_map(arch, circuit, seed, locations),
                      qubit_map(dict(zip(circuit.qubits, rng.sample(free, 4))))):
             cnf = encode(arch, circuit, qmap, t_s=t_s)
             for g in circuit.gates:
@@ -714,9 +714,9 @@ def _probe_corpus(rng, size):
                                  seed=rng.randrange(2 ** 30))
         kind = rng.choice(("struct", "random", "arbitrary", "free"))
         if kind == "struct":
-            qmap = struct_map(arch, circuit, free if small else None)
+            qmap = oracles.struct_map(arch, circuit, free if small else None)
         elif kind == "random":
-            qmap = random_map(arch, circuit, rng.randrange(2 ** 30), free if small else None)
+            qmap = oracles.random_map(arch, circuit, rng.randrange(2 ** 30), free if small else None)
         elif kind == "arbitrary":
             qmap = qubit_map(dict(zip(circuit.qubits, rng.sample(free, circuit.num_qubits))))
         elif small and circuit.num_qubits < 4 and depth(circuit) < 3:
@@ -1046,9 +1046,9 @@ def _climb_corpus(rng, size):
         kind = rng.choice(("struct", "random", "arbitrary", "spare", "free", "crowded"))
         locations = free if arch in small else None  # too small for regular locations
         if kind == "struct":
-            qmap = struct_map(arch, circuit, locations)
+            qmap = oracles.struct_map(arch, circuit, locations)
         elif kind == "random":
-            qmap = random_map(arch, circuit, rng.randrange(2 ** 30), locations)
+            qmap = oracles.random_map(arch, circuit, rng.randrange(2 ** 30), locations)
         elif kind in ("arbitrary", "spare"):
             names = list(circuit.qubits) + (["spare"] if kind == "spare" else [])
             qmap = qubit_map(dict(zip(names, rng.sample(free, len(names)))))
