@@ -17,9 +17,13 @@ two distinct in-range variables, both unassigned at the root (most clauses
 the encoder emits), is kept and watched directly; every other clause goes
 through `_add_clause`, which sorts, drops duplicates, tautologies and
 root-false literals, and propagates units. Both paths keep the same clause,
-in the same watch-list position, as `_add_clause` alone would. `add_clause`
-adds one more between searches, so models can be enumerated by blocking
-each one found.
+in the same watch-list position, as `_add_clause` alone would.
+
+Every `solve` starts at the root level, so one solver may be searched again
+after a model, an UNSAT verdict, a `SolverTimeout` or `add_clause`, which
+adds one more clause between searches: models can be enumerated by blocking
+each one found, and a search cut by its deadline resumes with the clauses
+it learned.
 
 Literals use DIMACS convention: variable v > 0, literal +v or -v. Models are
 verified against the full clause set before being returned.
@@ -309,10 +313,11 @@ class CdclSolver:
         deadline = None if timeout is None else time.monotonic() + timeout
         if not self.ok:
             return None
-        if self._propagate() is not None:
-            return None
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout(f"no verdict within {timeout:.3f}s")
+        # When this runs, the level-0 trail is fully propagated: decisions
+        # follow only a conflict-free propagate, and a root conflict ends the
+        # search. So a search left by a timeout, a model or `add_clause`
+        # starts again from the root, keeping what it has learned.
+        self._cancel_until(0)
         conflicts = 0
         decisions = 0
         restart_idx = 1
@@ -320,24 +325,22 @@ class CdclSolver:
         since_restart = 0
         while True:
             conflict = self._propagate()
+            if conflict is not None and not self.trail_lim:
+                self.ok = False
+                return None
             if deadline is not None and (conflicts + decisions) % 64 == 0 \
                     and time.monotonic() > deadline:
                 raise SolverTimeout(f"no verdict within {timeout:.3f}s")
             if conflict is not None:
                 conflicts += 1
                 since_restart += 1
-                if len(self.trail_lim) == 0:
-                    return None
                 learnt, back = self._analyze(conflict)
                 self._cancel_until(back)
-                if len(learnt) == 1:
-                    if not (self._enqueue(learnt[0], None) and self._propagate() is None):
-                        return None
-                else:
+                if len(learnt) > 1:
                     self.clauses.append(learnt)
                     self.watches[learnt[0]].append(learnt)
                     self.watches[learnt[1]].append(learnt)
-                    self._enqueue(learnt[0], learnt)
+                self._enqueue(learnt[0], learnt if len(learnt) > 1 else None)
                 self.var_inc /= 0.95
                 continue
             if since_restart >= budget and self.trail_lim:

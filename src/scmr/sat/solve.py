@@ -2,7 +2,8 @@
 
 `solve(cnf, timeout)` runs the built-in CDCL solver and returns a model
 (signed literals covering every variable) or None when the formula is
-unsatisfiable; a timeout raises SolverTimeout. `solve_optimal` probes
+unsatisfiable; a timeout raises SolverTimeout, before the solver is built
+when none of it is left. `solve_optimal` probes
 t = depth, depth + 1, ... and encodes each probe afresh, so a probe keeps
 no formula from the one before it; the depth and every probe's windows and
 order clauses read one table, the circuit's `Circuit.dependencies`, built
@@ -38,6 +39,8 @@ class CapExhausted(RuntimeError):
 
 def solve(cnf: CnfInstance, timeout: float | None = None) -> list[int] | None:
     """A model of `cnf`, or None when it is unsatisfiable."""
+    if timeout is not None and timeout <= 0:
+        raise SolverTimeout(f"no verdict within {timeout:.3f}s")
     start = time.monotonic()
     solver = CdclSolver(cnf.num_vars, cnf.clauses)
     if timeout is None:
@@ -49,7 +52,7 @@ def solve(cnf: CnfInstance, timeout: float | None = None) -> list[int] | None:
     return solver.solve(timeout=remaining)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimalResult:
     qmap: QubitMap
     route: GateRoute
@@ -91,15 +94,10 @@ def solve_optimal(arch: Architecture, circuit: Circuit, qmap: QubitMap | None = 
     for t in range(d, t_max + 1):
         probe_start = time.monotonic()
         cnf = encode(arch, circuit, qmap=qmap, t_s=t)
-        model = None
-        remaining = None if timeout is None else timeout - (time.monotonic() - probe_start)
-        if remaining is not None and remaining <= 0:
-            timed_out = True
-        else:
-            try:
-                model = solve(cnf, timeout=remaining)
-            except SolverTimeout:
-                timed_out = True
+        try:
+            model = solve(cnf, None if timeout is None else timeout - (time.monotonic() - probe_start))
+        except SolverTimeout:
+            model, timed_out = None, True
         if model is not None:
             got_map, route = decode(model, cnf.table, circuit, arch)
             return OptimalResult(got_map, route, route.steps, not timed_out)

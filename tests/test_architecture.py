@@ -102,6 +102,8 @@ def test_bordered_architecture_sizing():
     assert regular_locations(a1) == ((3, 3),)
     a9 = bordered_architecture(9)
     assert (a9.rows, a9.cols) == (9, 9)  # interior 7x7
+    with pytest.raises(ArchitectureError, match="^need at least one qubit$"):
+        bordered_architecture(0)
 
 
 def test_bordered_border_is_magic():
@@ -250,6 +252,7 @@ def test_architecture_from_json_rejects_grids_past_the_cell_cap():
 
 def test_architecture_from_json_rejects_malformed_architectures():
     for text in ('{"rows": 5}', '[]', '{"rows": "5", "cols": 5, "magic": []}',
-                 '{"rows": 5, "cols": 5, "magic": [[1]]}', '{"rows": 5, "cols": 5, "magic": 3}'):
+                 '{"rows": 5, "cols": 5, "magic": [[1]]}', '{"rows": 5, "cols": 5, "magic": 3}',
+                 '{"rows": 0, "cols": 5, "magic": []}'):
         with pytest.raises(ArchitectureError):
             architecture_from_json(text)

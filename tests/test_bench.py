@@ -104,6 +104,8 @@ def test_job_gadget_shapes():
     assert len(g0.gates) == 1 and g0.gates[0].kind is GateKind.T
     g1 = job_gadget("A", 1)
     assert [g.kind for g in g1.gates] == [GateKind.CNOT, GateKind.T, GateKind.CNOT]
+    with pytest.raises(BenchError, match="^degree bound must be nonnegative$"):
+        job_gadget("A", -1)
 
 
 def _t_gate_order(circuit):

@@ -324,19 +324,30 @@ def _mutated(rng, text):
     return "\n".join(lines)
 
 
+def _blanked(rng, text):
+    """`text` with about half its spaces swapped for non-ASCII blanks, which
+    `str.split` splits on too: such statements miss the parser's ASCII fast
+    path."""
+    return "".join(rng.choice(("\u00a0", "\u2003", "\u3000")) if ch == " " and rng.random() < 0.5
+                   else ch for ch in text)
+
+
 def test_parse_circuit_matches_reference():
     rng = random.Random(22)
-    seen = dict.fromkeys(("circuits", "errors", "lenient drops", "non-ascii"), 0)
+    blank_rng = random.Random(23)
+    seen = dict.fromkeys(("circuits", "errors", "lenient drops", "non-ascii", "blanked circuits"), 0)
     corpus = list(_chain_corpus())
     for circuit in rng.sample(corpus, 600) + corpus[-40:]:
         text = serialize_circuit(circuit)
-        for variant in (text, _dressed(rng, text), _mutated(rng, _dressed(rng, text))):
+        blanked = _blanked(blank_rng, text)
+        for variant in (text, _dressed(rng, text), _mutated(rng, _dressed(rng, text)), blanked):
             for strict in (True, False):
                 got = _outcome(parse_circuit, variant, strict)
                 assert got == _outcome(oracles.parse_circuit, variant, strict), variant
                 if isinstance(got, Circuit):
                     seen["circuits"] += 1
                     seen["lenient drops"] += not strict and got != _outcome(parse_circuit, variant, True)
+                    seen["blanked circuits"] += variant is blanked and not variant.isascii()
                 else:
                     seen["errors"] += 1
                     seen["non-ascii"] += not variant.isascii()

@@ -89,13 +89,17 @@ def test_compile_optimal_timed_out_probe_of_unroutable_instance(tmp_path, capsys
 
 def test_cli_import_loads_no_process_machinery():
     # process pools are imported only when --jobs asks for workers, and the
-    # exact engine runs no external program
+    # exact engine runs no external program; the package, the solver and
+    # the generators included, loads nothing from outside the standard
+    # library
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys; sys.path.insert(0, %r); import scmr.cli; print(sorted(m for m in "
-            "('subprocess', 'multiprocessing', 'concurrent.futures') if m in sys.modules))" % src)
+    code = ("import sys; sys.path.insert(0, %r); import scmr.cli, scmr.sat, scmr.bench; "
+            "print(sorted(m for m in ('subprocess', 'multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules)); print(sorted({m.split('.')[0] for m in sys.modules} "
+            "- {'scmr', '__main__'} - sys.stdlib_module_names))" % src)
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60)
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n[]\n"), done.stderr
 
 
 def test_compile_rand_mapper(tmp_path, fig1, capsys):
@@ -311,6 +315,8 @@ def test_gen_ndp(tmp_path):
     (["ndp", "--cols", "2", "--rows", "-1"], "pair grid must be at least 1x1, got 2x-1"),
     # 201 x 201 pair tiles make a 1005 x 1005 grid, past the cell cap
     (["ndp", "--cols", "201", "--rows", "201"], "grid 1005x1005 has more than 1000000 cells"),
+    (["known-optimal", "-d", "0", "-k", "1"], "need d >= 1 and k >= 1"),
+    (["random", "-q", "2", "-d", "2", "--t-fraction", "1.5"], "t_fraction must be in [0, 1]"),
 ])
 def test_gen_out_of_range_sizes_exit_1(tmp_path, capsys, argv, message):
     pairs = tmp_path / "pairs.json"
@@ -603,15 +609,18 @@ HUGE_ARCH = json.dumps({"rows": 5, "cols": 2 ** 70, "magic": []})
 ], ids=["validate", "compile"])
 def test_huge_architecture_exits_1_naming_the_file(tmp_path, fig1, capsys, argv):
     # a grid past the cell cap is rejected as the file is read, before its
-    # cell index (an entry per cell) or its mapping locations are built
+    # cell index (an entry per cell) or its mapping locations are built; so
+    # is a grid with no cells
     code, out = _compile(tmp_path, fig1)
     assert code == EXIT_OK
     bad = tmp_path / "huge.arch.json"
-    bad.write_text(HUGE_ARCH)
     paths = {"fig1": fig1, "bad": bad, "out": out, "tmp": tmp_path}
-    capsys.readouterr()
-    assert run([arg.format(**paths) for arg in argv.split()]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    for text, message in [(HUGE_ARCH, "grid 1180591620717411303424x5 has more than 1000000 cells"),
+                          ('{"rows": 0, "cols": 5, "magic": []}', "grid must be at least 1x1, got 0x5")]:
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run([arg.format(**paths) for arg in argv.split()]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_built_in_layout_past_the_cell_cap_exits_1(tmp_path, capsys):

@@ -399,6 +399,25 @@ def test_solve_optimal_fig4():
     assert fixed.qmap.as_dict == FIG4_MAP.as_dict
 
 
+def test_optimal_result_is_frozen_and_pickles():
+    # the one result the core hands back that could be changed in place;
+    # `--jobs` workers return it pickled
+    import dataclasses
+    import pickle
+
+    res = solve_optimal(GRID3, FIG4_CIRCUIT, qmap=FIG4_MAP)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.steps = 1
+    assert pickle.loads(pickle.dumps(res)) == res
+
+
+def test_step_counts_below_one_step_or_the_depth_are_refused():
+    with pytest.raises(ValueError, match="^cap 0 is below the depth lower bound 1$"):
+        solve_optimal(GRID3, FIG4_CIRCUIT, qmap=FIG4_MAP, t_max=depth(FIG4_CIRCUIT) - 1)
+    with pytest.raises(ValueError, match="^need at least one time step$"):
+        encode(GRID3, FIG4_CIRCUIT, FIG4_MAP, t_s=0)
+
+
 def test_solve_optimal_known_optimal_2_2():
     c = known_optimal(2, 2, seed=1)
     arch = custom_architecture(4, 4, [])
@@ -983,6 +1002,82 @@ def test_cdcl_matches_dict_watch_solver_on_random_cnf():
         outcomes["sat" if model is not None else "unsat"] += 1
         learned += n_learned
     assert all(outcomes.values()) and learned > 0, outcomes
+
+
+class _CountingClock:
+    """Stands in for `time` in `scmr.sat.cdcl`: `monotonic()` reads the
+    number of calls made so far, so a deadline stops a search at a fixed
+    point of it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self):
+        self.calls += 1
+        return float(self.calls)
+
+
+def _satisfies(model, clauses) -> bool:
+    truth = set(model)
+    return all(any(l in truth for l in c) for c in clauses)
+
+
+def test_cdcl_searched_again_after_a_timeout_keeps_its_verdict(monkeypatch):
+    # a search stopped by its deadline may leave a conflict pending; searched
+    # again, the solver must start from the root with the clauses it learned
+    # and give a fresh solver's verdict, give it once more, and go on to
+    # enumerate models under a blocking clause
+    import random
+    import sys
+
+    cdcl_module = sys.modules["scmr.sat.cdcl"]
+    n, stops = 120, (8, 4, 2, 1)
+    seeds = itertools.count()
+    verdicts = []
+    while len(verdicts) < 30:
+        seed = next(seeds)
+        rng = random.Random(seed)
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(round(4.2 * n))]
+        want = CdclSolver(n, clauses).solve() is not None
+        for stop in stops:
+            solver = CdclSolver(n, clauses)
+            with monkeypatch.context() as m:
+                m.setattr(cdcl_module, "time", _CountingClock())
+                if stop == stops[0]:
+                    # a formula decided before the largest stop is passed over
+                    try:
+                        early = solver.solve(timeout=stop)
+                    except SolverTimeout:
+                        pass
+                    else:
+                        assert (early is not None) == want
+                        break
+                else:
+                    with pytest.raises(SolverTimeout):
+                        solver.solve(timeout=stop)
+            model = solver.solve()
+            assert (model is not None) == want, (seed, stop)
+            again = solver.solve()
+            assert (again is not None) == want, (seed, stop)
+            if want:
+                assert _satisfies(model, clauses) and _satisfies(again, clauses)
+                solver.add_clause([-l for l in again])
+                other = solver.solve()
+                assert other is None or (_satisfies(other, clauses) and other != again)
+        else:
+            verdicts.append(want)
+    assert 5 < sum(verdicts) < 25, verdicts
+
+
+def test_cdcl_deadline_stops_a_hard_search_on_the_real_clock():
+    import time
+
+    solver = CdclSolver(*_pigeonhole(9))
+    start = time.monotonic()
+    with pytest.raises(SolverTimeout, match=r"^no verdict within 0\.200s$"):
+        solver.solve(timeout=0.2)
+    assert time.monotonic() - start < 2.0
 
 
 def test_probe_timeout_counts_solver_construction(monkeypatch, tmp_path, capsys):
