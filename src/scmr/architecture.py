@@ -197,36 +197,25 @@ def right_column_architecture(num_qubits: int) -> Architecture:
     """Same interior sizing; magic vertices only in the rightmost column."""
     s = _interior_side(num_qubits)
     magic = frozenset((s + 1, b) for b in range(1, s + 1))
-    arch = Architecture(s, s + 1, magic)
-    _require_locations(arch, num_qubits)
-    return arch
+    return Architecture(s, s + 1, magic)
 
 
 def center_column_architecture(num_qubits: int, widen: bool = False) -> Architecture:
     """Magic column down the exact center, circuit locations on both sides.
 
-    The minimal sizing can leave too few regular locations (e.g. one qubit);
-    widen=True grows the interior until the locations fit, otherwise that
-    case raises.
+    Without `widen` this is the minimal grid, which can hold fewer regular
+    locations than qubits (one qubit gets none), and a mapper that needs
+    more locations raises `MappingError`; widen=True grows the interior
+    until the locations fit.
     """
     s = _interior_side(num_qubits)
     while True:
         mid = (s + 3) // 2
         magic = frozenset((mid, b) for b in range(1, s + 1))
         arch = Architecture(s, s + 2, magic)
-        if len(regular_locations(arch)) >= num_qubits:
+        if not widen or len(regular_locations(arch)) >= num_qubits:
             return arch
-        if not widen:
-            _require_locations(arch, num_qubits)
         s += 2
-
-
-def _require_locations(arch: Architecture, num_qubits: int):
-    have = len(regular_locations(arch))
-    if have < num_qubits:
-        raise ArchitectureError(
-            f"architecture too small: {have} regular locations for {num_qubits} qubits"
-        )
 
 
 # ---------------------------------------------------------------------------

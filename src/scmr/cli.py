@@ -146,11 +146,9 @@ def cmd_compile(args) -> int:
     }
     print(json.dumps(record))
     if args.metrics:
-        path = Path(args.metrics)
-        new = not path.exists()
-        with path.open("a", newline="") as f:
+        with Path(args.metrics).open("a", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=METRIC_FIELDS)
-            if new:
+            if f.tell() == 0:   # a new or empty file
                 writer.writeheader()
             writer.writerow(record)
     if problems:

@@ -49,10 +49,7 @@ class QubitMap:
 
 
 def qubit_map(assignment: dict[str, Vertex]) -> QubitMap:
-    items = tuple(assignment.items())
-    if len({v for _, v in items}) != len(items):
-        raise MappingError("map is not injective")
-    return QubitMap(items)
+    return QubitMap(tuple(assignment.items()))
 
 
 def _locations(arch: Architecture, num_qubits: int) -> tuple[Vertex, ...]:
@@ -136,15 +133,16 @@ def struct_map(arch: Architecture, circuit: Circuit) -> QubitMap:
 
 def _trial(args):
     """One seeded map and its route, or the exception by which the router
-    says the map has none."""
+    says it found none: no route for the map, or every probe timed out."""
     from .routing import UnroutableGateError
+    from .sat.cdcl import SolverTimeout
     from .sat.solve import CapExhausted
 
     arch, circuit, seed, router, mapper = args
     qmap = mapper(arch, circuit, seed)
     try:
         return qmap, router(arch, circuit, qmap)
-    except (UnroutableGateError, CapExhausted) as e:
+    except (UnroutableGateError, CapExhausted, SolverTimeout) as e:
         return e
 
 
@@ -154,15 +152,16 @@ def best_of_n(arch: Architecture, circuit: Circuit, n: int, seed: int, router,
 
     Trial seeds come from one master stream, so the first trial of any n
     equals the single trial of n=1 with the same seed. Ties break toward the
-    earliest trial. A trial whose router raises `UnroutableGateError` or
-    `CapExhausted` is skipped; when every trial does, the first trial's
-    exception is raised. `mapper` is any (arch, circuit, seed) -> QubitMap and
-    `router` any (arch, circuit, map) -> result with `.steps`, such as a
-    GateRoute or an OptimalResult. `jobs` is capped at n and at the CPU
-    count; above 1, the trials run in that many spawned worker processes, so
-    `router` and `mapper` must pickle, and the calling script must guard its
-    entry point with `if __name__ == "__main__"`; at most that many trials
-    are submitted and unread at a time, and results are read in trial order.
+    earliest trial. A trial whose router raises `UnroutableGateError`,
+    `CapExhausted` or `SolverTimeout` is skipped; when every trial does, the
+    first trial's exception is raised. `mapper` is any (arch, circuit, seed)
+    -> QubitMap and `router` any (arch, circuit, map) -> result with
+    `.steps`, such as a GateRoute or an OptimalResult. `jobs` is capped at n
+    and at the CPU count; above 1, the trials run in that many spawned
+    worker processes, so `router` and `mapper` must pickle, and the calling
+    script must guard its entry point with `if __name__ == "__main__"`; at
+    most that many trials are submitted and unread at a time, and results
+    are read in trial order.
     """
     if n < 1:
         raise MappingError("need at least one trial")

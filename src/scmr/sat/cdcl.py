@@ -134,7 +134,8 @@ class CdclSolver:
         if not out:
             return False
         if len(out) == 1:
-            return self._enqueue(out[0], None) and self._propagate() is None
+            self._enqueue(out[0], None)
+            return self._propagate() is None
         self.clauses.append(out)
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
@@ -149,17 +150,14 @@ class CdclSolver:
 
     # -- assignment ----------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason) -> bool:
-        val = self.vals[lit]
-        if val:
-            return val == 1
+    def _enqueue(self, lit: int, reason) -> None:
+        """Assign the unassigned literal `lit` true at the current level."""
         self.vals[lit] = 1
         self.vals[-lit] = -1
         v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self):
         """Unit propagation; returns a conflicting clause or None."""

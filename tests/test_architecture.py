@@ -120,9 +120,18 @@ def test_right_column_architecture():
     assert len(regular_locations(arch)) >= 4
 
 
+def test_right_column_architecture_holds_a_location_per_qubit():
+    # the magic-free interior is (2r+1)^2 with r = ceil(sqrt(n)), so it
+    # holds r^2 >= n locations and the layout needs no check of its own
+    for n in range(1, 301):
+        assert len(regular_locations(right_column_architecture(n))) >= n, n
+
+
 def test_center_column_architecture():
-    with pytest.raises(ArchitectureError):
-        center_column_architecture(1)
+    # without `widen` the minimal grid comes back even when it holds fewer
+    # locations than qubits: the mappers count locations, not the layout
+    minimal = center_column_architecture(1)
+    assert (minimal.rows, minimal.cols) == (3, 5) and regular_locations(minimal) == ()
     widened = center_column_architecture(1, widen=True)
     assert len(regular_locations(widened)) >= 1
 

@@ -119,6 +119,16 @@ def test_compile_metrics_csv_stable(tmp_path, fig1, capsys):
     assert len(lines) == 3 and lines[1].split(",")[4] == lines[2].split(",")[4]
 
 
+def test_compile_metrics_into_an_empty_file_writes_one_header(tmp_path, fig1, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.touch()
+    for _ in range(2):
+        code, _ = _compile(tmp_path, fig1, "--metrics", str(metrics))
+        assert code == EXIT_OK
+    lines = metrics.read_text().splitlines()
+    assert [line.startswith("circuit,") for line in lines] == [True, False, False]
+
+
 def test_compile_usage_errors(tmp_path, fig1):
     assert run(["compile", str(fig1), "--mapper", "bogus"]) == EXIT_USAGE
     assert run(["compile", str(fig1), "--mapper", "optimal", "--router", "greedy"]) == EXIT_USAGE
@@ -207,6 +217,32 @@ def test_validate_roundtrip_and_tamper(tmp_path, fig1, capsys):
     assert run(argv) == EXIT_INVALID
     report = capsys.readouterr().out
     assert "routing" in report or "disjoint" in report
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("unmapped", "qubit 'q1' is unmapped"),
+    ("off-grid", "qubit 'q1' mapped off-grid at (99, 99)"),
+    ("on-magic", "qubit 'q1' mapped onto magic vertex (1, 1)"),
+    ("shared", "qubits 'q0' and 'q1' share vertex {q0}"),
+], ids=["unmapped", "off-grid", "on-magic", "shared"])
+def test_validate_exits_4_on_each_map_fault(tmp_path, fig1, capsys, fault, detail):
+    # every map fault reaches the command line through `validate`'s
+    # map-validity rule alone, a shared vertex too
+    code, out = _compile(tmp_path, fig1)
+    assert code == EXIT_OK
+    placed = json.loads((out / "fig1.map.json").read_text())
+    assert [1, 1] in json.loads((out / "fig1.arch.json").read_text())["magic"]
+    q0 = tuple(placed["q0"])
+    if fault == "unmapped":
+        del placed["q1"]
+    else:
+        placed["q1"] = {"off-grid": [99, 99], "on-magic": [1, 1], "shared": list(q0)}[fault]
+    (out / "fig1.map.json").write_text(json.dumps(placed))
+    capsys.readouterr()
+    assert run(["validate", str(fig1), str(out / "fig1.arch.json"), str(out / "fig1.map.json"),
+                str(out / "fig1.route.json")]) == EXIT_INVALID
+    report = capsys.readouterr().out.splitlines()
+    assert report[0] == "map-validity: " + detail.format(q0=q0)
 
 
 def test_compile_invalid_route_exits_4_and_still_writes_its_files(tmp_path, fig1, capsys,

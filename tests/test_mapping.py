@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import sys
 import time
 from collections import Counter
 
@@ -11,7 +12,6 @@ import pytest
 import oracles
 from scmr import mapping
 from scmr.architecture import (
-    ArchitectureError,
     bordered_architecture,
     center_column_architecture,
     custom_architecture,
@@ -150,12 +150,8 @@ def _mapper_corpus():
             for t_fraction in (0.0, 0.2, 0.5, 0.8):
                 c = random_circuit(n, 1 + seed % 4, t_fraction, seed=seed * 1000 + n)
                 grids = [custom_architecture(3 + n // 3, 4 + n // 2, [])]
-                for build in (bordered_architecture, right_column_architecture,
-                              center_column_architecture):
-                    try:
-                        grids.append(build(n))
-                    except ArchitectureError:
-                        pass
+                grids += [build(n) for build in (bordered_architecture, right_column_architecture,
+                                                 center_column_architecture)]
                 rng = random.Random(seed * 1000 + n + int(10 * t_fraction))
                 for density in (0.01, 0.03, 0.06):
                     magic = rng.sample(cells, int(density * len(cells)))
@@ -318,6 +314,32 @@ def test_best_of_n_skips_trials_without_a_route(jobs):
         assert qmap == random_map(arch, c, second)
 
 
+def test_best_of_n_skips_a_trial_whose_probes_all_time_out(monkeypatch):
+    # every probe of the second trial times out, so its `solve_optimal`
+    # raises SolverTimeout: best_of_n skips it like a trial without a route
+    # and keeps the better of the other two
+    from scmr.sat import SolverTimeout
+
+    sat_solve = sys.modules["scmr.sat.solve"]  # attribute scmr.sat.solve is a function
+    real = sat_solve.solve
+    maps = []
+
+    def timed_out(cnf, timeout=None):
+        raise SolverTimeout("no verdict")
+
+    def router(arch, circuit, qmap):
+        monkeypatch.setattr(sat_solve, "solve", timed_out if len(maps) == 1 else real)
+        maps.append(qmap)
+        return solve_optimal(arch, circuit, qmap)
+
+    arch = bordered_architecture(4)
+    c = random_circuit(4, 3, 0.2, seed=1)
+    qmap, result = best_of_n(arch, c, 3, 0, router)
+    assert len(maps) == 3
+    first, third = (solve_optimal(arch, c, maps[i]).steps for i in (0, 2))
+    assert (qmap, result.steps) == ((maps[0], first) if first <= third else (maps[2], third))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_best_of_n_draws_seeds_only_for_the_trials_in_flight(jobs, monkeypatch):
     # with no candidate location the mapper raises in every trial, so the
@@ -393,9 +415,15 @@ def test_map_json_roundtrip():
     assert map_from_json(map_to_json(m)).as_dict == m.as_dict
 
 
-def test_qubit_map_rejects_collisions():
-    with pytest.raises(MappingError):
-        qubit_map({"a": (1, 1), "b": (1, 1)})
+def test_mappers_count_the_locations_of_a_minimal_grid():
+    # the minimal center-column grid for one qubit holds no regular
+    # location: the layout builds it, and each mapper raises
+    c = parse_circuit("t q0")
+    minimal = center_column_architecture(1)
+    for mapper in (struct_map, functools.partial(random_map, seed=0)):
+        with pytest.raises(MappingError, match="^0 locations for 1 qubits$"):
+            mapper(minimal, c)
+        assert mapper(center_column_architecture(1, widen=True), c)["q0"] is not None
 
 
 def test_fuzzed_maps_satisfy_invariants():

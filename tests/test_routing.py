@@ -869,13 +869,12 @@ def test_gate_requests_match_the_per_gate_reference():
 
 
 # Maps that do not place `cnot q0 q1; t q1` on `bordered_architecture(2)`,
-# a 7x7 grid ringed by magic vertices; the last one is built directly, since
-# `qubit_map` refuses a map that is not injective.
+# a 7x7 grid ringed by magic vertices.
 _BAD_MAPS = {
     "unmapped": qubit_map({"q0": (3, 3)}),
     "off-grid": qubit_map({"q0": (3, 3), "q1": (9, 2)}),
     "on-magic": qubit_map({"q0": (3, 3), "q1": (1, 4)}),
-    "shared": QubitMap((("q0", (3, 3)), ("q1", (3, 3)))),
+    "shared": qubit_map({"q0": (3, 3), "q1": (3, 3)}),
 }
 
 
